@@ -13,6 +13,7 @@ helper below reduces to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     DivisionByZero,
@@ -21,7 +22,7 @@ from .errors import (
     ShapeError,
     UnsupportedRing,
 )
-from .ring import FieldElement, LaurentPolynomial, RingDescriptor
+from .ring import FieldElement, LaurentPolynomial, RingDescriptor, _reduced
 
 
 class RingMatrix:
@@ -54,6 +55,19 @@ class RingMatrix:
         self.cols = ncols
         self.entries = tuple(rows)
 
+    @classmethod
+    def _unchecked(cls, ring: RingDescriptor, rows) -> "RingMatrix":
+        """Wrap rows computed by the library, without checking them.
+
+        rows is a sequence of equal-length tuples of polynomials over ring.
+        """
+        m = object.__new__(cls)
+        m.ring = ring
+        m.entries = tuple(rows)
+        m.rows = len(m.entries)
+        m.cols = len(m.entries[0]) if m.entries else 0
+        return m
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -76,19 +90,19 @@ class RingMatrix:
     def from_blocks(cls, blocks) -> "RingMatrix":
         """Assemble a block matrix from a grid of RingMatrix pieces."""
         ring = blocks[0][0].ring
+        width = sum(b.cols for b in blocks[0])
         rows = []
         for block_row in blocks:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("block row heights differ")
+            if sum(b.cols for b in block_row) != width:
+                raise ShapeError("block row widths differ")
+            if any(b.ring != ring for b in block_row):
+                raise RingMismatch("block ring mismatch")
             for i in range(height):
-                row = []
-                for b in block_row:
-                    if b.ring != ring:
-                        raise RingMismatch("block ring mismatch")
-                    row.extend(b.entries[i])
-                rows.append(row)
-        return cls(ring, rows)
+                rows.append(tuple(e for b in block_row for e in b.entries[i]))
+        return cls._unchecked(ring, rows)
 
     @classmethod
     def block_diag(cls, blocks) -> "RingMatrix":
@@ -96,17 +110,18 @@ class RingMatrix:
         if not blocks:
             raise ShapeError("block_diag needs at least one block")
         ring = blocks[0].ring
-        total_r = sum(b.rows for b in blocks)
+        if any(b.ring != ring for b in blocks):
+            raise RingMismatch("block ring mismatch")
         total_c = sum(b.cols for b in blocks)
-        grid = [[ring.zero() for _ in range(total_c)] for _ in range(total_r)]
-        r0 = c0 = 0
+        zero = ring.zero()
+        rows = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    grid[r0 + i][c0 + j] = b.entries[i][j]
-            r0 += b.rows
+            left = (zero,) * c0
+            right = (zero,) * (total_c - c0 - b.cols)
+            rows.extend(left + row + right for row in b.entries)
             c0 += b.cols
-        return cls(ring, grid)
+        return cls._unchecked(ring, rows)
 
     @classmethod
     def hstack(cls, blocks) -> "RingMatrix":
@@ -136,30 +151,36 @@ class RingMatrix:
             raise RingMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        zero = self.ring.zero()
+        # each entry sums all its term products in one dict and reduces once
+        ring = self.ring
+        p = ring.p
+        wrap = LaurentPolynomial._unchecked
+        columns = [[b.terms for b in col] for col in zip(*other.entries)]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.ring, out)
+        for row in self.entries:
+            left = [a.terms for a in row]
+            new_row = []
+            for col in columns:
+                acc: dict = {}
+                for a, b in zip(left, col):
+                    if a and b:
+                        for e1, c1 in a.items():
+                            for e2, c2 in b.items():
+                                e = tuple(map(add, e1, e2))
+                                acc[e] = acc.get(e, 0) + c1 * c2
+                new_row.append(wrap(ring, _reduced(acc, p)))
+            out.append(tuple(new_row))
+        return RingMatrix._unchecked(ring, out)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         if self.ring != other.ring:
             raise RingMismatch("matrix rings differ")
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return RingMatrix(
+        return RingMatrix._unchecked(
             self.ring,
             [
-                [a + b for a, b in zip(r1, r2)]
+                tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ],
         )
@@ -168,12 +189,16 @@ class RingMatrix:
         return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
-        return RingMatrix(self.ring, [[-e for e in row] for row in self.entries])
+        return RingMatrix._unchecked(
+            self.ring, [tuple(-e for e in row) for row in self.entries]
+        )
 
     def scale(self, c) -> "RingMatrix":
         if isinstance(c, (int, FieldElement)):
             c = self.ring.constant(c)
-        return RingMatrix(self.ring, [[c * e for e in row] for row in self.entries])
+        return RingMatrix._unchecked(
+            self.ring, [tuple(c * e for e in row) for row in self.entries]
+        )
 
     @property
     def shape(self):
@@ -187,34 +212,31 @@ class RingMatrix:
 
     def dagger(self) -> "RingMatrix":
         """Transpose with entrywise involution (the dual map)."""
-        return RingMatrix(
+        return RingMatrix._unchecked(
             self.ring,
-            [
-                [self.entries[i][j].involute() for i in range(self.rows)]
-                for j in range(self.cols)
-            ],
+            [tuple(e.involute() for e in col) for col in zip(*self.entries)],
         )
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix(
-            self.ring,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return RingMatrix._unchecked(self.ring, list(zip(*self.entries)))
 
     def eval_T(self, t) -> "RingMatrix":
-        return RingMatrix(
-            self.ring.drop_T(), [[e.eval_T(t) for e in row] for row in self.entries]
+        return RingMatrix._unchecked(
+            self.ring.drop_T(),
+            [tuple(e.eval_T(t) for e in row) for row in self.entries],
         )
 
     def lift_T(self) -> "RingMatrix":
-        return RingMatrix(
-            self.ring.with_T(), [[e.lift_T() for e in row] for row in self.entries]
+        return RingMatrix._unchecked(
+            self.ring.with_T(),
+            [tuple(e.lift_T() for e in row) for row in self.entries],
         )
 
     def submatrix(self, row_indices, col_indices) -> "RingMatrix":
-        return RingMatrix(
+        col_indices = list(col_indices)
+        return RingMatrix._unchecked(
             self.ring,
-            [[self.entries[i][j] for j in col_indices] for i in row_indices],
+            [tuple(self.entries[i][j] for j in col_indices) for i in row_indices],
         )
 
     def columns(self) -> list["RingMatrix"]:

@@ -116,7 +116,9 @@ class StabilizerModule:
 class CliffordUnitary:
     """An invertible matrix preserving the anti-hermitian pairing.
 
-    dagger(M) @ lambda^- @ M = lambda^- is verified exactly on construction.
+    The public constructor verifies dagger(M) @ lambda^- @ M = lambda^-
+    exactly.  Products, inverses and elementary unitaries are unitary by
+    construction and are not checked again.
     """
 
     __slots__ = ("ambient", "matrix")
@@ -132,13 +134,21 @@ class CliffordUnitary:
         self.ambient = ambient
         self.matrix = matrix
 
+    @classmethod
+    def _unchecked(cls, ambient: PauliModule, matrix: RingMatrix) -> "CliffordUnitary":
+        """Wrap a matrix that is unitary by construction, without checking it."""
+        u = object.__new__(cls)
+        u.ambient = ambient
+        u.matrix = matrix
+        return u
+
     def __matmul__(self, other: "CliffordUnitary") -> "CliffordUnitary":
         if self.ambient != other.ambient:
             raise RingMismatch("unitaries act on different Pauli modules")
-        return CliffordUnitary(self.ambient, self.matrix @ other.matrix)
+        return CliffordUnitary._unchecked(self.ambient, self.matrix @ other.matrix)
 
     def inverse(self) -> "CliffordUnitary":
-        return CliffordUnitary(self.ambient, inverse(self.matrix))
+        return CliffordUnitary._unchecked(self.ambient, inverse(self.matrix))
 
     def __eq__(self, other):
         return (
@@ -228,6 +238,11 @@ def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
     """E0(q) = (1 0; q 1) on L, or E1(q) = (1 q; 0 1) on L*."""
     if q.sign != 1 or not q.is_hermitian():
         raise FormError("elementary unitaries need a +hermitian form")
+    return _elementary_unitary(which, q)
+
+
+def _elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
+    """elementary_unitary for a form already known to be +hermitian."""
     ring = q.ring
     n = q.dim
     ident = RingMatrix.identity(ring, n)
@@ -238,7 +253,8 @@ def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
         blocks = [[ident, q.matrix], [zero, ident]]
     else:
         raise DomainError(f"unknown elementary kind {which!r}")
-    return CliffordUnitary(PauliModule(ring, n), RingMatrix.from_blocks(blocks))
+    matrix = RingMatrix.from_blocks(blocks)
+    return CliffordUnitary._unchecked(PauliModule(ring, n), matrix)
 
 
 def hyperbolic_unitary(a: RingMatrix) -> CliffordUnitary:

@@ -13,6 +13,7 @@ normalized so that equality is map equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import DivisionByZero, DomainError, RingMismatch
 
@@ -26,6 +27,11 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _reduced(terms: dict, p: int) -> dict:
+    """Reduce integer coefficients mod p and drop the terms that vanish."""
+    return {e: r for e, c in terms.items() if (r := c % p)}
 
 
 class FieldElement:
@@ -214,6 +220,18 @@ class LaurentPolynomial:
         self.ring = ring
         self.terms = cleaned
 
+    @classmethod
+    def _unchecked(cls, ring: RingDescriptor, terms: dict) -> "LaurentPolynomial":
+        """Wrap terms that are already normalized, without checking them.
+
+        For results the library computes: every key is an exponent tuple of
+        the ring's width and every value a residue in [1, p).
+        """
+        f = object.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
+
     # -- ring plumbing -------------------------------------------------
 
     def _check(self, other: "LaurentPolynomial"):
@@ -232,10 +250,15 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
+        p = self.ring.p
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return LaurentPolynomial(self.ring, out)
+            c = (out.get(exps, 0) + c) % p
+            if c:
+                out[exps] = c
+            else:
+                del out[exps]
+        return LaurentPolynomial._unchecked(self.ring, out)
 
     __radd__ = __add__
 
@@ -249,20 +272,22 @@ class LaurentPolynomial:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPolynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        p = self.ring.p
+        return LaurentPolynomial._unchecked(
+            self.ring, {e: p - c for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        p = self.ring.p
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = (out.get(e, 0) + c1 * c2) % p
-        return LaurentPolynomial(self.ring, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return LaurentPolynomial._unchecked(self.ring, _reduced(out, self.ring.p))
 
     __rmul__ = __mul__
 
@@ -319,7 +344,7 @@ class LaurentPolynomial:
         for exps, c in self.terms.items():
             flipped = tuple(-e for e in exps[:d]) + exps[d:]
             out[flipped] = c
-        return LaurentPolynomial(self.ring, out)
+        return LaurentPolynomial._unchecked(self.ring, out)
 
     def augment(self) -> FieldElement:
         """Coefficient of the zero exponent tuple (the degree-zero part)."""
@@ -332,20 +357,21 @@ class LaurentPolynomial:
         """Substitute a scalar for T; the result lives in the ring without T."""
         if not self.ring.has_T:
             raise DomainError("ring has no T variable to evaluate")
-        t = (t.value if isinstance(t, FieldElement) else t) % self.ring.p
-        target = self.ring.drop_T()
+        p = self.ring.p
+        t = (t.value if isinstance(t, FieldElement) else t) % p
         out: dict = {}
         for exps, c in self.terms.items():
             e, k = exps[:-1], exps[-1]
-            out[e] = (out.get(e, 0) + c * pow(t, k, self.ring.p)) % self.ring.p
-        return LaurentPolynomial(target, out)
+            out[e] = out.get(e, 0) + c * pow(t, k, p)
+        return LaurentPolynomial._unchecked(self.ring.drop_T(), _reduced(out, p))
 
     def lift_T(self) -> "LaurentPolynomial":
         """View a T-free polynomial inside the ring extended by T."""
         if self.ring.has_T:
             raise DomainError("polynomial already lives in a ring with T")
-        target = self.ring.with_T()
-        return LaurentPolynomial(target, {e + (0,): c for e, c in self.terms.items()})
+        return LaurentPolynomial._unchecked(
+            self.ring.with_T(), {e + (0,): c for e, c in self.terms.items()}
+        )
 
     # -- display -------------------------------------------------------
 

@@ -32,9 +32,8 @@ from .pauli import (
     CliffordUnitary,
     PauliModule,
     StabilizerModule,
-    apply,
+    _elementary_unitary,
     elementary_unitary,
-    modules_equal,
 )
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
@@ -59,6 +58,15 @@ class SturmSequence:
             if q.sign != 1 or not q.is_hermitian():
                 raise FormError("sequence entries must be +hermitian")
 
+    @classmethod
+    def _unchecked(cls, ring, N, forms, start) -> "SturmSequence":
+        """A sequence derived from a validated one; its forms are not checked again."""
+        seq = object.__new__(cls)
+        fields = {"ring": ring, "N": N, "forms": forms, "start": start}
+        for name, value in fields.items():
+            object.__setattr__(seq, name, value)
+        return seq
+
     def __len__(self):
         return len(self.forms)
 
@@ -67,7 +75,7 @@ class SturmSequence:
         return self.start + len(self.forms) - 1
 
     def eval_T(self, t) -> "SturmSequence":
-        return SturmSequence(
+        return SturmSequence._unchecked(
             self.ring.drop_T(),
             self.N,
             tuple(q.eval_T(t) for q in self.forms),
@@ -76,24 +84,31 @@ class SturmSequence:
 
     def truncated(self) -> "SturmSequence":
         """Drop the last form (q' in the transversality construction)."""
-        return SturmSequence(self.ring, self.N, self.forms[:-1], self.start)
+        return SturmSequence._unchecked(
+            self.ring, self.N, self.forms[:-1], self.start
+        )
 
     def padded(self, extra: int) -> "SturmSequence":
         """Append zero forms; E(0) is the identity, so the word is unchanged."""
         zero = HermitianForm(RingMatrix.zeros(self.ring, self.N, self.N), 1)
-        return SturmSequence(
+        return SturmSequence._unchecked(
             self.ring, self.N, self.forms + (zero,) * extra, self.start
         )
 
 
 def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
-    """The elementary word E_m(q_m) ... E_n(q_n); empty sequences give 1."""
+    """The elementary word E_m(q_m) ... E_n(q_n); empty sequences give 1.
+
+    The forms were checked when the sequence was built, so the elementary
+    factors are not checked again.
+    """
     module = PauliModule(seq.ring, seq.N)
-    result = CliffordUnitary(module, RingMatrix.identity(seq.ring, 2 * seq.N))
+    identity = RingMatrix.identity(seq.ring, 2 * seq.N)
+    result = CliffordUnitary._unchecked(module, identity)
     for offset, q in enumerate(seq.forms):
         k = seq.start + offset
         kind = "E0" if k % 2 == 0 else "E1"
-        result = result @ elementary_unitary(kind, q)
+        result = result @ _elementary_unitary(kind, q)
     return result
 
 
@@ -213,13 +228,14 @@ class LagrangianLoop:
 
 
 def _fixes_standard_lagrangian(u: CliffordUnitary) -> bool:
-    ring = u.ambient.ring
+    """uL = L for the standard Lagrangian L, exactly for every d.
+
+    uL is spanned by the first N columns (A; C) of u, so uL is inside L
+    exactly when the lower-left block C is 0.  And if the Lagrangian uL lies
+    in the Lagrangian L, then L = L^perp is inside (uL)^perp = uL.
+    """
     N = u.ambient.N
-    if ring.spatial_vars <= 1:
-        base = u.ambient.standard_lagrangian()
-        return modules_equal(apply(u, base), base)
-    lower_left = u.matrix.submatrix(range(N, 2 * N), range(N))
-    return lower_left.is_zero()
+    return u.matrix.submatrix(range(N, 2 * N), range(N)).is_zero()
 
 
 def validate_loop(seq: SturmSequence) -> LagrangianLoop:
@@ -310,8 +326,10 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     s_of_t = sturm_tridiagonal(seq.truncated())
     s0 = s_of_t.eval_T(0)
     s1 = s_of_t.eval_T(1)
-    for name, s in (("S(0)", s0), ("S(1)", s1)):
-        if not det(s.matrix).is_unit():
+    det0 = det(s0.matrix)
+    det1 = det(s1.matrix)
+    for name, d in (("S(0)", det0), ("S(1)", det1)):
+        if not d.is_unit():
             raise InternalInvariantViolation(
                 f"{name} is degenerate; the sequence is not a valid loop"
             )
@@ -319,7 +337,9 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
         RingMatrix.block_diag([s1.matrix, -inverse(s0.matrix)]), 1
     )
     witt = witt_class(rep) if ring0.spatial_vars == 0 else None
-    return MaslovResult(rep, witt, rep.dim % 2, det(rep.matrix))
+    # det(rep) = det S(1) * det(-S(0)^-1) = det S(1) * (-1)^n / det S(0)
+    determinant = det1 * det0.unit_inverse() * (-1) ** s0.dim
+    return MaslovResult(rep, witt, rep.dim % 2, determinant)
 
 
 def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:

@@ -6,6 +6,7 @@ import pytest
 
 from maslovkit import (
     RingDescriptor,
+    RingMismatch,
     RingMatrix,
     ShapeError,
     UnsupportedRing,
@@ -46,6 +47,18 @@ def test_mat_mul_examples():
 def test_mat_mul_errors():
     with pytest.raises(ShapeError):
         mat_mul(RingMatrix.identity(F5, 2), RingMatrix.identity(F5, 3))
+
+
+def test_block_assembly_checks_shapes_and_rings():
+    A = RingMatrix.identity(F5, 2)
+    with pytest.raises(ShapeError):
+        RingMatrix.from_blocks([[A, A], [A]])
+    with pytest.raises(ShapeError):
+        RingMatrix.from_blocks([[A, RingMatrix.zeros(F5, 1, 2)]])
+    with pytest.raises(RingMismatch):
+        RingMatrix.from_blocks([[A, RingMatrix.identity(F3, 2)]])
+    with pytest.raises(RingMismatch):
+        RingMatrix.block_diag([A, RingMatrix.identity(F3, 2)])
 
 
 def test_dagger_examples():

@@ -7,6 +7,7 @@ import pytest
 
 from maslovkit import (
     DomainError,
+    FormError,
     HermitianForm,
     RingDescriptor,
     RingMatrix,
@@ -138,6 +139,23 @@ def test_module_decode_checks_shape():
     blob = {"N": 1, "ring": ring_json, "generators": gens}
     with pytest.raises(Exception):
         serialize.decode_module(blob)
+
+
+def test_decoders_keep_their_edge_checks():
+    # docs/formats.md: decoding a unitary verifies dagger(M) lambda^- M = lambda^-
+    not_unitary = RingMatrix(RingDescriptor(5), [[1, 1], [1, 1]])
+    with pytest.raises(FormError):
+        serialize.decode_unitary(
+            {"N": 1, "matrix": serialize.encode_matrix(not_unitary)}
+        )
+    x = L5.x(0)
+    not_hermitian = serialize.encode_form(HermitianForm(RingMatrix(L5, [[x]]), 1))
+    with pytest.raises(FormError):
+        serialize.decode_circuit([{"kind": "E0", "payload": not_hermitian}])
+    hermitian = HermitianForm(RingMatrix(L5, [[x + L5.x(0, -1)]]), 1)
+    payload = serialize.encode_form(hermitian)
+    (u,) = serialize.decode_circuit([{"kind": "E0", "payload": payload}])
+    assert serialize.decode_unitary(serialize.encode_unitary(u)) == u
 
 
 def test_form_sign_validation():

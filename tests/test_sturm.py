@@ -169,6 +169,68 @@ def test_validate_loop_examples():
     assert len(validated.seq.forms) == 3, "padded to type (0, 2n)"
 
 
+def test_validate_loop_laurent_ring():
+    # d = 1: the lower-left-block test alone decides whether the word fixes L
+    L5T = RingDescriptor(5, 1, True)
+    x, T = L5T.x(0), L5T.T()
+    bad = SturmSequence(
+        L5T, 1, (HermitianForm(RingMatrix(L5T, [[(x + L5T.x(0, -1)) * T]]), 1),)
+    )
+    with pytest.raises(NotALoop):
+        validate_loop(bad)
+    ok = SturmSequence(
+        L5T,
+        1,
+        (
+            HermitianForm(RingMatrix.zeros(L5T, 1, 1), 1),
+            HermitianForm(RingMatrix(L5T, [[(x + L5T.x(0, -1)) * T + 2]]), 1),
+        ),
+    )
+    assert len(validate_loop(ok).seq.forms) == 3
+
+
+def test_derived_sequences_equal_checked_construction():
+    rng = random.Random(14)
+    L5T = RingDescriptor(5, 1, True)
+    forms = tuple(rand_hermitian(L5T, 2, rng) for _ in range(3))
+    seq = SturmSequence(L5T, 2, forms)
+    zero = HermitianForm(RingMatrix.zeros(L5T, 2, 2), 1)
+    assert seq.truncated() == SturmSequence(L5T, 2, forms[:-1])
+    assert seq.padded(2) == SturmSequence(L5T, 2, forms + (zero, zero))
+    for t in (0, 1, 3):
+        evaluated = seq.eval_T(t)
+        assert evaluated == SturmSequence(L5, 2, tuple(q.eval_T(t) for q in forms))
+        assert all(q.is_hermitian() for q in evaluated.forms)
+
+
+def test_maslov_determinant_equals_det_of_representative():
+    rng = random.Random(31)
+    cases = [
+        (rand_symmetric_nondeg(7, 3, rng), rand_symmetric_nondeg(7, 3, rng)),
+        (rand_symmetric_nondeg(5, 2, rng), rand_symmetric_nondeg(5, 2, rng)),
+    ]
+    c = rand_unit_matrix(L5, rng, 2)
+    cases.append(
+        (
+            HermitianForm(c.dagger() @ RingMatrix(L5, [[1, 0], [0, 2]]) @ c, 1),
+            scalar_form(L5, 3, 2),
+        )
+    )
+    L5xy = RingDescriptor(5, 2)
+    x, y = L5xy.x(0), L5xy.x(1)
+    a = RingMatrix(L5xy, [[1, x + y], [0, 1]])
+    cases.append(
+        (
+            HermitianForm(a.dagger() @ RingMatrix.scalar(L5xy, 2, 2) @ a, 1),
+            scalar_form(L5xy, 1, 2),
+        )
+    )
+    for q0, q1 in cases:
+        result = maslov_index(loop_from_pair(q0, q1))
+        assert result.determinant == det(result.form.matrix)
+        assert result.determinant.is_unit()
+
+
 def test_validate_loop_requires_T():
     with pytest.raises(Exception):
         validate_loop(SturmSequence(F5, 1, (scalar_form(F5, 0),)))
