@@ -25,23 +25,16 @@ from .ring import (
     FieldElement,
     LaurentPolynomial,
     RingDescriptor,
-    augment,
-    eval_T,
-    field_arith,
-    involute,
     is_square,
     least_non_residue,
-    poly_arith,
 )
 from .linalg import (
     RingMatrix,
     SmithDecomposition,
-    dagger,
     det,
     inverse,
     is_unit_matrix,
     kernel_basis,
-    mat_mul,
     smith_normal_form,
     solve_in_span,
     span_contains,
@@ -51,7 +44,6 @@ from .forms import (
     FormTriple,
     HermitianForm,
     WittClass,
-    check_hermitian,
     diagonalize,
     hyperbolic_form,
     in_fundamental_ideal,

@@ -26,8 +26,8 @@ from .errors import (
     ShapeError,
     UnsupportedRing,
 )
-from .linalg import RingMatrix, det, inverse
-from .ring import FieldElement, RingDescriptor, is_square
+from .linalg import RingMatrix, _constant_rows, det, inverse
+from .ring import FieldElement, LaurentPolynomial, RingDescriptor, is_square
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ class HermitianForm:
         return HermitianForm(self.matrix.lift_T(), self.sign)
 
 
-def check_hermitian(F: HermitianForm) -> bool:
-    """True iff dagger(matrix) equals sign * matrix."""
-    return F.is_hermitian()
-
-
 def hyperbolic_form(n: int, sign: int, ring: RingDescriptor) -> HermitianForm:
     """The 2n x 2n block form (0 1; sign 1 0) with identity blocks."""
     ident = RingMatrix.identity(ring, n)
@@ -112,17 +107,14 @@ def diagonalize(F: HermitianForm) -> list[FieldElement]:
     Pivots on the first basis vector with nonzero self-pairing; when every
     self-pairing vanishes, replaces e -> e + f for the first off-diagonal
     pair with nonzero pairing (2 is invertible, so this produces a pivot).
+    When the remaining block is zero the form is degenerate.
     """
     _require_field(F, "diagonalization")
     if F.sign != 1 or not F.is_hermitian():
         raise FormError("diagonalization expects a symmetric (+hermitian) form")
     p = F.ring.p
-    zero = (0,) * F.ring.nexponents
     n = F.dim
-    A = [[e.terms.get(zero, 0) for e in row] for row in F.matrix.entries]
-    if _det_int(A, p) == 0:
-        raise DegenerateForm("cannot diagonalize a degenerate form")
-
+    A = _constant_rows(F.matrix)
     diag = []
     for step in range(n):
         piv = None
@@ -139,6 +131,8 @@ def diagonalize(F: HermitianForm) -> list[FieldElement]:
                         break
                 if pair:
                     break
+            if pair is None:
+                raise DegenerateForm("cannot diagonalize a degenerate form")
             i, j = pair
             for k in range(n):
                 A[i][k] = (A[i][k] + A[j][k]) % p
@@ -160,30 +154,6 @@ def diagonalize(F: HermitianForm) -> list[FieldElement]:
                 for k in range(n):
                     A[k][i] = (A[k][i] - factor * A[k][step]) % p
     return diag
-
-
-def _det_int(A, p: int) -> int:
-    M = [row[:] for row in A]
-    n = len(M)
-    d = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if M[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            d = -d
-        d = d * M[c][c] % p
-        inv = pow(M[c][c], -1, p)
-        for r in range(c + 1, n):
-            f = M[r][c] * inv % p
-            if f:
-                M[r] = [(a - f * b) % p for a, b in zip(M[r], M[c])]
-    return d % p
 
 
 @dataclass(frozen=True)
@@ -222,6 +192,18 @@ class WittClass:
         return cls(p, 0, 0)
 
     @classmethod
+    def from_determinant(cls, n: int, determinant: LaurentPolynomial) -> "WittClass":
+        """Class of a symmetric n x n form over F_p with the given determinant.
+
+        Over F_p a form's Witt class is fixed by its rank parity and the square
+        class of its signed discriminant (-1)^(n(n-1)/2) det.
+        """
+        if determinant.is_zero():
+            raise DegenerateForm("Witt class of a degenerate form is undefined")
+        signed = (-1) ** (n * (n - 1) // 2) * determinant
+        return cls(determinant.ring.p, n % 2, 0 if is_square(signed.augment()) else 1)
+
+    @classmethod
     def from_name(cls, p: int, name: str) -> "WittClass":
         if p % 4 == 1:
             table = {"0": (0, 0), "<1>": (1, 0), "<t>": (1, 1), "<1>+<t>": (0, 1)}
@@ -250,16 +232,7 @@ def witt_class(F: HermitianForm) -> WittClass:
     _require_field(F, "Witt classification")
     if F.sign != 1 or not F.is_hermitian():
         raise FormError("Witt classification expects a +hermitian form")
-    p = F.ring.p
-    n = F.dim
-    zero = (0,) * F.ring.nexponents
-    A = [[e.terms.get(zero, 0) for e in row] for row in F.matrix.entries]
-    d = _det_int(A, p)
-    if d == 0:
-        raise DegenerateForm("Witt class of a degenerate form is undefined")
-    signed = pow(-1, (n * (n - 1)) // 2, p) * d % p
-    disc = 0 if is_square(FieldElement(signed, p)) else 1
-    return WittClass(p, n % 2, disc)
+    return WittClass.from_determinant(F.dim, det(F.matrix))
 
 
 def witt_add(a: WittClass, b: WittClass) -> WittClass:

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedRing
-from .ring import _is_prime
+from .ring import _check_odd_prime
 
 VALIDATED_DIMENSIONS = 4
 
@@ -93,14 +93,9 @@ class FiniteAbelianGroup:
         return f"FiniteAbelianGroup({self.name})"
 
 
-def _check_prime(p: int):
-    if not _is_prime(p) or p == 2:
-        raise DomainError(f"p must be an odd prime, got {p}")
-
-
 def witt_group_structure(p: int) -> FiniteAbelianGroup:
     """The order-four Witt group of F_p: Z/2 + Z/2 or Z/4 by p mod 4."""
-    _check_prime(p)
+    _check_odd_prime(p)
     if p % 4 == 1:
         return FiniteAbelianGroup.from_orders((2, 2))
     return FiniteAbelianGroup.from_orders((4,))
@@ -108,7 +103,7 @@ def witt_group_structure(p: int) -> FiniteAbelianGroup:
 
 def lgroup_base(n: int, p: int) -> FiniteAbelianGroup:
     """Base of the recursion: the Witt group for n = 0, trivial otherwise."""
-    _check_prime(p)
+    _check_odd_prime(p)
     if n % 4 == 0:
         return witt_group_structure(p)
     return FiniteAbelianGroup.trivial()
@@ -116,7 +111,7 @@ def lgroup_base(n: int, p: int) -> FiniteAbelianGroup:
 
 def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
     """L_n over d Laurent variables, unrolled from the base recursion."""
-    _check_prime(p)
+    _check_odd_prime(p)
     if d < 0:
         raise DomainError("d must be >= 0")
     if d > VALIDATED_DIMENSIONS:
@@ -137,7 +132,7 @@ def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
 
 def fundamental_ideal_group(d: int, p: int) -> FiniteAbelianGroup:
     """Even-rank ideal of the Witt group: Z/2 for d <= 3, Z/2 + W for d = 4."""
-    _check_prime(p)
+    _check_odd_prime(p)
     if d < 0 or d > VALIDATED_DIMENSIONS:
         raise UnsupportedRing("fundamental ideal validated only for 0 <= d <= 4")
     if d <= 3:
@@ -151,7 +146,7 @@ def classify_loops(d: int, p: int) -> FiniteAbelianGroup:
     The quotient of the fundamental ideal by its constant Z/2: trivial up to
     three dimensions, the Witt group of F_p in four.
     """
-    _check_prime(p)
+    _check_odd_prime(p)
     if d < 0 or d > VALIDATED_DIMENSIONS:
         raise UnsupportedRing("loop classification validated only for 0 <= d <= 4")
     if d <= 3:

@@ -72,11 +72,14 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: RingDescriptor, n: int) -> "RingMatrix":
-        return cls(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one, zero = ring.one(), ring.zero()
+        return cls._unchecked(
+            ring, [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
+        )
 
     @classmethod
     def zeros(cls, ring: RingDescriptor, r: int, c: int) -> "RingMatrix":
-        return cls(ring, [[0] * c for _ in range(r)])
+        return cls._unchecked(ring, [(ring.zero(),) * c] * r)
 
     @classmethod
     def scalar(cls, ring: RingDescriptor, n: int, c) -> "RingMatrix":
@@ -239,24 +242,11 @@ class RingMatrix:
             [tuple(self.entries[i][j] for j in col_indices) for i in row_indices],
         )
 
-    def columns(self) -> list["RingMatrix"]:
-        return [
-            self.submatrix(range(self.rows), [j]) for j in range(self.cols)
-        ]
-
     def __repr__(self):
         body = "; ".join(
             ", ".join(repr(e) for e in row) for row in self.entries
         )
         return f"RingMatrix[{self.rows}x{self.cols}: {body}]"
-
-
-def mat_mul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    return a @ b
-
-
-def dagger(a: RingMatrix) -> RingMatrix:
-    return a.dagger()
 
 
 # -- Euclidean division in F_p[x, x^-1] -----------------------------------
@@ -500,10 +490,6 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
     )
 
 
-def rank(G: RingMatrix) -> int:
-    return smith_normal_form(G).rank
-
-
 def kernel_basis(G: RingMatrix) -> RingMatrix:
     """Columns generating {v : G v = 0}; a rows x 0 matrix for zero kernel."""
     snf = smith_normal_form(G)
@@ -546,31 +532,43 @@ def spans_equal(G1: RingMatrix, G2: RingMatrix) -> bool:
 # -- determinants, units, inverses -----------------------------------------
 
 
-def _det_modp(A: RingMatrix) -> LaurentPolynomial:
-    ring = A.ring
-    p = ring.p
-    zero = (0,) * ring.nexponents
-    M = [[e.terms.get(zero, 0) for e in row] for row in A.entries]
-    n = A.rows
-    det = 1
+def _constant_rows(A: RingMatrix) -> list:
+    """The constant terms of A's entries as int rows: A itself over F_p."""
+    zero = (0,) * A.ring.nexponents
+    return [[e.terms.get(zero, 0) for e in row] for row in A.entries]
+
+
+def _eliminate_modp(M: list, p: int) -> int:
+    """Row-reduce the n int rows M in place mod p; det of their n x n part.
+
+    Entries are residues in [0, p).  With n columns only the rows below each
+    pivot are cleared, which is all the determinant needs.  With augmented
+    columns [A | B] each pivot row is scaled to 1 and every other row is
+    cleared, so a nonsingular A leaves [I | A^-1 B].  A singular A gives 0.
+    """
+    n = len(M)
+    augmented = n > 0 and len(M[0]) > n
+    d = 1
     for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if M[r][c] % p:
-                piv = r
-                break
+        piv = next((r for r in range(c, n) if M[r][c]), None)
         if piv is None:
-            return ring.zero()
+            return 0
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det = det * M[c][c] % p
+            d = -d
+        d = d * M[c][c] % p
         inv = pow(M[c][c], -1, p)
-        for r in range(c + 1, n):
+        if augmented:
+            M[c] = [v * inv % p for v in M[c]]
+            inv = 1
+            targets = [r for r in range(n) if r != c]
+        else:
+            targets = range(c + 1, n)
+        for r in targets:
             factor = M[r][c] * inv % p
             if factor:
                 M[r] = [(a - factor * b) % p for a, b in zip(M[r], M[c])]
-    return ring.constant(det)
+    return d
 
 
 def _det_cofactor(A: RingMatrix) -> LaurentPolynomial:
@@ -609,7 +607,7 @@ def det(A: RingMatrix) -> LaurentPolynomial:
     if A.rows == 0:
         return ring.one()
     if ring.spatial_vars == 0 and not ring.has_T:
-        return _det_modp(A)
+        return ring.constant(_eliminate_modp(_constant_rows(A), ring.p))
     if ring.spatial_vars <= 1 and not ring.has_T:
         return _det_snf(A)
     return _det_cofactor(A)
@@ -630,14 +628,6 @@ def is_unit_matrix(A: RingMatrix) -> bool:
     """True iff det(A) is a unit of the ring (a nonzero monomial)."""
     if not A.is_square():
         raise ShapeError("unit test needs a square matrix")
-    ring = A.ring
-    if A.rows == 0:
-        return True
-    if ring.spatial_vars <= 1 and not ring.has_T:
-        snf = smith_normal_form(A)
-        return snf.rank == A.rows and all(
-            f.is_unit() for f in snf.invariant_factors
-        )
     return det(A).is_unit()
 
 
@@ -650,7 +640,14 @@ def inverse(A: RingMatrix) -> RingMatrix:
     if n == 0:
         return A
     if ring.spatial_vars == 0 and not ring.has_T:
-        return _inverse_modp(A)
+        M = _constant_rows(A)
+        for i, row in enumerate(M):
+            row.extend(int(i == j) for j in range(n))
+        if not _eliminate_modp(M, ring.p):
+            raise NotAUnit("matrix is singular mod p")
+        wrap = LaurentPolynomial._unchecked
+        rows = [tuple(wrap(ring, {(): v} if v else {}) for v in row[n:]) for row in M]
+        return RingMatrix._unchecked(ring, rows)
     if ring.spatial_vars <= 1 and not ring.has_T:
         snf = smith_normal_form(A)
         if snf.rank < n or not all(f.is_unit() for f in snf.invariant_factors):
@@ -676,30 +673,3 @@ def inverse(A: RingMatrix) -> RingMatrix:
             cof = minor if (i + j) % 2 == 0 else -minor
             adj[j][i] = cof * dinv
     return RingMatrix(ring, adj)
-
-
-def _inverse_modp(A: RingMatrix) -> RingMatrix:
-    ring = A.ring
-    p = ring.p
-    zero = (0,) * ring.nexponents
-    n = A.rows
-    M = [
-        [e.terms.get(zero, 0) for e in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(A.entries)
-    ]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if M[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            raise NotAUnit("matrix is singular mod p")
-        M[c], M[piv] = M[piv], M[c]
-        inv = pow(M[c][c], -1, p)
-        M[c] = [v * inv % p for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                factor = M[r][c]
-                M[r] = [(a - factor * b) % p for a, b in zip(M[r], M[c])]
-    return RingMatrix(ring, [[row[n + j] for j in range(n)] for row in M])

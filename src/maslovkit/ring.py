@@ -29,6 +29,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(p: int) -> None:
+    if not _is_prime(p) or p == 2:
+        raise DomainError(f"modulus must be an odd prime, got {p}")
+
+
 def _reduced(terms: dict, p: int) -> dict:
     """Reduce integer coefficients mod p and drop the terms that vanish."""
     return {e: r for e, c in terms.items() if (r := c % p)}
@@ -40,8 +45,7 @@ class FieldElement:
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
-        if not _is_prime(p) or p == 2:
-            raise DomainError(f"modulus must be an odd prime, got {p}")
+        _check_odd_prime(p)
         self.p = p
         self.value = value % p
 
@@ -100,21 +104,6 @@ class FieldElement:
         return f"FieldElement({self.value}, p={self.p})"
 
 
-def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Dispatch exact residue arithmetic: op in {'add', 'mul', 'inv', 'neg'}."""
-    if op == "inv":
-        return a.inverse()
-    if op == "neg":
-        return -a
-    if not isinstance(b, FieldElement):
-        raise DomainError(f"binary op {op!r} needs two field elements")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise DomainError(f"unknown field operation {op!r}")
-
-
 def is_square(a: FieldElement) -> bool:
     """Euler criterion: a^((p-1)/2) == 1 for nonzero a."""
     if a.value == 0:
@@ -124,8 +113,7 @@ def is_square(a: FieldElement) -> bool:
 
 def least_non_residue(p: int) -> FieldElement:
     """Smallest positive quadratic non-residue mod p; the canonical theta."""
-    if not _is_prime(p) or p == 2:
-        raise DomainError(f"modulus must be an odd prime, got {p}")
+    _check_odd_prime(p)
     for a in range(2, p):
         if pow(a, (p - 1) // 2, p) != 1:
             return FieldElement(a, p)
@@ -145,8 +133,7 @@ class RingDescriptor:
     has_T: bool = False
 
     def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise DomainError(f"p must be an odd prime, got {self.p}")
+        _check_odd_prime(self.p)
         if self.spatial_vars < 0:
             raise DomainError("spatial variable count must be >= 0")
 
@@ -396,30 +383,3 @@ class LaurentPolynomial:
             else:
                 pieces.append(f"{c}*" + "*".join(factors))
         return " + ".join(pieces)
-
-
-def poly_arith(
-    f: LaurentPolynomial, g: LaurentPolynomial | None, op: str
-) -> LaurentPolynomial:
-    """Dispatch sparse polynomial arithmetic: op in {'add', 'mul', 'neg'}."""
-    if op == "neg":
-        return -f
-    if not isinstance(g, LaurentPolynomial):
-        raise DomainError(f"binary op {op!r} needs two polynomials")
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise DomainError(f"unknown polynomial operation {op!r}")
-
-
-def involute(f: LaurentPolynomial) -> LaurentPolynomial:
-    return f.involute()
-
-
-def augment(f: LaurentPolynomial) -> FieldElement:
-    return f.augment()
-
-
-def eval_T(f: LaurentPolynomial, t: int | FieldElement) -> LaurentPolynomial:
-    return f.eval_T(t)

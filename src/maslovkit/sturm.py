@@ -26,7 +26,7 @@ from .errors import (
     RingMismatch,
     ShapeError,
 )
-from .forms import HermitianForm, WittClass, witt_class
+from .forms import HermitianForm, WittClass
 from .linalg import RingMatrix, det, inverse
 from .pauli import (
     CliffordUnitary,
@@ -118,7 +118,8 @@ def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
     N = seq.N
     blocks = len(seq.forms)
     size = blocks * N
-    grid = [[ring.zero() for _ in range(size)] for _ in range(size)]
+    zero = ring.zero()
+    grid = [[zero] * size for _ in range(size)]
     for b, q in enumerate(seq.forms):
         k = seq.start + b
         sgn = 1 if k % 2 == 0 else -1
@@ -131,7 +132,7 @@ def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
         for i in range(N):
             grid[b * N + i][(b + 1) * N + i] = one
             grid[(b + 1) * N + i][b * N + i] = one
-    return HermitianForm(RingMatrix(ring, grid), 1)
+    return HermitianForm(RingMatrix._unchecked(ring, map(tuple, grid)), 1)
 
 
 def _require_loop_type(seq: SturmSequence):
@@ -333,12 +334,17 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
             raise InternalInvariantViolation(
                 f"{name} is degenerate; the sequence is not a valid loop"
             )
+    # rep is hermitian by construction, and its Witt class over F_p follows
+    # from det(rep) = det S(1) * det(-S(0)^-1) = det S(1) * (-1)^n / det S(0)
     rep = HermitianForm(
         RingMatrix.block_diag([s1.matrix, -inverse(s0.matrix)]), 1
     )
-    witt = witt_class(rep) if ring0.spatial_vars == 0 else None
-    # det(rep) = det S(1) * det(-S(0)^-1) = det S(1) * (-1)^n / det S(0)
     determinant = det1 * det0.unit_inverse() * (-1) ** s0.dim
+    witt = (
+        WittClass.from_determinant(rep.dim, determinant)
+        if ring0.spatial_vars == 0
+        else None
+    )
     return MaslovResult(rep, witt, rep.dim % 2, determinant)
 
 

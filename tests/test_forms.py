@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from sympy import Matrix
 
 from maslovkit import (
     DegenerateForm,
@@ -13,7 +14,6 @@ from maslovkit import (
     RingMatrix,
     UnsupportedRing,
     WittClass,
-    check_hermitian,
     diagonalize,
     hyperbolic_form,
     in_fundamental_ideal,
@@ -43,11 +43,11 @@ def diag_form(ring, entries):
 
 
 def test_check_hermitian_examples():
-    assert check_hermitian(hyperbolic_form(1, 1, F5))
-    assert check_hermitian(hyperbolic_form(1, -1, F5))
-    assert not check_hermitian(HermitianForm(RingMatrix(L5, [[L5.x(0)]]), 1))
+    assert hyperbolic_form(1, 1, F5).is_hermitian()
+    assert hyperbolic_form(1, -1, F5).is_hermitian()
+    assert not HermitianForm(RingMatrix(L5, [[L5.x(0)]]), 1).is_hermitian()
     herm = HermitianForm(RingMatrix(L5, [[L5.x(0) + L5.x(0, -1)]]), 1)
-    assert check_hermitian(herm)
+    assert herm.is_hermitian()
 
 
 def test_hyperbolic_form_examples():
@@ -92,9 +92,7 @@ def test_diagonalize_congruence_oracle():
                 [form.matrix[i, j].terms.get(zero, 0) for j in range(n)]
                 for i in range(n)
             ]
-            from maslovkit.forms import _det_int
-
-            det_val = _det_int(rows, p)
+            det_val = int(Matrix(rows).det()) % p
             assert is_square(prod * FieldElement(det_val, p).inverse())
 
 

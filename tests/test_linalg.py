@@ -10,12 +10,10 @@ from maslovkit import (
     RingMatrix,
     ShapeError,
     UnsupportedRing,
-    dagger,
     det,
     inverse,
     is_unit_matrix,
     kernel_basis,
-    mat_mul,
     smith_normal_form,
     solve_in_span,
     span_contains,
@@ -35,7 +33,7 @@ L5 = RingDescriptor(5, 1)
 def test_mat_mul_examples():
     rng = random.Random(0)
     A = rand_matrix(L5, rng, 3, 3)
-    assert mat_mul(RingMatrix.identity(L5, 3), A) == A
+    assert RingMatrix.identity(L5, 3) @ A == A
     q = L5.x(0) + L5.x(0, -1)
     e_plus = RingMatrix(L5, [[1, 0], [q, 1]])
     e_minus = RingMatrix(L5, [[1, 0], [-q, 1]])
@@ -46,7 +44,7 @@ def test_mat_mul_examples():
 
 def test_mat_mul_errors():
     with pytest.raises(ShapeError):
-        mat_mul(RingMatrix.identity(F5, 2), RingMatrix.identity(F5, 3))
+        RingMatrix.identity(F5, 2) @ RingMatrix.identity(F5, 3)
 
 
 def test_block_assembly_checks_shapes_and_rings():
@@ -63,12 +61,12 @@ def test_block_assembly_checks_shapes_and_rings():
 
 def test_dagger_examples():
     m = RingMatrix(L5, [[L5.x(0)]])
-    assert dagger(m) == RingMatrix(L5, [[L5.x(0, -1)]])
+    assert m.dagger() == RingMatrix(L5, [[L5.x(0, -1)]])
     rng = random.Random(3)
     A = rand_matrix(L5, rng, 2, 3)
     B = rand_matrix(L5, rng, 3, 2)
-    assert dagger(dagger(A)) == A
-    assert dagger(A @ B) == dagger(B) @ dagger(A)
+    assert A.dagger().dagger() == A
+    assert (A @ B).dagger() == B.dagger() @ A.dagger()
 
 
 def test_snf_identity():

@@ -229,6 +229,8 @@ def test_maslov_determinant_equals_det_of_representative():
         result = maslov_index(loop_from_pair(q0, q1))
         assert result.determinant == det(result.form.matrix)
         assert result.determinant.is_unit()
+        if result.form.ring.spatial_vars == 0:
+            assert result.witt == witt_class(result.form)
 
 
 def test_validate_loop_requires_T():
