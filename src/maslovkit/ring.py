@@ -13,24 +13,53 @@ normalized so that equality is map equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import add
 
 from .errors import DivisionByZero, DomainError, RingMismatch
 
 
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases" (Math.
+# Comp. 86, 2017): no composite below _PRIME_BOUND is a strong probable prime
+# to all of the first 13 prime bases, so Miller-Rabin with them is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+@cache
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _PRIME_BOUND, memoized per n.
+
+    Costs O(log n) modular squarings per base; larger n raise DomainError.
+    """
+    if n >= _PRIME_BOUND:
+        raise DomainError(
+            f"modulus {n} is not below {_PRIME_BOUND}, "
+            "the range where primality is decided exactly"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    # n - 1 = d * 2^s with d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def _check_odd_prime(p: int) -> None:
-    if not _is_prime(p) or p == 2:
+    if not isinstance(p, int) or p == 2 or not _is_prime(p):
         raise DomainError(f"modulus must be an odd prime, got {p}")
 
 
@@ -142,10 +171,10 @@ class RingDescriptor:
         return self.spatial_vars + (1 if self.has_T else 0)
 
     def with_T(self) -> "RingDescriptor":
-        return RingDescriptor(self.p, self.spatial_vars, True)
+        return _interned(self.p, self.spatial_vars, True)
 
     def drop_T(self) -> "RingDescriptor":
-        return RingDescriptor(self.p, self.spatial_vars, False)
+        return _interned(self.p, self.spatial_vars, False)
 
     def zero(self) -> "LaurentPolynomial":
         return LaurentPolynomial(self, {})
@@ -179,6 +208,12 @@ class RingDescriptor:
 
     def monomial(self, exponents, c: int = 1) -> "LaurentPolynomial":
         return LaurentPolynomial(self, {tuple(exponents): c % self.p})
+
+
+@cache
+def _interned(p: int, spatial_vars: int, has_T: bool) -> RingDescriptor:
+    """One shared descriptor per ring, for the T-twins of a validated one."""
+    return RingDescriptor(p, spatial_vars, has_T)
 
 
 class LaurentPolynomial:

@@ -60,7 +60,7 @@ class SturmSequence:
 
     @classmethod
     def _unchecked(cls, ring, N, forms, start) -> "SturmSequence":
-        """A sequence derived from a validated one; its forms are not checked again."""
+        """A sequence of forms hermitian by construction; they are not checked again."""
         seq = object.__new__(cls)
         fields = {"ring": ring, "N": N, "forms": forms, "start": start}
         for name, value in fields.items():
@@ -222,7 +222,7 @@ class LagrangianLoop:
         forms = tuple(
             qa.direct_sum(qb) for qa, qb in zip(a.forms, b.forms)
         )
-        return LagrangianLoop(SturmSequence(a.ring, a.N + b.N, forms))
+        return LagrangianLoop(SturmSequence._unchecked(a.ring, a.N + b.N, forms, 0))
 
     def padded(self, extra_pairs: int) -> "LagrangianLoop":
         return LagrangianLoop(self.seq.padded(2 * extra_pairs))
@@ -299,7 +299,7 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         HermitianForm(ident, 1),
         HermitianForm(RingMatrix.zeros(ring_T, N, N), 1),
     )
-    return validate_loop(SturmSequence(ring_T, N, forms))
+    return validate_loop(SturmSequence._unchecked(ring_T, N, forms, 0))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """CLI behavior: formats, determinism, exit codes, error objects."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from maslovkit import HermitianForm, RingDescriptor, RingMatrix, serialize
 from maslovkit.cli import main
 from maslovkit.fixtures import write_all
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,20 @@ def test_lgroup_table_unsupported_dimension(capsys):
     code, out = run_cli(capsys, ["lgroup", "table", "--p", "5", "--d", "9"])
     assert code == 3
     assert json.loads(out)["error"] == "unsupported-ring"
+
+
+def test_lgroup_table_rejects_modulus_beyond_primality_range():
+    # 2^89 - 1 is prime but above the range where primality is decided
+    # exactly; it must be refused at once, not trial-divided for ever.
+    proc = subprocess.run(
+        [sys.executable, "-m", "maslovkit", "lgroup", "table", "--p", str(2**89 - 1)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "domain-error"
 
 
 def test_maslov_real_preset(capsys):

@@ -169,3 +169,14 @@ def test_lift_and_drop_T():
     assert f.lift_T().eval_T(4) == f
     with pytest.raises(DomainError):
         f.eval_T(0)
+
+
+def test_T_twins_are_interned():
+    base, with_T = RingDescriptor(5, 1), RingDescriptor(5, 1, True)
+    assert base.with_T() is with_T.with_T() is L5.with_T()
+    assert with_T.drop_T() is base.drop_T() is L5T.drop_T()
+    # equality and hashing stay field-based
+    assert base.with_T() == with_T and hash(base.with_T()) == hash(with_T)
+    assert base.drop_T() == base and base.with_T() != base
+    f = L5T.x(0) * L5T.T() + 3
+    assert f.eval_T(2).ring is (L5.x(0) + 1).lift_T().eval_T(0).ring

@@ -464,3 +464,34 @@ def test_maslov_well_defined_across_different_words():
         word_b = sturm_unitary(loop.seq.eval_T(3)).matrix
         assert word_a == word_b, "the appended factors cancel pointwise"
         assert maslov_index(validate_loop(garnished)).witt == base
+
+
+def _pair_formula_disc_class(q0, q1, p):
+    """Square class of the signed discriminant of q1 + (-q0^-1), via sympy."""
+    from sympy import Matrix, diag
+
+    def to_sympy(q):
+        return Matrix(
+            [[e.augment().value for e in row] for row in q.matrix.entries]
+        )
+
+    neg_inv = (-to_sympy(q0).inv_mod(p)).applyfunc(lambda c: c % p)
+    rep = diag(to_sympy(q1), neg_inv)
+    m = rep.rows
+    disc = (-1) ** (m * (m - 1) // 2) * rep.det() % p
+    return 0 if pow(disc, (p - 1) // 2, p) == 1 else 1
+
+
+@pytest.mark.parametrize("p", (10**12 + 39, 2**61 - 1))
+def test_maslov_matches_pair_formula_at_large_p(p):
+    rng = random.Random(p % 1000)
+    seen = set()
+    for n in (2, 3):
+        for _ in range(4):
+            q0 = rand_symmetric_nondeg(p, n, rng)
+            q1 = rand_symmetric_nondeg(p, n, rng)
+            got = maslov_index(loop_from_pair(q0, q1)).witt
+            expected = _pair_formula_disc_class(q0, q1, p)
+            assert (got.p, got.rank_parity, got.disc_class) == (p, 0, expected)
+            seen.add(expected)
+    assert seen == {0, 1}, "both square classes occur among the draws"
