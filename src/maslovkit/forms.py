@@ -22,6 +22,7 @@ from .errors import (
     DegenerateForm,
     DomainError,
     FormError,
+    NotAUnit,
     RingMismatch,
     ShapeError,
     UnsupportedRing,
@@ -60,9 +61,10 @@ class HermitianForm:
         return det(self.matrix).is_unit()
 
     def inverse_form(self) -> "HermitianForm":
-        if not self.is_nondegenerate():
-            raise DegenerateForm("form is singular over its ring")
-        return HermitianForm(inverse(self.matrix), self.sign)
+        try:
+            return HermitianForm(inverse(self.matrix), self.sign)
+        except NotAUnit:
+            raise DegenerateForm("form is singular over its ring") from None
 
     def direct_sum(self, other: "HermitianForm") -> "HermitianForm":
         if self.sign != other.sign:

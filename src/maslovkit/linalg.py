@@ -1,8 +1,8 @@
 """Matrix algebra over the library's exact coefficient rings.
 
 Provides dense matrices of Laurent polynomials with the dagger
-(involution-transpose), Smith normal form over F_p and over the Euclidean
-domain F_p[x, x^-1], kernels, membership solving, determinants and inverses.
+(involution-transpose), exact polynomial-time determinants and inverses over
+every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and spans.
 
 The Euclidean size function on F_p[x, x^-1] is the exponent spread
 (max degree - min degree); every nonzero element factors as a unit times an
@@ -13,10 +13,12 @@ helper below reduces to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 from .errors import (
     DivisionByZero,
+    InternalInvariantViolation,
     NotAUnit,
     RingMismatch,
     ShapeError,
@@ -313,16 +315,6 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     return q, r
 
 
-def laurent_divides(d: LaurentPolynomial, f: LaurentPolynomial) -> bool:
-    """Exact divisibility d | f in the d <= 1 rings."""
-    if f.is_zero():
-        return True
-    if d.is_zero():
-        return False
-    _, r = laurent_divmod(f, d)
-    return r.is_zero()
-
-
 def _canonical_unit(f: LaurentPolynomial) -> LaurentPolynomial:
     """Unit u such that u*f has lowest exponent 0 and leading coefficient 1."""
     ring = f.ring
@@ -344,15 +336,12 @@ class SmithDecomposition:
 
     Nonzero diagonal entries come first, satisfy the divisibility chain
     d1 | d2 | ..., and are normalized to lowest exponent 0 with leading
-    coefficient 1.  u_det and v_det record det(U) and det(V), which are
-    units because U and V are products of elementary operations.
+    coefficient 1.
     """
 
     U: RingMatrix
     D: RingMatrix
     V: RingMatrix
-    u_det: LaurentPolynomial
-    v_det: LaurentPolynomial
 
     @property
     def invariant_factors(self) -> list:
@@ -385,8 +374,6 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
     A = [list(row) for row in G.entries]
     U = [[ring.one() if i == j else ring.zero() for j in range(m)] for i in range(m)]
     V = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    dets = {"u": ring.one(), "v": ring.one()}
-    minus_one = ring.constant(-1)
 
     def swap_rows(M, a, b):
         M[a], M[b] = M[b], M[a]
@@ -420,11 +407,9 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
         if pi != t:
             swap_rows(A, t, pi)
             swap_rows(U, t, pi)
-            dets["u"] = dets["u"] * minus_one
         if pj != t:
             swap_cols(A, t, pj)
             swap_cols(V, t, pj)
-            dets["v"] = dets["v"] * minus_one
 
         while True:
             restarted = False
@@ -437,7 +422,6 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
                     if not r.is_zero():
                         swap_rows(A, t, i)
                         swap_rows(U, t, i)
-                        dets["u"] = dets["u"] * minus_one
                         restarted = True
                         break
                 i += 1
@@ -452,7 +436,6 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
                     if not r.is_zero():
                         swap_cols(A, t, j)
                         swap_cols(V, t, j)
-                        dets["v"] = dets["v"] * minus_one
                         restarted = True
                         break
                 j += 1
@@ -461,9 +444,7 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
-                    if not A[i][j].is_zero() and not laurent_divides(
-                        A[t][t], A[i][j]
-                    ):
+                    if A[i][j] and laurent_divmod(A[i][j], A[t][t])[1]:
                         offender = i
                         break
                 if offender is not None:
@@ -479,14 +460,11 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
             u = _canonical_unit(A[k][k])
             A[k] = [u * e for e in A[k]]
             U[k] = [u * e for e in U[k]]
-            dets["u"] = dets["u"] * u
 
     return SmithDecomposition(
         U=RingMatrix(ring, U),
         D=RingMatrix(ring, A),
         V=RingMatrix(ring, V),
-        u_det=dets["u"],
-        v_det=dets["v"],
     )
 
 
@@ -571,36 +549,76 @@ def _eliminate_modp(M: list, p: int) -> int:
     return d
 
 
-def _det_cofactor(A: RingMatrix) -> LaurentPolynomial:
-    ring = A.ring
-    n = A.rows
-    cache: dict = {}
+def _exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
+    """The q with q * g = f; InternalInvariantViolation if g does not divide f.
 
-    def minor(row: int, colmask: int) -> LaurentPolynomial:
-        if row == n:
-            return ring.one()
-        key = (row, colmask)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = ring.zero()
-        sign = 1
-        for j in range(n):
-            if not (colmask >> j) & 1:
+    Lex long division from the least term up.  Newton polytopes add, so q lies
+    in the box min(f) - min(g) .. max(f) - max(g) of each variable (T also >= 0)
+    and its terms rise in lex order: an inexact division leaves the box.
+    """
+    if not f.terms:
+        return f
+    p = f.ring.p
+    lo = [min(a) - min(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
+    hi = [max(a) - max(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
+    if f.ring.has_T:
+        lo[-1] = max(lo[-1], 0)
+    lead = min(g.terms)
+    lead_inv = pow(g.terms[lead], -1, p)
+    rem, q = dict(f.terms), {}
+    heapify(heap := list(rem))
+    while heap:
+        e = heappop(heap)
+        if e not in rem:
+            continue
+        m = tuple(map(sub, e, lead))
+        if not all(a <= v <= b for a, v, b in zip(lo, m, hi)):
+            raise InternalInvariantViolation(f"{g} does not divide {f}")
+        q[m] = c = rem[e] * lead_inv % p
+        for e2, c2 in g.terms.items():
+            t = tuple(map(add, m, e2))
+            if v := (rem.get(t, 0) - c * c2) % p:
+                if t not in rem:
+                    heappush(heap, t)
+                rem[t] = v
+            else:
+                rem.pop(t, None)
+    return LaurentPolynomial._unchecked(f.ring, q)
+
+
+def _eliminate(M: list) -> LaurentPolynomial:
+    """Fraction-free (Bareiss) elimination of the n polynomial rows M in place.
+
+    As _eliminate_modp, but each update is divided exactly by the previous
+    pivot; returns det.  With augmented columns [A | B] a nonsingular A leaves
+    s A^-1 B in the columns of B, s = +-det(A) the last pivot M[n-1][n-1].
+    """
+    n, width = len(M), len(M[0])
+    ring = M[0][0].ring
+    prev, negate = ring.one(), False
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c]), None)
+        if piv is None:
+            return ring.zero()
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            negate = not negate
+        top = M[c]
+        pivot = top[c]
+        for r in range(n) if width > n else range(c + 1, n):
+            row, factor = M[r], M[r][c]
+            if r == c or (not factor and pivot == prev):
                 continue
-            e = A.entries[row][j]
-            if e.terms:
-                term = e * minor(row + 1, colmask & ~(1 << j))
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        cache[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+            for j in range(c + 1, width):
+                if row[j] or (factor and top[j]):  # skip zeros: S(0), S(1) are sparse
+                    t = pivot * row[j] - factor * top[j]
+                    row[j] = _exact_quotient(t, prev)
+        prev = pivot
+    return -prev if negate else prev
 
 
 def det(A: RingMatrix) -> LaurentPolynomial:
-    """Exact determinant; modular elimination for d=0, SNF or cofactors otherwise."""
+    """Exact determinant in polynomial time: mod-p or fraction-free elimination."""
     if not A.is_square():
         raise ShapeError("determinant of a non-square matrix")
     ring = A.ring
@@ -608,20 +626,7 @@ def det(A: RingMatrix) -> LaurentPolynomial:
         return ring.one()
     if ring.spatial_vars == 0 and not ring.has_T:
         return ring.constant(_eliminate_modp(_constant_rows(A), ring.p))
-    if ring.spatial_vars <= 1 and not ring.has_T:
-        return _det_snf(A)
-    return _det_cofactor(A)
-
-
-def _det_snf(A: RingMatrix) -> LaurentPolynomial:
-    # det(U) det(A) det(V) = det(D), and the SNF records the unit dets
-    snf = smith_normal_form(A)
-    d = A.ring.one()
-    for k in range(A.rows):
-        d = d * snf.D[k, k]
-        if d.is_zero():
-            return A.ring.zero()
-    return d * snf.u_det.unit_inverse() * snf.v_det.unit_inverse()
+    return _eliminate([list(row) for row in A.entries])
 
 
 def is_unit_matrix(A: RingMatrix) -> bool:
@@ -632,44 +637,27 @@ def is_unit_matrix(A: RingMatrix) -> bool:
 
 
 def inverse(A: RingMatrix) -> RingMatrix:
-    """Inverse of a matrix whose determinant is a unit."""
+    """Inverse of a matrix whose determinant is a unit; NotAUnit otherwise."""
+    return _inverse_and_det(A)[0]
+
+
+def _inverse_and_det(A: RingMatrix) -> tuple[RingMatrix, LaurentPolynomial]:
+    """(A^-1, det A) from the one elimination of [A | I] that inverts A."""
     if not A.is_square():
         raise ShapeError("inverse of a non-square matrix")
-    ring = A.ring
-    n = A.rows
+    ring, n = A.ring, A.rows
     if n == 0:
-        return A
+        return A, ring.one()
+    augmented = RingMatrix.hstack([A, RingMatrix.identity(ring, n)])
     if ring.spatial_vars == 0 and not ring.has_T:
-        M = _constant_rows(A)
-        for i, row in enumerate(M):
-            row.extend(int(i == j) for j in range(n))
-        if not _eliminate_modp(M, ring.p):
+        M = _constant_rows(augmented)
+        if not (d := _eliminate_modp(M, ring.p)):
             raise NotAUnit("matrix is singular mod p")
         wrap = LaurentPolynomial._unchecked
         rows = [tuple(wrap(ring, {(): v} if v else {}) for v in row[n:]) for row in M]
-        return RingMatrix._unchecked(ring, rows)
-    if ring.spatial_vars <= 1 and not ring.has_T:
-        snf = smith_normal_form(A)
-        if snf.rank < n or not all(f.is_unit() for f in snf.invariant_factors):
-            raise NotAUnit("matrix is not invertible over the ring")
-        Dinv = RingMatrix(
-            ring,
-            [
-                [snf.D[i, i].unit_inverse() if i == j else 0 for j in range(n)]
-                for i in range(n)
-            ],
-        )
-        return snf.V @ Dinv @ snf.U
-    d = det(A)
-    if not d.is_unit():
+        return RingMatrix._unchecked(ring, rows), ring.constant(d)
+    M = [list(row) for row in augmented.entries]
+    if not (d := _eliminate(M)).is_unit():
         raise NotAUnit("matrix is not invertible over the ring")
-    dinv = d.unit_inverse()
-    adj = [[ring.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows = [r for r in range(n) if r != i]
-            cols = [c for c in range(n) if c != j]
-            minor = _det_cofactor(A.submatrix(rows, cols))
-            cof = minor if (i + j) % 2 == 0 else -minor
-            adj[j][i] = cof * dinv
-    return RingMatrix(ring, adj)
+    s = M[-1][n - 1].unit_inverse()
+    return RingMatrix._unchecked(ring, [tuple(s * e for e in row[n:]) for row in M]), d

@@ -26,7 +26,6 @@ from .forms import HermitianForm, hyperbolic_form
 from .linalg import (
     RingMatrix,
     inverse,
-    is_unit_matrix,
     kernel_basis,
     smith_normal_form,
     span_contains,
@@ -261,12 +260,14 @@ def hyperbolic_unitary(a: RingMatrix) -> CliffordUnitary:
     """The generalized translation diag(a, dagger(a)^-1)."""
     if not a.is_square():
         raise ShapeError("hyperbolic unitaries come from square matrices")
-    if not is_unit_matrix(a):
-        raise NotAUnit("hyperbolic unitaries need an invertible matrix")
+    try:
+        inv = inverse(a.dagger())
+    except NotAUnit:
+        raise NotAUnit("hyperbolic unitaries need an invertible matrix") from None
     ring = a.ring
     n = a.rows
     zero = RingMatrix.zeros(ring, n, n)
-    blocks = [[a, zero], [zero, inverse(a.dagger())]]
+    blocks = [[a, zero], [zero, inv]]
     return CliffordUnitary(PauliModule(ring, n), RingMatrix.from_blocks(blocks))
 
 
@@ -286,13 +287,14 @@ def diag_identity_decomposition(a: RingMatrix) -> list[RingMatrix]:
     """
     if not a.is_square():
         raise ShapeError("decomposition needs a square matrix")
-    if not is_unit_matrix(a):
-        raise NotAUnit("diag(a, a^-1) needs an invertible a")
+    try:
+        ainv = inverse(a)
+    except NotAUnit:
+        raise NotAUnit("diag(a, a^-1) needs an invertible a") from None
     ring = a.ring
     n = a.rows
     ident = RingMatrix.identity(ring, n)
     zero = RingMatrix.zeros(ring, n, n)
-    ainv = inverse(a)
 
     def upper(b):
         return RingMatrix.from_blocks([[ident, b], [zero, ident]])

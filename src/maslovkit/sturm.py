@@ -23,11 +23,12 @@ from .errors import (
     FormError,
     InternalInvariantViolation,
     NotALoop,
+    NotAUnit,
     RingMismatch,
     ShapeError,
 )
 from .forms import HermitianForm, WittClass
-from .linalg import RingMatrix, det, inverse
+from .linalg import RingMatrix, _inverse_and_det, det, inverse
 from .pauli import (
     CliffordUnitary,
     PauliModule,
@@ -276,19 +277,23 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         raise ShapeError("forms have different ranks")
     if q0.ring.has_T:
         raise DomainError("input forms must be T-free")
+    inverses = []
     for q in (q0, q1):
         if q.sign != 1 or not q.is_hermitian():
             raise FormError("loop construction needs +hermitian forms")
-        if not q.is_nondegenerate():
-            raise DegenerateForm("loop construction needs nondegenerate forms")
+        try:
+            inverses.append(inverse(q.matrix).lift_T())
+        except NotAUnit:
+            raise DegenerateForm(
+                "loop construction needs nondegenerate forms"
+            ) from None
+    q0inv, q1inv = inverses
     ring_T = q0.ring.with_T()
     T = ring_T.T()
     one = ring_T.one()
     N = q0.dim
     q0m = q0.matrix.lift_T()
     q1m = q1.matrix.lift_T()
-    q0inv = inverse(q0.matrix).lift_T()
-    q1inv = inverse(q1.matrix).lift_T()
     ident = RingMatrix.identity(ring_T, N)
     a = q0m.scale(one - T) + q1m.scale(T)
     b1 = q0inv.scale(T - one) - q1inv.scale(T) + ident
@@ -327,18 +332,17 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     s_of_t = sturm_tridiagonal(seq.truncated())
     s0 = s_of_t.eval_T(0)
     s1 = s_of_t.eval_T(1)
-    det0 = det(s0.matrix)
+    invalid = "is degenerate; the sequence is not a valid loop"
+    try:
+        inv0, det0 = _inverse_and_det(s0.matrix)
+    except NotAUnit:
+        raise InternalInvariantViolation(f"S(0) {invalid}") from None
     det1 = det(s1.matrix)
-    for name, d in (("S(0)", det0), ("S(1)", det1)):
-        if not d.is_unit():
-            raise InternalInvariantViolation(
-                f"{name} is degenerate; the sequence is not a valid loop"
-            )
+    if not det1.is_unit():
+        raise InternalInvariantViolation(f"S(1) {invalid}")
     # rep is hermitian by construction, and its Witt class over F_p follows
     # from det(rep) = det S(1) * det(-S(0)^-1) = det S(1) * (-1)^n / det S(0)
-    rep = HermitianForm(
-        RingMatrix.block_diag([s1.matrix, -inverse(s0.matrix)]), 1
-    )
+    rep = HermitianForm(RingMatrix.block_diag([s1.matrix, -inv0]), 1)
     determinant = det1 * det0.unit_inverse() * (-1) ** s0.dim
     witt = (
         WittClass.from_determinant(rep.dim, determinant)
@@ -356,13 +360,14 @@ def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:
     """
     if q.sign != 1 or not q.is_hermitian():
         raise FormError("homotopy needs a +hermitian form")
-    if not q.is_nondegenerate():
-        raise DegenerateForm("homotopy needs a nondegenerate form")
+    try:
+        qinv = inverse(q.matrix)
+    except NotAUnit:
+        raise DegenerateForm("homotopy needs a nondegenerate form") from None
     ring = q.ring
     n = q.dim
     t = _as_scalar(ring, t)
     half = pow(2, -1, ring.p)
-    qinv = inverse(q.matrix)
     ident = RingMatrix.identity(ring, n)
     zero = RingMatrix.zeros(ring, n, n)
     upper = RingMatrix.from_blocks([[ident, qinv.scale(t)], [zero, ident]])

@@ -10,7 +10,6 @@ from maslovkit import (
     RingMatrix,
     ShapeError,
     UnsupportedRing,
-    det,
     inverse,
     is_unit_matrix,
     kernel_basis,
@@ -165,16 +164,6 @@ def test_inverse_general_d_adjugate():
     L2d = RingDescriptor(5, 2)
     A = RingMatrix(L2d, [[L2d.x(0), 1], [0, L2d.x(1, -1)]])
     assert A @ inverse(A) == RingMatrix.identity(L2d, 2)
-
-
-def test_det_paths_agree():
-    rng = random.Random(23)
-    for _ in range(20):
-        n = rng.randrange(1, 4)
-        A = rand_matrix(L5, rng, n, n, 2)
-        from maslovkit.linalg import _det_cofactor
-
-        assert det(A) == _det_cofactor(A)
 
 
 def test_solve_in_span():
