@@ -22,12 +22,11 @@ from .errors import (
     DegenerateForm,
     DomainError,
     FormError,
-    NotAUnit,
     RingMismatch,
     ShapeError,
     UnsupportedRing,
 )
-from .linalg import RingMatrix, _constant_rows, det, inverse
+from .linalg import RingMatrix, _constant_rows, det
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor, is_square
 
 
@@ -59,12 +58,6 @@ class HermitianForm:
     def is_nondegenerate(self) -> bool:
         """Invertibility over the ring: the determinant is a unit."""
         return det(self.matrix).is_unit()
-
-    def inverse_form(self) -> "HermitianForm":
-        try:
-            return HermitianForm(inverse(self.matrix), self.sign)
-        except NotAUnit:
-            raise DegenerateForm("form is singular over its ring") from None
 
     def direct_sum(self, other: "HermitianForm") -> "HermitianForm":
         if self.sign != other.sign:

@@ -52,9 +52,6 @@ class PauliModule:
     def lambda_minus(self) -> RingMatrix:
         return hyperbolic_form(self.N, -1, self.ring).matrix
 
-    def lambda_plus(self) -> RingMatrix:
-        return hyperbolic_form(self.N, 1, self.ring).matrix
-
     def standard_lagrangian(self) -> "StabilizerModule":
         """The X-side summand L: columns (e_i, 0)."""
         gens = RingMatrix.from_blocks(

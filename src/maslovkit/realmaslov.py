@@ -6,18 +6,25 @@ pair produces a chain of m linear quotients ending in a nonzero constant
 remainder; the quotients fill the diagonal of a tridiagonal form S(t) with
 -1 off the diagonal, and the winding number of the loop is
 
-    (1/2) * sign(S(1) + (-S(0)))
+    (1/2) * sign(S(1) + (-S(0))) = V(0) - V(1),
 
-computed here by symmetric eigenvalue counts with a guard band.  Floating
-point with relative tolerance 1e-9 is used throughout; the shipped example
-involves 1/sqrt(2), so exact rational arithmetic is not an option.
+Sturm's count of sign variations of the remainder chain at 0 and at 1.
+
+Everything is exact: a float is a dyadic rational, so P is scaled to integers
+and the chain runs as Collins' reduced remainder sequence
+
+    R_{k+1} = -prem(R_{k-1}, R_k) / lc(R_{k-1})^2   (divisor 1 for R_2),
+
+whose division is exact and keeps coefficients linear in k.  The multiplier
+lc(R_k)^2 and the divisor are squares, so each R_k is a positive multiple of
+the Euclidean remainder and has its signs.  REL_TOL only decides degeneracy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .errors import (
     DegenerateInput,
@@ -27,48 +34,58 @@ from .errors import (
 )
 
 REL_TOL = 1e-9
-GUARD_BAND = 1e-7
+_TOL = Fraction(REL_TOL)
 
 
 class RealPolynomial:
-    """Dense real polynomial with lowest-degree-first coefficients."""
+    """Dense real polynomial with exact lowest-degree-first coefficients.
+
+    coefficients is a tuple of Fractions; leading ones at most REL_TOL times
+    the largest are dropped.
+    """
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        arr = np.atleast_1d(np.asarray(coefficients, dtype=float)).ravel()
-        if arr.size == 0:
-            arr = np.zeros(1)
-        scale = np.max(np.abs(arr))
-        if scale > 0:
-            keep = arr.size
-            while keep > 1 and abs(arr[keep - 1]) <= REL_TOL * scale:
-                keep -= 1
-            arr = arr[:keep]
-        else:
-            arr = np.zeros(1)
-        self.coefficients = arr
+        coeffs = []
+        for i, c in enumerate(coefficients):
+            try:
+                coeffs.append(Fraction(c))
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(f"coefficient {i} ({c!r}) is not a finite real number") from exc
+        scale = max(map(abs, coeffs), default=0)
+        while len(coeffs) > 1 and abs(coeffs[-1]) <= _TOL * scale:
+            coeffs.pop()
+        self.coefficients = tuple(coeffs) if scale else (Fraction(0),)
+
+    @classmethod
+    def _unchecked(cls, coefficients) -> "RealPolynomial":
+        """Wrap exact coefficients computed by the library, without trimming."""
+        poly = object.__new__(cls)
+        poly.coefficients = tuple(coefficients)
+        return poly
 
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     def is_zero(self) -> bool:
-        return len(self.coefficients) == 1 and self.coefficients[0] == 0.0
+        return self.coefficients == (0,)
 
-    def __call__(self, t: float) -> float:
-        return float(np.polyval(self.coefficients[::-1], t))
+    def __call__(self, t) -> Fraction:
+        t, value = Fraction(t), Fraction(0)
+        for c in reversed(self.coefficients):
+            value = value * t + c
+        return value
 
     def derivative(self) -> "RealPolynomial":
         c = self.coefficients
-        if len(c) == 1:
-            return RealPolynomial([0.0])
         return RealPolynomial([i * c[i] for i in range(1, len(c))])
 
-    def scaled(self, factor: float) -> "RealPolynomial":
-        return RealPolynomial(self.coefficients * factor)
+    def scaled(self, factor) -> "RealPolynomial":
+        return RealPolynomial([c * Fraction(factor) for c in self.coefficients])
 
     def __repr__(self):
-        return f"RealPolynomial({self.coefficients.tolist()})"
+        return f"RealPolynomial([{', '.join(map(str, self.coefficients))}])"
 
 
 @dataclass(frozen=True)
@@ -87,114 +104,104 @@ class ResidueSequence:
         return len(self.residues) - 1
 
     @property
-    def terminal(self) -> float:
+    def terminal(self) -> Fraction:
         return self.residues[-1].coefficients[0]
+
+
+def _remainder_chain(P: RealPolynomial):
+    """Integer chain R_k (highest degree first) and pseudo-quotients aT + b.
+
+    lc(R_k)^2 R_{k-1} = (aT + b) R_k + prem(R_{k-1}, R_k) for k = 1 .. m.
+    """
+    m = P.degree()
+    if m < 1:
+        raise DegenerateInput("the polynomial must have degree >= 1")
+    denom = math.lcm(*(c.denominator for c in P.coefficients))
+    r0 = [c.numerator * (denom // c.denominator) for c in reversed(P.coefficients)]
+    norm = max(map(abs, r0))
+    for t, value in ((0, r0[-1]), (1, sum(r0))):
+        if abs(value) <= _TOL * norm:
+            raise EndpointRoot(f"P({t}) vanishes within tolerance")
+    chain = [r0, [c * (m - i) for i, c in enumerate(r0[:-1])]]
+    quotients, divisor = [], 1
+    while True:
+        num, den = chain[-2], chain[-1]
+        lead, a = den[0], num[0]
+        r = [lead * x - a * y for x, y in zip(num[1:], den[1:] + [0])]
+        rem = [lead * x - r[0] * y for x, y in zip(r[1:], den[1:])]
+        quotients.append((lead * a, r[0]))
+        if not rem:
+            return chain, quotients
+        if abs(rem[0]) <= _TOL * lead * lead * max(map(abs, num)):
+            raise DegenerateInput(
+                "a remainder's leading coefficient cancels: repeated roots "
+                "or degenerate leading terms"
+            )
+        chain.append([-c // divisor for c in rem])
+        if any(q * divisor != -c for q, c in zip(chain[-1], rem)):
+            raise InternalInvariantViolation("inexact division in the remainder chain")
+        divisor = lead * lead
 
 
 def sturm_residues(P: RealPolynomial) -> ResidueSequence:
     """Quotient chain of (P, P') for a simple-rooted P with live endpoints."""
-    m = P.degree()
-    if m < 1 or P.is_zero():
-        raise DegenerateInput("the polynomial must have degree >= 1")
-    scale = float(np.max(np.abs(P.coefficients)))
-    for endpoint in (0.0, 1.0):
-        if abs(P(endpoint)) <= REL_TOL * scale:
-            raise EndpointRoot(f"P({endpoint:g}) vanishes within tolerance")
-    chain = [P.coefficients[::-1].copy(), P.derivative().coefficients[::-1].copy()]
-    quotients = []
-    while True:
-        num, den = chain[-2], chain[-1]
-        if len(den) == 1 and den[0] == 0.0:
-            raise DegenerateInput("zero divisor in the Euclidean chain")
-        quo, rem = np.polydiv(num, den)
-        if len(quo) - 1 != 1:
-            raise DegenerateInput("irregular quotient degree in the chain")
-        quotients.append(RealPolynomial(quo[::-1]))
-        rem = -rem
-        tiny = REL_TOL * max(1.0, float(np.max(np.abs(num))))
-        rem = _trim_leading(rem, tiny)
-        if rem is None:
-            break
-        if len(rem) != len(den) - 1:
-            raise DegenerateInput("irregular degree drop in the chain")
-        chain.append(rem)
-    if len(quotients) != m:
-        raise DegenerateInput(
-            "chain terminated early: repeated roots or degenerate leading terms"
-        )
-    terminal = chain[-1]
-    if len(terminal) != 1:
-        raise DegenerateInput("repeated roots: the chain does not end in a constant")
-    return ResidueSequence(tuple(quotients) + (RealPolynomial([terminal[0]]),))
+    chain, pseudo_quotients = _remainder_chain(P)
+    # chain[k] = scale_k * P_k with scale_1 = scale_0, and the chain's step
+    # gives scale_{k+1} = lc(R_k)^2 scale_{k-1} / divisor_k
+    prev = cur = chain[0][0] / P.coefficients[-1]
+    divisor, quotients = 1, []
+    for k, (a, b) in enumerate(pseudo_quotients, 1):
+        lead2 = chain[k][0] * chain[k][0]
+        factor = cur / (lead2 * prev)
+        quotients.append(RealPolynomial._unchecked((b * factor, a * factor)))
+        prev, cur, divisor = cur, lead2 * prev / divisor, lead2
+    terminal = RealPolynomial._unchecked((chain[-1][0] / prev,))
+    return ResidueSequence(tuple(quotients) + (terminal,))
 
 
-def _trim_leading(arr: np.ndarray, tiny: float):
-    """Drop leading (highest-degree) coefficients below tiny; None if all do."""
-    k = 0
-    while k < len(arr) and abs(arr[k]) <= tiny:
-        k += 1
-    if k == len(arr):
-        return None
-    return arr[k:]
+def residue_signature_form(seq: ResidueSequence, t) -> tuple:
+    """Exact rows of the tridiagonal form: quotients at t on the diagonal, -1 off it."""
+    diagonal = [q(t) for q in seq.residues[:-1]]
+    m = len(diagonal)
+    return tuple(
+        tuple(diagonal[i] if i == j else Fraction(-1 if abs(i - j) == 1 else 0) for j in range(m))
+        for i in range(m)
+    )
 
 
-def residue_signature_form(seq: ResidueSequence, t: float) -> np.ndarray:
-    """Tridiagonal matrix with the quotients at t on the diagonal, -1 off it."""
-    m = seq.size
-    S = np.zeros((m, m))
-    for i in range(m):
-        S[i, i] = seq.residues[i](t)
-    for i in range(m - 1):
-        S[i, i + 1] = -1.0
-        S[i + 1, i] = -1.0
-    return S
-
-
-def _signature(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    eigs = np.linalg.eigvalsh(M)
-    guard = GUARD_BAND * max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) < guard):
-        raise DegenerateInput("eigenvalue inside the guard band; signature unsafe")
-    return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+def _sign_variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def real_maslov(P: RealPolynomial) -> int:
-    """Winding number of the loop (P, P'): half the signature of S(1)+(-S(0))."""
-    seq = sturm_residues(P)
-    m = seq.size
-    S1 = residue_signature_form(seq, 1.0)
-    S0 = residue_signature_form(seq, 0.0)
-    big = np.zeros((2 * m, 2 * m))
-    big[:m, :m] = S1
-    big[m:, m:] = -S0
-    sig = _signature(big)
-    if sig % 2:
-        raise InternalInvariantViolation("odd signature for a closed loop")
-    return sig // 2
+    """Winding number of the loop (P, P'): the Sturm count V(0) - V(1)."""
+    chain = _remainder_chain(P)[0]
+    return _sign_variations(r[-1] for r in chain) - _sign_variations(sum(r) for r in chain)
 
 
 def linearization_residual(
     P: RealPolynomial, seq: ResidueSequence, samples: int = 20
 ) -> float:
-    """Max relative error of the companion-product factorization of (P, P')."""
+    """Max relative error of the companion-product factorization of (P, P').
+
+    Exact at equally spaced points of [0, 1]: a correct chain gives 0.0.
+    """
     dP = P.derivative()
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
-        v = np.array([seq.terminal, 0.0])
-        for k in range(seq.size, 0, -1):
-            q = seq.residues[k - 1](t)
-            v = np.array([q * v[0] - v[1], v[0]])
-        target = np.array([P(t), dP(t)])
-        denom = max(1.0, float(np.max(np.abs(target))))
-        worst = max(worst, float(np.max(np.abs(v - target))) / denom)
-    return worst
+    worst = Fraction(0)
+    for i in range(samples):
+        t = Fraction(i, max(samples - 1, 1))
+        v0, v1 = seq.terminal, Fraction(0)
+        for q in reversed(seq.residues[:-1]):
+            v0, v1 = q(t) * v0 - v1, v0
+        p, dp = P(t), dP(t)
+        worst = max(worst, max(abs(v0 - p), abs(v1 - dp)) / max(1, abs(p), abs(dp)))
+    return float(worst)
 
 
 def paper_example_polynomial() -> RealPolynomial:
     """Cubic loop preset of winding number one: 4u^3 - 6u^2 + 1 at u = T + 1/sqrt(2)."""
-    s = 1.0 / np.sqrt(2.0)
+    s = 1.0 / math.sqrt(2.0)
     return RealPolynomial([2 * s - 2, 6 - 12 * s, 12 * s - 6, 4.0])
 
 

@@ -88,6 +88,50 @@ def test_maslov_real_poly_flag(capsys):
     assert code == 2
     code, out = run_cli(capsys, ["maslov", "real", "--preset", "unknown"])
     assert code == 2
+    for poly in ("nan,1", "1,nan", "inf,1", "-1,inf"):
+        code, out = run_cli(capsys, ["maslov", "real", f"--poly={poly}"])
+        assert code == 2, poly
+        err = json.loads(out)
+        assert err["error"] == "domain-error", poly
+        assert "not a finite real number" in err["detail"], poly
+
+
+def test_no_command_loads_numpy():
+    # numpy is a test-only oracle: no subcommand may import it at run time
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    script = f"""
+import json, sys
+import maslovkit
+from maslovkit import serialize
+from maslovkit.cli import main
+from maslovkit.fixtures import sample_pair
+from maslovkit.sturm import loop_from_pair
+
+F = {str(fixtures)!r}
+loop = json.dumps(serialize.encode_loop(loop_from_pair(*sample_pair())))
+argvs = [
+    ["witt", "classify", "--form", F + "/pair_q1.json"],
+    ["maslov", "compute", "--loop", loop],
+    ["maslov", "pair", "--q0", F + "/pair_q0.json", "--q1", F + "/pair_q1.json"],
+    ["maslov", "real", "--preset", "paper-example"],
+    ["maslov", "real", "--poly=0.5,-3,1"],
+    ["lagrangian", "check", "--module", F + "/cluster_module.json"],
+    ["qca", "apply", "--circuit", F + "/cluster_circuit.json",
+     "--module", F + "/product_state_module.json"],
+    ["lgroup", "table", "--p", "7"],
+]
+for argv in argvs:
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_witt_classify(capsys, fixture_dir):

@@ -1,9 +1,12 @@
 """Classical Maslov index via real Sturm chains."""
 
+import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
+import sympy
 
 from maslovkit import (
     DegenerateInput,
@@ -16,6 +19,8 @@ from maslovkit import (
     sturm_residues,
 )
 from maslovkit.realmaslov import ResidueSequence
+
+from helpers import time_limit
 
 
 def poly_from_roots(roots, scale=1.0):
@@ -71,7 +76,7 @@ def test_signature_form_examples():
     seq = ResidueSequence(
         (RealPolynomial([1.0, 1.0]), RealPolynomial([0.5, -1.0]), RealPolynomial([2.0]))
     )
-    S = residue_signature_form(seq, 0.5)
+    S = np.array(residue_signature_form(seq, 0.5), dtype=float)
     assert S.shape == (2, 2)
     assert S[0, 0] == pytest.approx(1.5)
     assert S[1, 1] == pytest.approx(0.0)
@@ -79,7 +84,7 @@ def test_signature_form_examples():
     zero_seq = ResidueSequence(
         (RealPolynomial([0.0]), RealPolynomial([0.0]), RealPolynomial([1.0]))
     )
-    eigs = np.linalg.eigvalsh(residue_signature_form(zero_seq, 0.0))
+    eigs = np.linalg.eigvalsh(np.array(residue_signature_form(zero_seq, 0.0), dtype=float))
     assert eigs == pytest.approx([-1.0, 1.0])
 
 
@@ -93,19 +98,35 @@ def test_scale_invariance():
             c = rng.uniform(-5, 5)
         assert real_maslov(poly.scaled(c)) == base
     assert real_maslov(poly.scaled(-1.0)) == base
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-12, 1e300, 1e308):
+            assert real_maslov(poly.scaled(c)) == base
+            assert real_maslov(poly.scaled(-c)) == base
+        # T^2 - 3T + 1/2 has one root in (0, 1) at every scale
+        for c in (1e-12, 1.0, 1e12):
+            assert real_maslov(RealPolynomial([0.5 * c, -3 * c, c])) == 1
+        # T^2 - T + 1 has no real roots; its float coefficients are the largest
+        assert real_maslov(RealPolynomial([1e308, -1e308, 1e308])) == 0
 
 
-def test_signature_parity_and_windings():
-    rng = random.Random(12)
-    checked = 0
-    while checked < 25:
-        m = rng.randrange(1, 5)
+def _separated_root_draws(rng, max_degree):
+    """Endless (roots, P): roots 0.05 apart and 0.05 away from 0 and 1."""
+    while True:
+        m = rng.randrange(1, max_degree + 1)
         roots = sorted(rng.uniform(-2.0, 3.0) for _ in range(m))
         if any(abs(r) < 0.05 or abs(r - 1) < 0.05 for r in roots):
             continue
         if any(b - a < 0.05 for a, b in zip(roots, roots[1:])):
             continue
-        poly = poly_from_roots(roots, scale=rng.choice([1.0, -2.0, 0.5]))
+        yield roots, poly_from_roots(roots, scale=rng.choice([1.0, -2.0, 0.5]))
+
+
+def test_signature_parity_and_windings():
+    draws = _separated_root_draws(random.Random(12), 4)
+    checked = 0
+    while checked < 25:
+        roots, poly = next(draws)
         try:
             index = real_maslov(poly)
         except DegenerateInput:
@@ -117,3 +138,38 @@ def test_signature_parity_and_windings():
         seq = sturm_residues(poly)
         assert linearization_residual(poly, seq) < 1e-6
         checked += 1
+
+
+def _half_signature(seq):
+    """(1/2) sig(S(1) + (-S(0))) by floating-point eigenvalues."""
+    m = seq.size
+    big = np.zeros((2 * m, 2 * m))
+    big[:m, :m] = np.array(residue_signature_form(seq, 1), dtype=float)
+    big[m:, m:] = -np.array(residue_signature_form(seq, 0), dtype=float)
+    eigs = np.linalg.eigvalsh(big)
+    sig = int(np.sum(eigs > 0) - np.sum(eigs < 0))
+    assert sig % 2 == 0
+    return sig // 2
+
+
+def test_exact_index_matches_root_count_and_signature():
+    T = sympy.Symbol("T")
+    for _, poly in itertools.islice(_separated_root_draws(random.Random(2024), 12), 300):
+        index = real_maslov(poly)
+        exact = sympy.Poly(poly.coefficients[::-1], T, domain=sympy.QQ)
+        assert index == exact.count_roots(0, 1), poly
+        seq = sturm_residues(poly)
+        assert index == _half_signature(seq), poly
+        assert linearization_residual(poly, seq) < 1e-9
+
+
+def test_degree_100_runs_in_polynomial_time():
+    # the reduced chain keeps coefficient length linear in the step; an
+    # undivided pseudo-remainder chain doubles it every step and never ends
+    rng = random.Random(100)
+    coeffs = [rng.uniform(-1.0, 1.0) for _ in range(101)]
+    with time_limit(10):
+        index = real_maslov(RealPolynomial(coeffs))
+    # its one real root in (0, 1) sits near 0.84, far from every other root
+    roots = np.roots(coeffs[::-1])
+    assert index == sum(1 for r in roots if abs(r.imag) < 1e-6 and 0 < r.real < 1)
