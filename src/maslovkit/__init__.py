@@ -33,7 +33,6 @@ from .linalg import (
     SmithDecomposition,
     det,
     inverse,
-    is_unit_matrix,
     kernel_basis,
     smith_normal_form,
     solve_in_span,

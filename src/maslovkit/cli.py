@@ -85,39 +85,29 @@ def _cmd_witt_classify(args) -> int:
     return 0
 
 
-def _maslov_payload(result):
-    return serialize.encode_maslov_result(result)
-
-
-def _maslov_text(result):
+def _emit_maslov(result, fmt: str) -> int:
+    if fmt == "json":
+        _emit(serialize.encode_maslov_result(result))
+        return 0
     lines = []
     if result.witt is not None:
         lines.append(f"witt class = {result.witt.class_name} (p = {result.witt.p})")
     lines.append(f"rank parity = {result.rank_parity}")
     lines.append(f"determinant = {result.determinant!r}")
     lines.append(f"representative dimension = {result.form.dim}")
-    return lines
+    _emit_text(lines)
+    return 0
 
 
 def _cmd_maslov_compute(args) -> int:
     loop = serialize.decode_loop(_load_json(args.loop, "loop"))
-    result = maslov_index(loop)
-    if args.format == "json":
-        _emit(_maslov_payload(result))
-    else:
-        _emit_text(_maslov_text(result))
-    return 0
+    return _emit_maslov(maslov_index(loop), args.format)
 
 
 def _cmd_maslov_pair(args) -> int:
     q0 = serialize.decode_form(_load_json(args.q0, "q0"))
     q1 = serialize.decode_form(_load_json(args.q1, "q1"))
-    result = maslov_index(loop_from_pair(q0, q1))
-    if args.format == "json":
-        _emit(_maslov_payload(result))
-    else:
-        _emit_text(_maslov_text(result))
-    return 0
+    return _emit_maslov(maslov_index(loop_from_pair(q0, q1)), args.format)
 
 
 def _cmd_maslov_real(args) -> int:

@@ -629,13 +629,6 @@ def det(A: RingMatrix) -> LaurentPolynomial:
     return _eliminate([list(row) for row in A.entries])
 
 
-def is_unit_matrix(A: RingMatrix) -> bool:
-    """True iff det(A) is a unit of the ring (a nonzero monomial)."""
-    if not A.is_square():
-        raise ShapeError("unit test needs a square matrix")
-    return det(A).is_unit()
-
-
 def inverse(A: RingMatrix) -> RingMatrix:
     """Inverse of a matrix whose determinant is a unit; NotAUnit otherwise."""
     return _inverse_and_det(A)[0]

@@ -234,11 +234,6 @@ def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
     """E0(q) = (1 0; q 1) on L, or E1(q) = (1 q; 0 1) on L*."""
     if q.sign != 1 or not q.is_hermitian():
         raise FormError("elementary unitaries need a +hermitian form")
-    return _elementary_unitary(which, q)
-
-
-def _elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
-    """elementary_unitary for a form already known to be +hermitian."""
     ring = q.ring
     n = q.dim
     ident = RingMatrix.identity(ring, n)

@@ -97,8 +97,6 @@ def decode_matrix(obj) -> RingMatrix:
         for e in row:
             if e.ring != ring:
                 raise DomainError("matrix: entry ring differs from matrix ring")
-    if rows == 0 or cols == 0:
-        return RingMatrix(ring, [[ring.zero()] * cols for _ in range(rows)])
     return RingMatrix(ring, entries)
 
 

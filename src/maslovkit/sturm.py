@@ -6,11 +6,15 @@ elementary unitaries E_m(q_m) ... E_n(q_n) and, through the associated
 block-tridiagonal form, a Lagrangian transversal to the image of the
 standard Lagrangian under that word.
 
-A based loop is a Sturm sequence over R[T] whose word fixes the standard
-Lagrangian at T = 0 and T = 1.  Its Maslov index is the stable class of
-S(1) + (-S(0)^-1) for the tridiagonal form S(T) of the truncated sequence;
-over F_p this is a Witt class, over Laurent rings the representative form
-and its computable invariants are returned.
+Every word is applied factor by factor from the right to N-row blocks
+(a; c): E0(q) adds q a to c and E1(q) adds q c to a, one N x N product per
+form.  A based loop is a Sturm sequence over R[T] whose word fixes the
+standard Lagrangian L at T = 0 and T = 1; the test applies the word to the
+N columns (I; 0) of L.  Its Maslov index is the stable class of
+S(1) + (-S(0)^-1) for the tridiagonal form S(t) of the truncated sequence,
+assembled from the forms evaluated at t = 0 and t = 1; over F_p this is a
+Witt class, over Laurent rings the representative form and its computable
+invariants are returned.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ from .errors import (
 )
 from .forms import HermitianForm, WittClass
 from .linalg import RingMatrix, _inverse_and_det, det, inverse
-from .pauli import (
-    CliffordUnitary,
-    PauliModule,
-    StabilizerModule,
-    _elementary_unitary,
-    elementary_unitary,
-)
+from .pauli import CliffordUnitary, PauliModule, StabilizerModule, elementary_unitary
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
 
@@ -97,20 +95,34 @@ class SturmSequence:
         )
 
 
+def _apply_word(seq: SturmSequence, a: RingMatrix, c: RingMatrix):
+    """(A; C) = E_m(q_m) ... E_n(q_n) (a; c) for N-row blocks a and c.
+
+    The factors act right to left: E0(q) = (1 0; q 1) adds q a to c and
+    E1(q) = (1 q; 0 1) adds q c to a.
+    """
+    for k, q in reversed(tuple(enumerate(seq.forms, seq.start))):
+        if k % 2 == 0:
+            c = c + q.matrix @ a
+        else:
+            a = a + q.matrix @ c
+    return a, c
+
+
 def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
     """The elementary word E_m(q_m) ... E_n(q_n); empty sequences give 1.
 
-    The forms were checked when the sequence was built, so the elementary
-    factors are not checked again.
+    The word is applied to the two row blocks of the identity.  The forms
+    were checked when the sequence was built, so the word is unitary by
+    construction and is not checked again.
     """
-    module = PauliModule(seq.ring, seq.N)
-    identity = RingMatrix.identity(seq.ring, 2 * seq.N)
-    result = CliffordUnitary._unchecked(module, identity)
-    for offset, q in enumerate(seq.forms):
-        k = seq.start + offset
-        kind = "E0" if k % 2 == 0 else "E1"
-        result = result @ _elementary_unitary(kind, q)
-    return result
+    ring, N = seq.ring, seq.N
+    ident = RingMatrix.identity(ring, 2 * N)
+    top = ident.submatrix(range(N), range(2 * N))
+    bottom = ident.submatrix(range(N, 2 * N), range(2 * N))
+    a, c = _apply_word(seq, top, bottom)
+    matrix = RingMatrix.from_blocks([[a], [c]])
+    return CliffordUnitary._unchecked(PauliModule(ring, N), matrix)
 
 
 def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
@@ -158,15 +170,14 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
     ring = seq.ring
     N = seq.N
     big = PauliModule(ring, blocks * N)
-    word = sturm_unitary(seq).matrix
-    lam_gens = word.submatrix(range(2 * N), range(N))  # E(q) applied to (1; 0)
+    a, c = _apply_word(seq, RingMatrix.identity(ring, N), RingMatrix.zeros(ring, N, N))
     total = blocks * N
     cols = []
     for j in range(N):
         col = [ring.zero()] * (2 * total)
         for i in range(N):
-            col[i] = lam_gens[i, j]  # X slot 0
-            col[total + i] = lam_gens[N + i, j]  # Z slot 0
+            col[i] = a[i, j]  # X slot 0
+            col[total + i] = c[i, j]  # Z slot 0
         cols.append(col)
     for k in range(1, blocks):
         for i in range(N):
@@ -229,28 +240,25 @@ class LagrangianLoop:
         return LagrangianLoop(self.seq.padded(2 * extra_pairs))
 
 
-def _fixes_standard_lagrangian(u: CliffordUnitary) -> bool:
-    """uL = L for the standard Lagrangian L, exactly for every d.
-
-    uL is spanned by the first N columns (A; C) of u, so uL is inside L
-    exactly when the lower-left block C is 0.  And if the Lagrangian uL lies
-    in the Lagrangian L, then L = L^perp is inside (uL)^perp = uL.
-    """
-    N = u.ambient.N
-    return u.matrix.submatrix(range(N, 2 * N), range(N)).is_zero()
-
-
 def validate_loop(seq: SturmSequence) -> LagrangianLoop:
-    """Check the loop condition E(q)(0) L = L = E(q)(1) L."""
+    """Check the loop condition E(q)(0) L = L = E(q)(1) L, exactly for every d.
+
+    The word u maps L onto the span of its first N columns (A; C), the word
+    applied to (I; 0).  That span lies in L exactly when C = 0.  And if the
+    Lagrangian uL lies in the Lagrangian L, then L = L^perp is inside
+    (uL)^perp = uL.
+    """
     if not seq.ring.has_T:
         raise DomainError("loops are sequences over a ring with T")
     if seq.start != 0:
         raise DomainError("loop sequences must start at index 0")
     if len(seq.forms) % 2 == 0:
         seq = seq.padded(1)
+    ring0, N = seq.ring.drop_T(), seq.N
+    ident, zero = RingMatrix.identity(ring0, N), RingMatrix.zeros(ring0, N, N)
     for t in (0, 1):
-        u = sturm_unitary(seq.eval_T(t))
-        if not _fixes_standard_lagrangian(u):
+        _, c = _apply_word(seq.eval_T(t), ident, zero)
+        if not c.is_zero():
             raise NotALoop(f"the word does not fix the base Lagrangian at T = {t}")
     return LagrangianLoop(seq)
 
@@ -329,9 +337,7 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
         empty = HermitianForm(RingMatrix(ring0, []), 1)
         witt = WittClass.zero(ring0.p) if ring0.spatial_vars == 0 else None
         return MaslovResult(empty, witt, 0, ring0.one())
-    s_of_t = sturm_tridiagonal(seq.truncated())
-    s0 = s_of_t.eval_T(0)
-    s1 = s_of_t.eval_T(1)
+    s0, s1 = (sturm_tridiagonal(seq.truncated().eval_T(t)) for t in (0, 1))
     invalid = "is degenerate; the sequence is not a valid loop"
     try:
         inv0, det0 = _inverse_and_det(s0.matrix)
@@ -418,7 +424,7 @@ def three_term_transfer(q: HermitianForm, k: int) -> RingMatrix:
     kind = "E0" if k % 2 == 0 else "E1"
     ek = elementary_unitary(kind, q).matrix
     left = ident if (k - 1) % 2 == 0 else sigma
-    right = ident if k % 2 == 0 else inverse(sigma)
+    right = ident if k % 2 == 0 else -sigma  # sigma^2 = -1
     out = left @ ek @ right
     return out if (k - 1) % 2 == 0 else -out
 

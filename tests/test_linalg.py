@@ -10,8 +10,8 @@ from maslovkit import (
     RingMatrix,
     ShapeError,
     UnsupportedRing,
+    det,
     inverse,
-    is_unit_matrix,
     kernel_basis,
     smith_normal_form,
     solve_in_span,
@@ -135,19 +135,19 @@ def test_kernel_random_properties():
 
 
 def test_is_unit_matrix_examples():
-    assert is_unit_matrix(RingMatrix(L5, [[L5.x(0)]]))
-    assert not is_unit_matrix(RingMatrix(L5, [[L5.x(0) + 1]]))
-    assert is_unit_matrix(RingMatrix(RingDescriptor(7), [[2]]))
+    assert det(RingMatrix(L5, [[L5.x(0)]])).is_unit()
+    assert not det(RingMatrix(L5, [[L5.x(0) + 1]])).is_unit()
+    assert det(RingMatrix(RingDescriptor(7), [[2]])).is_unit()
     with pytest.raises(ShapeError):
-        is_unit_matrix(RingMatrix.zeros(F5, 1, 2))
+        det(RingMatrix.zeros(F5, 1, 2))
 
 
 def test_is_unit_matrix_general_d():
     L2d = RingDescriptor(5, 2)
     m = RingMatrix(L2d, [[L2d.x(0) * L2d.x(1, -1), 0], [1, L2d.x(1)]])
-    assert is_unit_matrix(m)
+    assert det(m).is_unit()
     m2 = RingMatrix(L2d, [[L2d.x(0) + L2d.x(1), 0], [1, L2d.x(1)]])
-    assert not is_unit_matrix(m2)
+    assert not det(m2).is_unit()
 
 
 def test_inverse_round_trip():

@@ -12,6 +12,7 @@ from maslovkit import (
     PauliModule,
     RingDescriptor,
     RingMatrix,
+    StabilizerModule,
     SturmSequence,
     WittClass,
     constant_loop,
@@ -72,6 +73,107 @@ def _modp_rank(matrix, p):
         rank += 1
         col += 1
     return rank
+
+
+def dense_word(seq):
+    """Reference word: the left-to-right product of the 2N x 2N elementary factors."""
+    out = RingMatrix.identity(seq.ring, 2 * seq.N)
+    for k, q in enumerate(seq.forms, seq.start):
+        out = out @ elementary_unitary("E0" if k % 2 == 0 else "E1", q).matrix
+    return out
+
+
+def _dense_stabilized_image(seq):
+    """stabilized_image generators built from the dense word's first N columns."""
+    ring, N = seq.ring, seq.N
+    total = (len(seq.forms) - 1) * N
+    word = dense_word(seq)
+    cols = [
+        [word[i, j] for i in range(N)]
+        + [ring.zero()] * (total - N)
+        + [word[N + i, j] for i in range(N)]
+        + [ring.zero()] * (total - N)
+        for j in range(N)
+    ]
+    for k in range(N, total):
+        col = [ring.zero()] * (2 * total)
+        col[k] = ring.one()
+        cols.append(col)
+    gens = RingMatrix(ring, [[c[i] for c in cols] for i in range(2 * total)])
+    return StabilizerModule(PauliModule(ring, total), gens)
+
+
+ORACLE_RINGS = (F5, RingDescriptor(7, 1))
+
+
+def test_sturm_unitary_matches_dense_word():
+    rng = random.Random(60)
+    for ring in ORACLE_RINGS:
+        for _ in range(40):
+            N = rng.randrange(1, 4)
+            forms = tuple(rand_hermitian(ring, N, rng) for _ in range(rng.randrange(6)))
+            seq = SturmSequence(ring, N, forms, rng.randrange(4))
+            assert sturm_unitary(seq).matrix == dense_word(seq)
+
+
+def test_stabilized_image_matches_dense_word():
+    rng = random.Random(61)
+    for ring in ORACLE_RINGS:
+        for _ in range(20):
+            N = rng.randrange(1, 4)
+            length = rng.choice((3, 5))
+            forms = tuple(rand_hermitian(ring, N, rng) for _ in range(length))
+            seq = SturmSequence(ring, N, forms)
+            assert stabilized_image(seq) == _dense_stabilized_image(seq)
+
+
+def _nondeg_form(ring, N, rng):
+    if ring.spatial_vars == 0:
+        return rand_symmetric_nondeg(ring.p, N, rng)
+    c = rand_unit_matrix(ring, rng, N)
+    diag = [[rng.randrange(1, ring.p) if i == j else 0 for j in range(N)] for i in range(N)]
+    return HermitianForm(c.dagger() @ RingMatrix(ring, diag) @ c, 1)
+
+
+def _first_moved_endpoint(seq):
+    """The first T in (0, 1) whose dense word has a nonzero lower-left block."""
+    N = seq.N
+    for t in (0, 1):
+        word = dense_word(seq.eval_T(t))
+        if not word.submatrix(range(N, 2 * N), range(N)).is_zero():
+            return t
+    return None
+
+
+def test_validate_loop_matches_dense_word():
+    # loop_from_pair loops, and the same words with T r or (1 - T) r added to
+    # one form: validate_loop must reject exactly when the dense word moves L,
+    # naming the same first endpoint
+    rng = random.Random(62)
+    seen = set()
+    for ring in ORACLE_RINGS:
+        for _ in range(12):
+            N = rng.randrange(1, 4)
+            loop = loop_from_pair(_nondeg_form(ring, N, rng), _nondeg_form(ring, N, rng))
+            assert _first_moved_endpoint(loop.seq) is None
+            ring_T = loop.ring
+            T = ring_T.T()
+            r = rand_hermitian(ring, N, rng).matrix
+            while r.is_zero():
+                r = rand_hermitian(ring, N, rng).matrix
+            weight = rng.choice((T, ring_T.one() - T))
+            k = rng.randrange(len(loop.seq.forms))
+            forms = list(loop.seq.forms)
+            forms[k] = HermitianForm(forms[k].matrix + r.lift_T().scale(weight), 1)
+            seq = SturmSequence(ring_T, N, tuple(forms))
+            expected = _first_moved_endpoint(seq)
+            seen.add(expected)
+            if expected is None:
+                validate_loop(seq)
+            else:
+                with pytest.raises(NotALoop, match=f"at T = {expected}$"):
+                    validate_loop(seq)
+    assert seen == {None, 0, 1}, "loops and both endpoints occur among the draws"
 
 
 def test_sturm_unitary_examples():
@@ -226,7 +328,10 @@ def test_maslov_determinant_equals_det_of_representative():
         )
     )
     for q0, q1 in cases:
-        result = maslov_index(loop_from_pair(q0, q1))
+        loop = loop_from_pair(q0, q1)
+        result = maslov_index(loop)
+        s0, s1 = (sturm_tridiagonal(loop.seq.truncated()).eval_T(t).matrix for t in (0, 1))
+        assert result.form.matrix == RingMatrix.block_diag([s1, -inverse(s0)])
         assert result.determinant == det(result.form.matrix)
         assert result.determinant.is_unit()
         if result.form.ring.spatial_vars == 0:
