@@ -4,6 +4,11 @@ Provides dense matrices of Laurent polynomials with the dagger
 (involution-transpose), exact polynomial-time determinants and inverses over
 every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and spans.
 
+Off F_p, determinants and inverses come from fraction-free (Bareiss)
+elimination.  A step touches only the rows with a nonzero entry in the pivot
+column; the others keep the level of their last update and are caught up
+lazily.  A division by a single-term pivot is an exponent shift.
+
 The Euclidean size function on F_p[x, x^-1] is the exponent spread
 (max degree - min degree); every nonzero element factors as a unit times an
 ordinary polynomial with nonzero constant term, which is what the division
@@ -177,21 +182,21 @@ class RingMatrix:
             out.append(tuple(new_row))
         return RingMatrix._unchecked(ring, out)
 
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
+    def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
         if self.ring != other.ring:
             raise RingMismatch("matrix rings differ")
         if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
+            raise ShapeError(f"cannot combine {self.shape} and {other.shape}")
         return RingMatrix._unchecked(
             self.ring,
-            [
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+            [tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)],
         )
 
+    def __add__(self, other: "RingMatrix") -> "RingMatrix":
+        return self._entrywise(other, add)
+
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        return self + (-other)
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "RingMatrix":
         return RingMatrix._unchecked(
@@ -275,8 +280,9 @@ def _unipoly(f: LaurentPolynomial):
 
 
 def _from_unipoly(ring: RingDescriptor, shift: int, coeffs) -> LaurentPolynomial:
-    return LaurentPolynomial(
-        ring, {(shift + i,): c for i, c in enumerate(coeffs) if c % ring.p}
+    """Inverse of _unipoly; coeffs are residues in [0, p)."""
+    return LaurentPolynomial._unchecked(
+        ring, {(shift + i,): c for i, c in enumerate(coeffs) if c}
     )
 
 
@@ -321,10 +327,9 @@ def _canonical_unit(f: LaurentPolynomial) -> LaurentPolynomial:
     p = ring.p
     if ring.spatial_vars == 0:
         c = next(iter(f.terms.values()))
-        return ring.constant(pow(c, -1, p))
+        return LaurentPolynomial._unchecked(ring, {(): pow(c, -1, p)})
     lo, coeffs = _unipoly(f)
-    lead_inv = pow(coeffs[-1], -1, p)
-    return LaurentPolynomial(ring, {(-lo,): lead_inv})
+    return LaurentPolynomial._unchecked(ring, {(-lo,): pow(coeffs[-1], -1, p)})
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -462,9 +467,9 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
             U[k] = [u * e for e in U[k]]
 
     return SmithDecomposition(
-        U=RingMatrix(ring, U),
-        D=RingMatrix(ring, A),
-        V=RingMatrix(ring, V),
+        U=RingMatrix._unchecked(ring, map(tuple, U)),
+        D=RingMatrix._unchecked(ring, map(tuple, A)),
+        V=RingMatrix._unchecked(ring, map(tuple, V)),
     )
 
 
@@ -559,6 +564,15 @@ def _exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyno
     if not f.terms:
         return f
     p = f.ring.p
+    if len(g.terms) == 1:  # a monomial: shift the exponents, scale once
+        ((lead, c),) = g.terms.items()
+        if c == 1 and not any(lead):
+            return f
+        inv = pow(c, -1, p)
+        q = {tuple(map(sub, e, lead)): v * inv % p for e, v in f.terms.items()}
+        if f.ring.has_T and any(e[-1] < 0 for e in q):
+            raise InternalInvariantViolation(f"{g} does not divide {f}")
+        return LaurentPolynomial._unchecked(f.ring, q)
     lo = [min(a) - min(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
     hi = [max(a) - max(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
     if f.ring.has_T:
@@ -586,35 +600,68 @@ def _exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyno
     return LaurentPolynomial._unchecked(f.ring, q)
 
 
-def _eliminate(M: list) -> LaurentPolynomial:
+def _eliminate(M: list) -> tuple[LaurentPolynomial, list | None]:
     """Fraction-free (Bareiss) elimination of the n polynomial rows M in place.
 
-    As _eliminate_modp, but each update is divided exactly by the previous
-    pivot; returns det.  With augmented columns [A | B] a nonsingular A leaves
-    s A^-1 B in the columns of B, s = +-det(A) the last pivot M[n-1][n-1].
+    As _eliminate_modp, but each update is divided exactly by an earlier pivot,
+    and a row is touched only at the steps that change it.  Let p_0 = 1 and
+    p_{k+1} be the pivot of step k.  Each row keeps the level l of its last
+    update: in the columns >= l it holds R_l, the row after l steps of the
+    standard Bareiss update.  A standard step k with a zero entry in column k
+    maps R_k to p_{k+1} R_k / p_k; over steps l .. c-1 these factors telescope,
+    so a row left alone since level l stands for R_c = p_c R_l / p_l.  At step c
+    - a row with R_l[c] = 0 is skipped and stays at level l;
+    - any other row r != c becomes R_{c+1}[j] = (p_{c+1} R_l[j] - R_l[c] top[j])
+      / p_l in the columns j > c where R_l[j] or top[j] is nonzero;
+    - the pivot row top is first caught up to R_c = p_c R_l / p_l; its own step
+      leaves it unchanged, so it is then at level c + 1.
+    Row swaps carry the levels with the rows.
+
+    Returns (det, divisors), divisors[r] = p_l for the level l of row r, or
+    (0, None) for a singular A.  With augmented columns [A | B] a nonsingular A
+    leaves divisors[r] (A^-1 B)[r] in row r's columns of B.
     """
     n, width = len(M), len(M[0])
     ring = M[0][0].ring
-    prev, negate = ring.one(), False
+    p, wrap = ring.p, LaurentPolynomial._unchecked
+    pivots, level, negate = [ring.one()], [0] * n, False
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c]), None)
         if piv is None:
-            return ring.zero()
+            return ring.zero(), None
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
+            level[c], level[piv] = level[piv], level[c]
             negate = not negate
         top = M[c]
-        pivot = top[c]
+        if (l := level[c]) < c and pivots[c] != pivots[l]:
+            top[c:] = [
+                _exact_quotient(pivots[c] * e, pivots[l]) if e.terms else e
+                for e in top[c:]
+            ]
+        level[c] = c + 1
+        pivots.append(top[c])
+        pivot = top[c].terms
         for r in range(n) if width > n else range(c + 1, n):
-            row, factor = M[r], M[r][c]
-            if r == c or (not factor and pivot == prev):
+            row = M[r]
+            if r == c or not row[c].terms:
                 continue
+            # pivot * row[j] - row[c] * top[j] in one dict, reduced once
+            neg = {e: p - v for e, v in row[c].terms.items()}
+            prev = pivots[level[r]]
             for j in range(c + 1, width):
-                if row[j] or (factor and top[j]):  # skip zeros: S(0), S(1) are sparse
-                    t = pivot * row[j] - factor * top[j]
-                    row[j] = _exact_quotient(t, prev)
-        prev = pivot
-    return -prev if negate else prev
+                a, b = row[j].terms, top[j].terms
+                if a or b:
+                    acc: dict = {}
+                    for f, g in ((pivot, a), (neg, b)):
+                        for e1, c1 in f.items():
+                            for e2, c2 in g.items():
+                                e = tuple(map(add, e1, e2))
+                                acc[e] = acc.get(e, 0) + c1 * c2
+                    row[j] = _exact_quotient(wrap(ring, _reduced(acc, p)), prev)
+            level[r] = c + 1
+    d = pivots[-1]
+    return -d if negate else d, [pivots[l] for l in level]
 
 
 def det(A: RingMatrix) -> LaurentPolynomial:
@@ -626,7 +673,7 @@ def det(A: RingMatrix) -> LaurentPolynomial:
         return ring.one()
     if ring.spatial_vars == 0 and not ring.has_T:
         return ring.constant(_eliminate_modp(_constant_rows(A), ring.p))
-    return _eliminate([list(row) for row in A.entries])
+    return _eliminate([list(row) for row in A.entries])[0]
 
 
 def inverse(A: RingMatrix) -> RingMatrix:
@@ -650,7 +697,10 @@ def _inverse_and_det(A: RingMatrix) -> tuple[RingMatrix, LaurentPolynomial]:
         rows = [tuple(wrap(ring, {(): v} if v else {}) for v in row[n:]) for row in M]
         return RingMatrix._unchecked(ring, rows), ring.constant(d)
     M = [list(row) for row in augmented.entries]
-    if not (d := _eliminate(M)).is_unit():
+    d, divisors = _eliminate(M)
+    if not d.is_unit():
         raise NotAUnit("matrix is not invertible over the ring")
-    s = M[-1][n - 1].unit_inverse()
-    return RingMatrix._unchecked(ring, [tuple(s * e for e in row[n:]) for row in M]), d
+    rows = [
+        tuple(_exact_quotient(e, q) for e in row[n:]) for row, q in zip(M, divisors)
+    ]
+    return RingMatrix._unchecked(ring, rows), d

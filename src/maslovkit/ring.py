@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add
+from operator import add, sub
 
 from .errors import DivisionByZero, DomainError, RingMismatch
 
@@ -267,7 +267,8 @@ class LaurentPolynomial:
             return self.ring.constant(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (add, sub), in one pass over other's terms."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -275,20 +276,20 @@ class LaurentPolynomial:
         p = self.ring.p
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            c = (out.get(exps, 0) + c) % p
+            c = op(out.get(exps, 0), c) % p
             if c:
                 out[exps] = c
             else:
                 del out[exps]
         return LaurentPolynomial._unchecked(self.ring, out)
 
+    def __add__(self, other):
+        return self._combine(other, add)
+
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -326,7 +327,9 @@ class LaurentPolynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, int) or (
+            isinstance(other, FieldElement) and other.p == self.ring.p
+        ):
             other = self.ring.constant(other)
         return (
             isinstance(other, LaurentPolynomial)
@@ -357,7 +360,7 @@ class LaurentPolynomial:
             raise DivisionByZero(f"{self} is not a unit")
         ((exps, c),) = self.terms.items()
         inv = pow(c, -1, self.ring.p)
-        return LaurentPolynomial(self.ring, {tuple(-e for e in exps): inv})
+        return LaurentPolynomial._unchecked(self.ring, {tuple(-e for e in exps): inv})
 
     def involute(self) -> "LaurentPolynomial":
         """Invert every spatial exponent; T and coefficients stay fixed."""

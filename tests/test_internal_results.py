@@ -125,13 +125,20 @@ def ref_matmul(A, B):
 def test_poly_arithmetic_matches_checked_reference(data):
     ring = data.draw(RINGS)
     f, g = data.draw(polys(ring)), data.draw(polys(ring))
+    c = data.draw(st.integers(-ring.p, 2 * ring.p))
     cases = [
         (f + g, ref_sum(ring, f, g)),
         (f - g, ref_sum(ring, f, ref_neg(g))),
         (-f, ref_neg(f)),
         (f * g, ref_mul(f, g)),
         (f - f, ring.zero()),
+        # f's terms cancel, g's survive
+        ((f + g) - f, g),
+        (f - (f - g), g),
+        (f - c, ref_sum(ring, f, ring.constant(-c))),
+        (c - f, ref_sum(ring, ring.constant(c), ref_neg(f))),
     ]
+    assert (f - f).terms == {}
     d = ring.spatial_vars
     flipped = {tuple(-x for x in e[:d]) + e[d:]: c for e, c in f.terms.items()}
     cases.append((f.involute(), LaurentPolynomial(ring, flipped)))
@@ -227,6 +234,7 @@ def test_matrix_operations_are_normalized(data):
             ),
         ),
     }
+    assert (A - A).is_zero() and A - A == RingMatrix.zeros(ring, m, n)
     for name, (got, shape, want) in expect.items():
         assert_matrix_normalized(got, ring, shape)
         for i in range(shape[0]):

@@ -156,6 +156,15 @@ def test_normalization_and_equality():
     assert hash(x + 1) == hash(1 + x)
 
 
+def test_equality_with_a_constant_of_another_modulus_is_false():
+    R7 = RingDescriptor(7)
+    assert not R7.one() == FieldElement(1, 5)
+    assert R7.one() != FieldElement(1, 5)
+    assert R7.one() == FieldElement(8, 7) and R7.one() == 8
+    with pytest.raises(RingMismatch):
+        R7.one() + FieldElement(1, 5)
+
+
 def test_unit_recognition():
     assert L5.x(0, -3).is_unit()
     assert (2 * L5.x(0)).is_unit()
