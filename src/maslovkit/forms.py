@@ -3,9 +3,10 @@
 A +hermitian form on a free module is a square matrix F with dagger(F) = F;
 the -hermitian case flips the sign.  Over F_p (trivial involution) these are
 symmetric bilinear forms, which are classified up to congruence by dimension
-and discriminant square class.  The Witt group of nondegenerate +hermitian
-forms modulo hyperbolic ones has order four, with a group law depending on
-p mod 4:
+and discriminant square class.  A nondegenerate F is therefore congruent to
+the diagonal form <1, ..., 1, det F>, and every invariant here comes from
+one determinant.  The Witt group of nondegenerate +hermitian forms modulo
+hyperbolic ones has order four, with a group law depending on p mod 4:
 
     p = 1 mod 4:  Z/2 + Z/2  (rank parity, signed discriminant class)
     p = 3 mod 4:  Z/4        (generated by the class of <1>)
@@ -26,7 +27,7 @@ from .errors import (
     ShapeError,
     UnsupportedRing,
 )
-from .linalg import RingMatrix, _constant_rows, det
+from .linalg import RingMatrix, det
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor, is_square
 
 
@@ -97,58 +98,23 @@ def _require_field(F: HermitianForm, what: str):
 
 
 def diagonalize(F: HermitianForm) -> list[FieldElement]:
-    """Diagonal entries of a congruent diagonal form over F_p.
+    """Diagonal entries <1, ..., 1, det F> of a congruent diagonal form over F_p.
 
-    Pivots on the first basis vector with nonzero self-pairing; when every
-    self-pairing vanishes, replaces e -> e + f for the first off-diagonal
-    pair with nonzero pairing (2 is invertible, so this produces a pivot).
-    When the remaining block is zero the form is degenerate.
+    For p odd, nondegenerate symmetric forms of one dimension over F_p are
+    congruent exactly when their determinants lie in the same square class
+    (Serre, A Course in Arithmetic, IV.1.7).  The diagonal form <1, ..., 1,
+    det F> has the dimension and the determinant of F, so it is congruent
+    to F.
     """
     _require_field(F, "diagonalization")
     if F.sign != 1 or not F.is_hermitian():
         raise FormError("diagonalization expects a symmetric (+hermitian) form")
-    p = F.ring.p
-    n = F.dim
-    A = _constant_rows(F.matrix)
-    diag = []
-    for step in range(n):
-        piv = None
-        for i in range(step, n):
-            if A[i][i] % p:
-                piv = i
-                break
-        if piv is None:
-            pair = None
-            for i in range(step, n):
-                for j in range(i + 1, n):
-                    if A[i][j] % p:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                raise DegenerateForm("cannot diagonalize a degenerate form")
-            i, j = pair
-            for k in range(n):
-                A[i][k] = (A[i][k] + A[j][k]) % p
-            for k in range(n):
-                A[k][i] = (A[k][i] + A[k][j]) % p
-            piv = i
-        if piv != step:
-            A[step], A[piv] = A[piv], A[step]
-            for k in range(n):
-                A[k][step], A[k][piv] = A[k][piv], A[k][step]
-        d = A[step][step] % p
-        diag.append(FieldElement(d, p))
-        dinv = pow(d, -1, p)
-        for i in range(step + 1, n):
-            factor = A[i][step] * dinv % p
-            if factor:
-                for k in range(n):
-                    A[i][k] = (A[i][k] - factor * A[step][k]) % p
-                for k in range(n):
-                    A[k][i] = (A[k][i] - factor * A[k][step]) % p
-    return diag
+    if F.dim == 0:
+        return []
+    d = det(F.matrix).augment()
+    if d.value == 0:
+        raise DegenerateForm("cannot diagonalize a degenerate form")
+    return [FieldElement(1, F.ring.p)] * (F.dim - 1) + [d]
 
 
 @dataclass(frozen=True)

@@ -63,16 +63,17 @@ class RingMatrix:
         self.entries = tuple(rows)
 
     @classmethod
-    def _unchecked(cls, ring: RingDescriptor, rows) -> "RingMatrix":
+    def _unchecked(cls, ring: RingDescriptor, rows, cols: int = 0) -> "RingMatrix":
         """Wrap rows computed by the library, without checking them.
 
-        rows is a sequence of equal-length tuples of polynomials over ring.
+        rows is a sequence of equal-length tuples of polynomials over ring;
+        cols is the width to record when there are no rows.
         """
         m = object.__new__(cls)
         m.ring = ring
         m.entries = tuple(rows)
         m.rows = len(m.entries)
-        m.cols = len(m.entries[0]) if m.entries else 0
+        m.cols = len(m.entries[0]) if m.entries else cols
         return m
 
     # -- constructors ----------------------------------------------------
@@ -86,7 +87,7 @@ class RingMatrix:
 
     @classmethod
     def zeros(cls, ring: RingDescriptor, r: int, c: int) -> "RingMatrix":
-        return cls._unchecked(ring, [(ring.zero(),) * c] * r)
+        return cls._unchecked(ring, [(ring.zero(),) * c] * r, c)
 
     @classmethod
     def scalar(cls, ring: RingDescriptor, n: int, c) -> "RingMatrix":
@@ -112,7 +113,7 @@ class RingMatrix:
                 raise RingMismatch("block ring mismatch")
             for i in range(height):
                 rows.append(tuple(e for b in block_row for e in b.entries[i]))
-        return cls._unchecked(ring, rows)
+        return cls._unchecked(ring, rows, width)
 
     @classmethod
     def block_diag(cls, blocks) -> "RingMatrix":
@@ -131,12 +132,7 @@ class RingMatrix:
             right = (zero,) * (total_c - c0 - b.cols)
             rows.extend(left + row + right for row in b.entries)
             c0 += b.cols
-        return cls._unchecked(ring, rows)
-
-    @classmethod
-    def hstack(cls, blocks) -> "RingMatrix":
-        blocks = list(blocks)
-        return cls.from_blocks([blocks])
+        return cls._unchecked(ring, rows, total_c)
 
     # -- basic operations --------------------------------------------------
 
@@ -165,7 +161,7 @@ class RingMatrix:
         ring = self.ring
         p = ring.p
         wrap = LaurentPolynomial._unchecked
-        columns = [[b.terms for b in col] for col in zip(*other.entries)]
+        columns = [[b.terms for b in col] for col in other._columns()]
         out = []
         for row in self.entries:
             left = [a.terms for a in row]
@@ -180,7 +176,7 @@ class RingMatrix:
                                 acc[e] = acc.get(e, 0) + c1 * c2
                 new_row.append(wrap(ring, _reduced(acc, p)))
             out.append(tuple(new_row))
-        return RingMatrix._unchecked(ring, out)
+        return RingMatrix._unchecked(ring, out, other.cols)
 
     def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
         if self.ring != other.ring:
@@ -190,6 +186,7 @@ class RingMatrix:
         return RingMatrix._unchecked(
             self.ring,
             [tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)],
+            self.cols,
         )
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
@@ -200,14 +197,14 @@ class RingMatrix:
 
     def __neg__(self) -> "RingMatrix":
         return RingMatrix._unchecked(
-            self.ring, [tuple(-e for e in row) for row in self.entries]
+            self.ring, [tuple(-e for e in row) for row in self.entries], self.cols
         )
 
     def scale(self, c) -> "RingMatrix":
         if isinstance(c, (int, FieldElement)):
             c = self.ring.constant(c)
         return RingMatrix._unchecked(
-            self.ring, [tuple(c * e for e in row) for row in self.entries]
+            self.ring, [tuple(c * e for e in row) for row in self.entries], self.cols
         )
 
     @property
@@ -220,26 +217,33 @@ class RingMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
+    def _columns(self):
+        """The columns as tuples; a matrix with no rows has cols empty ones."""
+        return zip(*self.entries) if self.entries else [()] * self.cols
+
     def dagger(self) -> "RingMatrix":
         """Transpose with entrywise involution (the dual map)."""
         return RingMatrix._unchecked(
             self.ring,
-            [tuple(e.involute() for e in col) for col in zip(*self.entries)],
+            [tuple(e.involute() for e in col) for col in self._columns()],
+            self.rows,
         )
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix._unchecked(self.ring, list(zip(*self.entries)))
+        return RingMatrix._unchecked(self.ring, list(self._columns()), self.rows)
 
     def eval_T(self, t) -> "RingMatrix":
         return RingMatrix._unchecked(
             self.ring.drop_T(),
             [tuple(e.eval_T(t) for e in row) for row in self.entries],
+            self.cols,
         )
 
     def lift_T(self) -> "RingMatrix":
         return RingMatrix._unchecked(
             self.ring.with_T(),
             [tuple(e.lift_T() for e in row) for row in self.entries],
+            self.cols,
         )
 
     def submatrix(self, row_indices, col_indices) -> "RingMatrix":
@@ -247,6 +251,7 @@ class RingMatrix:
         return RingMatrix._unchecked(
             self.ring,
             [tuple(self.entries[i][j] for j in col_indices) for i in row_indices],
+            len(col_indices),
         )
 
     def __repr__(self):
@@ -468,7 +473,7 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         U=RingMatrix._unchecked(ring, map(tuple, U)),
-        D=RingMatrix._unchecked(ring, map(tuple, A)),
+        D=RingMatrix._unchecked(ring, map(tuple, A), n),
         V=RingMatrix._unchecked(ring, map(tuple, V)),
     )
 
@@ -485,12 +490,16 @@ def solve_in_span(G: RingMatrix, B: RingMatrix) -> RingMatrix | None:
     """Solve G X = B over the ring; None when some column is not in the span."""
     if G.rows != B.rows:
         raise ShapeError("row counts differ")
-    snf = smith_normal_form(G)
+    return _solve(smith_normal_form(G), B)
+
+
+def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
+    """solve_in_span from the Smith form U G V = D of G."""
     r = snf.rank
     W = snf.U @ B
-    ring = G.ring
-    Y = [[ring.zero()] * B.cols for _ in range(G.cols)]
-    for i in range(G.rows):
+    ring = B.ring
+    Y = [[ring.zero()] * B.cols for _ in range(snf.D.cols)]
+    for i in range(snf.D.rows):
         for j in range(B.cols):
             w = W[i, j]
             if i < r:
@@ -500,7 +509,7 @@ def solve_in_span(G: RingMatrix, B: RingMatrix) -> RingMatrix | None:
                 Y[i][j] = q
             elif not w.is_zero():
                 return None
-    return snf.V @ RingMatrix(ring, Y)
+    return snf.V @ RingMatrix._unchecked(ring, map(tuple, Y), B.cols)
 
 
 def span_contains(G: RingMatrix, B: RingMatrix) -> bool:
@@ -688,15 +697,21 @@ def _inverse_and_det(A: RingMatrix) -> tuple[RingMatrix, LaurentPolynomial]:
     ring, n = A.ring, A.rows
     if n == 0:
         return A, ring.one()
-    augmented = RingMatrix.hstack([A, RingMatrix.identity(ring, n)])
     if ring.spatial_vars == 0 and not ring.has_T:
-        M = _constant_rows(augmented)
+        M = [
+            row + [int(i == j) for j in range(n)]
+            for i, row in enumerate(_constant_rows(A))
+        ]
         if not (d := _eliminate_modp(M, ring.p)):
             raise NotAUnit("matrix is singular mod p")
         wrap = LaurentPolynomial._unchecked
         rows = [tuple(wrap(ring, {(): v} if v else {}) for v in row[n:]) for row in M]
         return RingMatrix._unchecked(ring, rows), ring.constant(d)
-    M = [list(row) for row in augmented.entries]
+    one, zero = ring.one(), ring.zero()
+    M = [
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(A.entries)
+    ]
     d, divisors = _eliminate(M)
     if not d.is_unit():
         raise NotAUnit("matrix is not invertible over the ring")

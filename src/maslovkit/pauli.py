@@ -25,10 +25,10 @@ from .errors import (
 from .forms import HermitianForm, hyperbolic_form
 from .linalg import (
     RingMatrix,
+    _solve,
     inverse,
     kernel_basis,
     smith_normal_form,
-    span_contains,
     spans_equal,
 )
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
@@ -187,7 +187,7 @@ def lagrangian_report(S: StabilizerModule) -> dict:
 
     Exact for d <= 1 (no T); the summand condition asks the Smith form of
     the generator matrix for unit invariant factors, coisotropy solves a
-    span-membership problem for the pairing kernel.
+    span-membership problem for the pairing kernel with that same Smith form.
     """
     G = S.generators
     ambient = S.ambient
@@ -196,7 +196,7 @@ def lagrangian_report(S: StabilizerModule) -> dict:
     snf = smith_normal_form(G)
     summand = all(f.is_unit() for f in snf.invariant_factors)
     perp = kernel_basis(G.dagger() @ lam)
-    coisotropic = span_contains(G, perp)
+    coisotropic = _solve(snf, perp) is not None
     lagrangian = isotropic and coisotropic and summand and snf.rank == ambient.N
     return {
         "isotropic": isotropic,
@@ -214,7 +214,7 @@ def is_transversal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
     """The two submodules together span the whole Pauli module."""
     if S1.ambient != S2.ambient:
         raise RingMismatch("modules live in different Pauli modules")
-    stacked = RingMatrix.hstack([S1.generators, S2.generators])
+    stacked = RingMatrix.from_blocks([[S1.generators, S2.generators]])
     snf = smith_normal_form(stacked)
     return snf.rank == S1.ambient.rank and all(
         f.is_unit() for f in snf.invariant_factors
@@ -225,8 +225,6 @@ def modules_equal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
     """Span equality of two stabilizer modules (d <= 1, no T)."""
     if S1.ambient != S2.ambient:
         raise RingMismatch("modules live in different Pauli modules")
-    if S1.generators.cols == 0 or S2.generators.cols == 0:
-        return S1.generators.cols == S2.generators.cols
     return spans_equal(S1.generators, S2.generators)
 
 

@@ -169,23 +169,19 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
         raise DomainError("the type (0,0) base case has no stabilized image")
     ring = seq.ring
     N = seq.N
-    big = PauliModule(ring, blocks * N)
+    rest = (blocks - 1) * N
     a, c = _apply_word(seq, RingMatrix.identity(ring, N), RingMatrix.zeros(ring, N, N))
-    total = blocks * N
-    cols = []
-    for j in range(N):
-        col = [ring.zero()] * (2 * total)
-        for i in range(N):
-            col[i] = a[i, j]  # X slot 0
-            col[total + i] = c[i, j]  # Z slot 0
-        cols.append(col)
-    for k in range(1, blocks):
-        for i in range(N):
-            col = [ring.zero()] * (2 * total)
-            col[k * N + i] = ring.one()
-            cols.append(col)
-    gens = RingMatrix(ring, [[c[i] for c in cols] for i in range(2 * total)])
-    return StabilizerModule(big, gens)
+    zero = RingMatrix.zeros(ring, N, rest)
+    # columns: the word applied to slot 0 of L, then L_{1,2n-1} on the X side
+    gens = RingMatrix.from_blocks(
+        [
+            [a, zero],
+            [RingMatrix.zeros(ring, rest, N), RingMatrix.identity(ring, rest)],
+            [c, zero],
+            [RingMatrix.zeros(ring, rest, N + rest)],
+        ]
+    )
+    return StabilizerModule(PauliModule(ring, blocks * N), gens)
 
 
 def transversal_witness(seq: SturmSequence):
@@ -333,10 +329,6 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     """Maslov index of a based loop of Lagrangians."""
     seq = loop.seq
     ring0 = seq.ring.drop_T()
-    if len(seq.forms) == 1:
-        empty = HermitianForm(RingMatrix(ring0, []), 1)
-        witt = WittClass.zero(ring0.p) if ring0.spatial_vars == 0 else None
-        return MaslovResult(empty, witt, 0, ring0.one())
     s0, s1 = (sturm_tridiagonal(seq.truncated().eval_T(t)) for t in (0, 1))
     invalid = "is degenerate; the sequence is not a valid loop"
     try:
@@ -370,17 +362,9 @@ def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:
         qinv = inverse(q.matrix)
     except NotAUnit:
         raise DegenerateForm("homotopy needs a nondegenerate form") from None
-    ring = q.ring
-    n = q.dim
-    t = _as_scalar(ring, t)
-    half = pow(2, -1, ring.p)
-    ident = RingMatrix.identity(ring, n)
-    zero = RingMatrix.zeros(ring, n, n)
-    upper = RingMatrix.from_blocks([[ident, qinv.scale(t)], [zero, ident]])
-    lower = RingMatrix.from_blocks(
-        [[ident, zero], [q.matrix.scale(-t * half), ident]]
-    )
-    return upper @ lower
+    t = _as_scalar(q.ring, t)
+    half = pow(2, -1, q.ring.p)
+    return _word_matrix(q.ring, q.dim, 1, [qinv.scale(t), q.matrix.scale(-t * half)])
 
 
 def lambda_flip_homotopy(t, N: int, ring: RingDescriptor) -> RingMatrix:
@@ -391,15 +375,14 @@ def lambda_flip_homotopy(t, N: int, ring: RingDescriptor) -> RingMatrix:
     t = _as_scalar(ring, t)
     half = pow(2, -1, ring.p)
     ident = RingMatrix.identity(ring, N)
-    zero = RingMatrix.zeros(ring, N, N)
+    scalars = (t * half, -t, t, -t * half)
+    return _word_matrix(ring, N, 0, [ident.scale(c) for c in scalars])
 
-    def upper(c):
-        return RingMatrix.from_blocks([[ident, ident.scale(c)], [zero, ident]])
 
-    def lower(c):
-        return RingMatrix.from_blocks([[ident, zero], [ident.scale(c), ident]])
-
-    return lower(t * half) @ upper(-t) @ lower(t) @ upper(-t * half)
+def _word_matrix(ring: RingDescriptor, N: int, start: int, matrices) -> RingMatrix:
+    """The word of the hermitian-by-construction forms, from index start."""
+    forms = tuple(HermitianForm(m, 1) for m in matrices)
+    return sturm_unitary(SturmSequence._unchecked(ring, N, forms, start)).matrix
 
 
 def _as_scalar(ring: RingDescriptor, t) -> int:

@@ -285,3 +285,73 @@ def test_unexpected_failures_stay_structured(capsys):
     assert code == 2
     err = json.loads(out)
     assert "error" in err and "detail" in err
+
+
+def test_text_formats(capsys, fixture_dir):
+    from maslovkit.fixtures import sample_pair
+    from maslovkit.sturm import loop_from_pair
+
+    F = str(fixture_dir)
+    loop = json.dumps(serialize.encode_loop(loop_from_pair(*sample_pair())))
+    maslov = (
+        "witt class = <1>+<t> (p = 5)\n"
+        "rank parity = 0\n"
+        "determinant = 2\n"
+        "representative dimension = 8\n"
+    )
+    cases = [
+        (["maslov", "pair", "--q0", F + "/pair_q0.json", "--q1", F + "/pair_q1.json"], maslov),
+        (["maslov", "compute", "--loop", loop], maslov),
+        (
+            ["lagrangian", "check", "--module", F + "/cluster_module.json"],
+            "isotropic = true\ncoisotropic = true\nsummand = true\nlagrangian = true\n",
+        ),
+        (
+            ["qca", "apply", "--circuit", F + "/cluster_circuit.json",
+             "--module", F + "/product_state_module.json"],
+            "N = 1\ngenerators:\n  (x^-1 + x, 1)\n",
+        ),
+    ]
+    for argv, expected in cases:
+        code, out = run_cli(capsys, argv + ["--format", "text"])
+        assert code == 0, argv
+        assert out == expected, argv
+
+
+def test_internal_errors_are_structured(capsys, monkeypatch):
+    import maslovkit.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_lgroup_table", boom)
+    code, out = run_cli(capsys, ["lgroup", "table", "--p", "5"])
+    assert code == 2
+    assert json.loads(out) == {"error": "internal-error", "detail": "RuntimeError: boom"}
+
+
+def test_lagrangian_check_zero_module(capsys):
+    # a module whose generators are all zero: isotropic, not Lagrangian
+    for ring in (RingDescriptor(5), RingDescriptor(5, 1)):
+        blob = {
+            "N": 1,
+            "ring": serialize.encode_ring(ring),
+            "generators": serialize.encode_matrix(RingMatrix.zeros(ring, 2, 1)),
+        }
+        code, out = run_cli(capsys, ["lagrangian", "check", "--module", json.dumps(blob)])
+        assert code == 0, out
+        assert json.loads(out) == {
+            "isotropic": True,
+            "coisotropic": False,
+            "summand": True,
+            "lagrangian": False,
+        }
+
+
+def test_shipped_fixtures_match_their_generator(tmp_path):
+    # perfbench/expected and the README examples run on the shipped files
+    shipped = Path(__file__).resolve().parents[1] / "fixtures"
+    written = write_all(tmp_path)
+    assert sorted(p.name for p in shipped.glob("*.json")) == sorted(p.name for p in written)
+    for path in written:
+        assert (shipped / path.name).read_bytes() == path.read_bytes(), path.name

@@ -26,7 +26,7 @@ from maslovkit import (
 )
 from maslovkit.ring import FieldElement
 
-from helpers import rand_symmetric_nondeg, rand_unit_matrix
+from helpers import congruence_orbits, matrix_key, rand_symmetric_nondeg, rand_unit_matrix
 
 
 F5 = RingDescriptor(5)
@@ -75,6 +75,10 @@ def test_diagonalize_examples():
     (entry,) = diagonalize(scaled)
     assert is_square(entry * FieldElement(3, 5).inverse())
 
+    # the entries are the canonical <1, ..., 1, det>: 2 * 3 = 1 is a square
+    assert diagonalize(diag_form(F5, [2, 3])) == [FieldElement(1, 5)] * 2
+    assert diagonalize(HermitianForm(RingMatrix(F5, []), 1)) == []
+
 
 def test_diagonalize_congruence_oracle():
     rng = random.Random(6)
@@ -94,6 +98,19 @@ def test_diagonalize_congruence_oracle():
             ]
             det_val = int(Matrix(rows).det()) % p
             assert is_square(prod * FieldElement(det_val, p).inverse())
+
+
+def test_diagonalize_lies_in_the_congruence_orbit():
+    # brute-force orbits under elementary congruences, independent of det
+    rng = random.Random(7)
+    for p, n_max in ((3, 3), (5, 3), (7, 2)):
+        ring = RingDescriptor(p)
+        for n in range(1, n_max + 1):
+            labels, _, _ = congruence_orbits(p, n)
+            for _ in range(45):
+                form = rand_symmetric_nondeg(p, n, rng)
+                diag = diag_form(ring, [e.value for e in diagonalize(form)])
+                assert labels[matrix_key(diag, p, n)] == labels[matrix_key(form, p, n)]
 
 
 def test_diagonalize_errors():

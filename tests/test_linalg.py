@@ -186,3 +186,42 @@ def test_spread_and_divmod():
     assert r.is_zero() or spread(r) < spread(g)
     q2, r2 = laurent_divmod(L3.x(0, -2) + 1, x + 2)
     assert q2 * (x + 2) + r2 == L3.x(0, -2) + 1
+
+
+def test_matrices_without_rows_keep_their_width():
+    for ring in (F5, L5):
+        flat = RingMatrix.zeros(ring, 0, 3)
+        tall = RingMatrix.zeros(ring, 2, 0)
+        assert flat.shape == (0, 3)
+        assert tall.dagger().shape == tall.transpose().shape == (0, 2)
+        assert flat.dagger().shape == flat.transpose().shape == (3, 0)
+        assert RingMatrix.identity(ring, 3).submatrix([], range(3)).shape == (0, 3)
+        assert (-flat).shape == (flat + flat).shape == flat.scale(2).shape == (0, 3)
+        assert RingMatrix.block_diag([flat, flat]).shape == (0, 6)
+        empty = RingMatrix.identity(ring, 0)
+        assert RingMatrix.from_blocks([[flat, empty]]).shape == (0, 3)
+        assert RingMatrix.from_blocks([[tall], [flat.submatrix([], range(0))]]).shape == (2, 0)
+        # an empty inner dimension gives the zero matrix of the outer shape
+        assert tall @ flat == RingMatrix.zeros(ring, 2, 3)
+        assert (flat @ RingMatrix.identity(ring, 3)).shape == (0, 3)
+        snf = smith_normal_form(flat)
+        assert snf.D.shape == (0, 3) and snf.V == RingMatrix.identity(ring, 3)
+        assert kernel_basis(flat) == RingMatrix.identity(ring, 3)
+        assert solve_in_span(tall, RingMatrix.zeros(ring, 2, 2)).shape == (0, 2)
+    lifted = RingMatrix.zeros(F5, 0, 3).lift_T()
+    assert lifted.shape == lifted.eval_T(1).shape == (0, 3)
+
+
+def test_snf_divisibility_repair():
+    # coprime diagonal entries: the Smith form must move the product onto one
+    # entry, which only the divisibility repair (adding an offending row) does
+    x = L5.x(0)
+    G = RingMatrix(L5, [[1 + x, 0], [0, 2 + x]])
+    snf = check_snf_contract(G)
+    assert snf.D == RingMatrix(L5, [[1, 0], [0, x * x + 3 * x + 2]])
+    G3 = RingMatrix(L5, [[1 + x, 0, 0], [0, 1 - x, 0], [0, 0, 2 + x]])
+    snf = check_snf_contract(G3)
+    # the product (1 + x)(1 - x)(2 + x), normalized to leading coefficient 1
+    cubic = x * x * x + 2 * x * x + 4 * x + 3
+    assert cubic == -(1 + x) * (1 - x) * (2 + x)
+    assert snf.D == RingMatrix(L5, [[1, 0, 0], [0, 1, 0], [0, 0, cubic]])

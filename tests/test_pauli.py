@@ -220,3 +220,22 @@ def test_modules_equal_redundant_generators():
     )
     assert modules_equal(clus, single)
     assert clus.generators.cols == 2, "redundant generator is kept"
+
+
+def test_zero_module_keeps_its_shape():
+    # every generator is zero: the module keeps a 2N x 0 generator matrix
+    for ring in (F5, L5):
+        module = PauliModule(ring, 1)
+        zero = StabilizerModule(module, RingMatrix.zeros(ring, 2, 2))
+        assert zero.generators.shape == (2, 0)
+        assert is_isotropic(zero)
+        assert lagrangian_report(zero) == {
+            "isotropic": True,
+            "coisotropic": False,
+            "summand": True,
+            "lagrangian": False,
+        }
+        L = module.standard_lagrangian()
+        assert not is_transversal(zero, L)
+        assert modules_equal(zero, zero)
+        assert not modules_equal(zero, L) and not modules_equal(L, zero)

@@ -13,6 +13,7 @@ from maslovkit import (
     RingMatrix,
     WittClass,
     apply,
+    hyperbolic_unitary,
     modules_equal,
 )
 from maslovkit import serialize
@@ -164,3 +165,14 @@ def test_form_sign_validation():
     blob["sign"] = 2
     with pytest.raises(DomainError):
         serialize.decode_form(blob)
+
+
+def test_circuit_hyperbolic_step_round_trip():
+    a = RingMatrix(L5, [[L5.x(0), 1], [0, 2]])
+    blob = serialize.encode_circuit([("H", a)])
+    assert [step["kind"] for step in blob] == ["H"]
+    (u,) = serialize.decode_circuit(json.loads(json.dumps(blob)))
+    assert u.matrix == hyperbolic_unitary(a).matrix
+    assert u.matrix.submatrix(range(2), range(2)) == a
+    with pytest.raises(DomainError, match="unknown kind"):
+        serialize.encode_circuit([("X", a)])

@@ -6,6 +6,7 @@ import pytest
 
 from maslovkit import (
     DegenerateForm,
+    DomainError,
     HermitianForm,
     InternalInvariantViolation,
     NotALoop,
@@ -209,7 +210,7 @@ def test_transversal_witness_base_case():
     assert sprime.dim == 0
     word = sturm_unitary(seq)
     image = word.matrix.submatrix(range(2), range(1))
-    stacked = RingMatrix.hstack([witness.generators, image])
+    stacked = RingMatrix.from_blocks([[witness.generators, image]])
     assert _modp_rank(stacked, 5) == 2
 
 
@@ -220,7 +221,7 @@ def test_transversal_witness_zero_forms():
     image = stabilized_image(seq)
     assert witness.ambient == image.ambient
     assert is_transversal(witness, image)
-    stacked = RingMatrix.hstack([witness.generators, image.generators])
+    stacked = RingMatrix.from_blocks([[witness.generators, image.generators]])
     assert _modp_rank(stacked, 5) == witness.ambient.rank
 
 
@@ -234,7 +235,7 @@ def test_transversal_witness_random_field():
         witness, _ = transversal_witness(seq)
         image = stabilized_image(seq)
         assert is_transversal(witness, image)
-        stacked = RingMatrix.hstack([witness.generators, image.generators])
+        stacked = RingMatrix.from_blocks([[witness.generators, image.generators]])
         assert _modp_rank(stacked, 5) == witness.ambient.rank
 
 
@@ -452,6 +453,27 @@ def test_lambda_flip_homotopy():
             e = lambda_flip_homotopy(1, n, ring)
             lam = hyperbolic_form(n, 1, ring).matrix
             assert e.dagger() @ lam @ e == -lam
+
+
+def test_homotopy_witnesses_match_dense_words():
+    # each witness against the product of its 2N x 2N elementary factors
+    rng = random.Random(64)
+    for ring in (F5, F7, L5):
+        half = pow(2, -1, ring.p)
+        for N in (1, 2):
+            q = _nondeg_form(ring, N, rng)
+            qinv = inverse(q.matrix)
+            for t in range(ring.p):
+                forms = (qinv.scale(t), q.matrix.scale(-t * half))
+                word = SturmSequence(ring, N, tuple(HermitianForm(m, 1) for m in forms), 1)
+                assert trivmas_homotopy(q, t) == dense_word(word)
+                scalars = (t * half, -t, t, -t * half)
+                word = SturmSequence(ring, N, tuple(scalar_form(ring, c, N) for c in scalars))
+                assert lambda_flip_homotopy(t, N, ring) == dense_word(word)
+    with pytest.raises(DomainError):
+        trivmas_homotopy(HermitianForm(RingMatrix(F5, []), 1), 1)
+    with pytest.raises(DomainError):
+        lambda_flip_homotopy(1, 0, F5)
 
 
 def test_three_term_transfer_matches_companion():
