@@ -4,8 +4,10 @@ Provides dense matrices of Laurent polynomials with the dagger
 (involution-transpose), exact polynomial-time determinants and inverses over
 every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and spans.
 
-Off F_p, determinants and inverses come from fraction-free (Bareiss)
-elimination.  A step touches only the rows with a nonzero entry in the pivot
+Over F_p, products, determinants and inverses run on int rows of residues
+through one elimination kernel, and only the result is wrapped back into
+polynomial entries.  Off F_p, determinants and inverses come from
+fraction-free (Bareiss) elimination.  A step touches only the rows with a nonzero entry in the pivot
 column; the others keep the level of their last update and are caught up
 lazily.  A division by a single-term pivot is an exponent shift.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import (
     DivisionByZero,
@@ -157,9 +159,12 @@ class RingMatrix:
             raise RingMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        # each entry sums all its term products in one dict and reduces once
         ring = self.ring
         p = ring.p
+        if ring.spatial_vars == 0 and not ring.has_T:
+            rows = _matmul_modp(_modp_rows(self), _modp_rows(other.transpose()), p)
+            return _wrap_modp(ring, rows, other.cols)
+        # each entry sums all its term products in one dict and reduces once
         wrap = LaurentPolynomial._unchecked
         columns = [[b.terms for b in col] for col in other._columns()]
         out = []
@@ -524,10 +529,26 @@ def spans_equal(G1: RingMatrix, G2: RingMatrix) -> bool:
 # -- determinants, units, inverses -----------------------------------------
 
 
-def _constant_rows(A: RingMatrix) -> list:
-    """The constant terms of A's entries as int rows: A itself over F_p."""
-    zero = (0,) * A.ring.nexponents
-    return [[e.terms.get(zero, 0) for e in row] for row in A.entries]
+def _modp_rows(A: RingMatrix, t: int = 0) -> list:
+    """A over F_p as int rows of residues, or A at T = t in {0, 1} over F_p[T]."""
+    if A.ring.has_T and t == 1:
+        p = A.ring.p
+        return [[sum(e.terms.values()) % p for e in row] for row in A.entries]
+    constant = (0,) * A.ring.nexponents  # the T-free term is the value at T = 0
+    return [[e.terms.get(constant, 0) for e in row] for row in A.entries]
+
+
+def _wrap_modp(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
+    """The RingMatrix over F_p of int rows of residues; zeros share one entry."""
+    wrap = LaurentPolynomial._unchecked
+    zero = wrap(ring, {})
+    entries = [tuple(wrap(ring, {(): v}) if v else zero for v in row) for row in rows]
+    return RingMatrix._unchecked(ring, entries, cols)
+
+
+def _matmul_modp(A: list, columns: list, p: int) -> list:
+    """The int rows of A B mod p from the int rows of A and the int columns of B."""
+    return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
 
 
 def _eliminate_modp(M: list, p: int) -> int:
@@ -681,7 +702,7 @@ def det(A: RingMatrix) -> LaurentPolynomial:
     if A.rows == 0:
         return ring.one()
     if ring.spatial_vars == 0 and not ring.has_T:
-        return ring.constant(_eliminate_modp(_constant_rows(A), ring.p))
+        return ring.constant(_eliminate_modp(_modp_rows(A), ring.p))
     return _eliminate([list(row) for row in A.entries])[0]
 
 
@@ -700,13 +721,11 @@ def _inverse_and_det(A: RingMatrix) -> tuple[RingMatrix, LaurentPolynomial]:
     if ring.spatial_vars == 0 and not ring.has_T:
         M = [
             row + [int(i == j) for j in range(n)]
-            for i, row in enumerate(_constant_rows(A))
+            for i, row in enumerate(_modp_rows(A))
         ]
         if not (d := _eliminate_modp(M, ring.p)):
             raise NotAUnit("matrix is singular mod p")
-        wrap = LaurentPolynomial._unchecked
-        rows = [tuple(wrap(ring, {(): v} if v else {}) for v in row[n:]) for row in M]
-        return RingMatrix._unchecked(ring, rows), ring.constant(d)
+        return _wrap_modp(ring, [row[n:] for row in M]), ring.constant(d)
     one, zero = ring.one(), ring.zero()
     M = [
         list(row) + [one if i == j else zero for j in range(n)]

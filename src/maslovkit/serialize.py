@@ -86,6 +86,8 @@ def encode_matrix(A: RingMatrix) -> dict:
 def decode_matrix(obj) -> RingMatrix:
     rows = _expect(obj, "rows", int, "matrix")
     cols = _expect(obj, "cols", int, "matrix")
+    if rows < 0 or cols < 0:
+        raise DomainError("matrix: rows and cols must be non-negative")
     ring = decode_ring(_expect(obj, "ring", dict, "matrix"))
     raw = _expect(obj, "entries", list, "matrix")
     if len(raw) != rows or any(
@@ -97,6 +99,8 @@ def decode_matrix(obj) -> RingMatrix:
         for e in row:
             if e.ring != ring:
                 raise DomainError("matrix: entry ring differs from matrix ring")
+    if not rows:  # the constructor reads the width from the first row
+        return RingMatrix.zeros(ring, 0, cols)
     return RingMatrix(ring, entries)
 
 

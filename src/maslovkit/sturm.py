@@ -14,12 +14,15 @@ N columns (I; 0) of L.  Its Maslov index is the stable class of
 S(1) + (-S(0)^-1) for the tridiagonal form S(t) of the truncated sequence,
 assembled from the forms evaluated at t = 0 and t = 1; over F_p this is a
 Witt class, over Laurent rings the representative form and its computable
-invariants are returned.
+invariants are returned.  Over F_p (d = 0) both the loop test and the index
+run on int rows of residues from the evaluated forms on, and only the
+representative is wrapped into polynomial entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import (
     DegenerateForm,
@@ -33,6 +36,7 @@ from .errors import (
 )
 from .forms import HermitianForm, WittClass
 from .linalg import RingMatrix, _inverse_and_det, det, inverse
+from .linalg import _eliminate_modp, _matmul_modp, _modp_rows, _wrap_modp
 from .pauli import CliffordUnitary, PauliModule, StabilizerModule, elementary_unitary
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
@@ -95,17 +99,18 @@ class SturmSequence:
         )
 
 
-def _apply_word(seq: SturmSequence, a: RingMatrix, c: RingMatrix):
+def _apply_word(seq: SturmSequence, a, c, step=lambda q, x, y: y + q.matrix @ x):
     """(A; C) = E_m(q_m) ... E_n(q_n) (a; c) for N-row blocks a and c.
 
     The factors act right to left: E0(q) = (1 0; q 1) adds q a to c and
-    E1(q) = (1 q; 0 1) adds q c to a.
+    E1(q) = (1 q; 0 1) adds q c to a.  step(q, x, y) is y + q x for the
+    form q; by default the blocks are RingMatrix objects.
     """
     for k, q in reversed(tuple(enumerate(seq.forms, seq.start))):
         if k % 2 == 0:
-            c = c + q.matrix @ a
+            c = step(q, a, c)
         else:
-            a = a + q.matrix @ c
+            a = step(q, c, a)
     return a, c
 
 
@@ -125,26 +130,28 @@ def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
     return CliffordUnitary._unchecked(PauliModule(ring, N), matrix)
 
 
+def _tridiagonal(blocks, start: int, N: int, zero, one, neg) -> list:
+    """Rows of the block tridiagonal matrix of the N x N blocks b_start, ...
+
+    Block k, given as rows of entries, sits on the diagonal as (-1)^k b_k
+    (neg negates an entry); the blocks beside the diagonal are one * I.
+    """
+    size = len(blocks) * N
+    grid = [[zero] * size for _ in range(size)]
+    for k, rows in enumerate(blocks, start):
+        offset = (k - start) * N
+        for i, row in enumerate(rows):
+            grid[offset + i][offset : offset + N] = map(neg, row) if k % 2 else row
+    for i in range(size - N):
+        grid[i][i + N] = grid[i + N][i] = one
+    return grid
+
+
 def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
     """Block tridiagonal form with (-1)^k q_k diagonal, identity off-diagonal."""
     ring = seq.ring
-    N = seq.N
-    blocks = len(seq.forms)
-    size = blocks * N
-    zero = ring.zero()
-    grid = [[zero] * size for _ in range(size)]
-    for b, q in enumerate(seq.forms):
-        k = seq.start + b
-        sgn = 1 if k % 2 == 0 else -1
-        for i in range(N):
-            for j in range(N):
-                entry = q.matrix[i, j]
-                grid[b * N + i][b * N + j] = entry if sgn == 1 else -entry
-    one = ring.one()
-    for b in range(blocks - 1):
-        for i in range(N):
-            grid[b * N + i][(b + 1) * N + i] = one
-            grid[(b + 1) * N + i][b * N + i] = one
+    blocks = [q.matrix.entries for q in seq.forms]
+    grid = _tridiagonal(blocks, seq.start, seq.N, ring.zero(), ring.one(), neg)
     return HermitianForm(RingMatrix._unchecked(ring, map(tuple, grid)), 1)
 
 
@@ -250,11 +257,18 @@ def validate_loop(seq: SturmSequence) -> LagrangianLoop:
         raise DomainError("loop sequences must start at index 0")
     if len(seq.forms) % 2 == 0:
         seq = seq.padded(1)
-    ring0, N = seq.ring.drop_T(), seq.N
-    ident, zero = RingMatrix.identity(ring0, N), RingMatrix.zeros(ring0, N, N)
+    ring0, N, p = seq.ring.drop_T(), seq.N, seq.ring.p
     for t in (0, 1):
-        _, c = _apply_word(seq.eval_T(t), ident, zero)
-        if not c.is_zero():
+        if ring0.spatial_vars == 0:  # int rows over F_p, each form evaluated once
+            def step(q, x, y):
+                qx = _matmul_modp(_modp_rows(q.matrix, t), list(zip(*x)), p)
+                return [[(u + v) % p for u, v in zip(r, s)] for r, s in zip(y, qx)]
+            ident = [[int(i == j) for j in range(N)] for i in range(N)]
+            moved = any(map(any, _apply_word(seq, ident, [[0] * N] * N, step)[1]))
+        else:
+            ident, zero = RingMatrix.identity(ring0, N), RingMatrix.zeros(ring0, N, N)
+            moved = not _apply_word(seq.eval_T(t), ident, zero)[1].is_zero()
+        if moved:
             raise NotALoop(f"the word does not fix the base Lagrangian at T = {t}")
     return LagrangianLoop(seq)
 
@@ -267,13 +281,31 @@ def constant_loop(ring: RingDescriptor, N: int, pairs: int = 0) -> LagrangianLoo
     return LagrangianLoop(SturmSequence(ring, N, (zero,) * (2 * pairs + 1)))
 
 
+def _plus_T_times(A: RingMatrix, B: RingMatrix) -> HermitianForm:
+    """The form A + T B over R[T] for T-free hermitian A and B, term by term."""
+    ring, wrap = A.ring.with_T(), LaurentPolynomial._unchecked
+    rows = [
+        tuple(
+            wrap(
+                ring,
+                {e + (k,): c for k, f in enumerate(fg) for e, c in f.terms.items()},
+            )
+            for fg in zip(row_a, row_b)
+        )
+        for row_a, row_b in zip(A.entries, B.entries)
+    ]
+    return HermitianForm(RingMatrix._unchecked(ring, rows, A.cols), 1)
+
+
 def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
     """The loop interpolating the graphs of two nondegenerate forms.
 
     The parametrized word E0((1-T)q0 + Tq1) E1((T-1)q0^-1 - Tq1^-1) lands on
     L* rather than L; conjugating by sigma = E1(1) E0(-1) E1(1) turns it
     into the L-based type (0, 4) sequence
-        ((1-T)q0 + Tq1, (T-1)q0^-1 - Tq1^-1 + 1, -1, 1, 0).
+        ((1-T)q0 + Tq1, (T-1)q0^-1 - Tq1^-1 + 1, -1, 1, 0),
+    whose first two forms are built as q0 + T(q1 - q0) and
+    (1 - q0^-1) + T(q0^-1 - q1^-1).
     """
     if q0.ring != q1.ring:
         raise RingMismatch("forms live over different rings")
@@ -286,24 +318,18 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         if q.sign != 1 or not q.is_hermitian():
             raise FormError("loop construction needs +hermitian forms")
         try:
-            inverses.append(inverse(q.matrix).lift_T())
+            inverses.append(inverse(q.matrix))
         except NotAUnit:
             raise DegenerateForm(
                 "loop construction needs nondegenerate forms"
             ) from None
     q0inv, q1inv = inverses
     ring_T = q0.ring.with_T()
-    T = ring_T.T()
-    one = ring_T.one()
     N = q0.dim
-    q0m = q0.matrix.lift_T()
-    q1m = q1.matrix.lift_T()
     ident = RingMatrix.identity(ring_T, N)
-    a = q0m.scale(one - T) + q1m.scale(T)
-    b1 = q0inv.scale(T - one) - q1inv.scale(T) + ident
     forms = (
-        HermitianForm(a, 1),
-        HermitianForm(b1, 1),
+        _plus_T_times(q0.matrix, q1.matrix - q0.matrix),
+        _plus_T_times(RingMatrix.identity(q0.ring, N) - q0inv, q0inv - q1inv),
         HermitianForm(-ident, 1),
         HermitianForm(ident, 1),
         HermitianForm(RingMatrix.zeros(ring_T, N, N), 1),
@@ -327,27 +353,43 @@ class MaslovResult:
 
 def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     """Maslov index of a based loop of Lagrangians."""
-    seq = loop.seq
-    ring0 = seq.ring.drop_T()
-    s0, s1 = (sturm_tridiagonal(seq.truncated().eval_T(t)) for t in (0, 1))
+    seq = loop.seq.truncated()
+    ring0, N = seq.ring.drop_T(), seq.N
     invalid = "is degenerate; the sequence is not a valid loop"
+    # rep is hermitian by construction, and its Witt class over F_p follows
+    # from det(rep) = det S(1) * det(-S(0)^-1) = det S(1) / det(-S(0))
+    if ring0.spatial_vars == 0:  # int rows over F_p, wrapped once at the end
+        p = ring0.p
+        evaluated = [[_modp_rows(q.matrix, t) for q in seq.forms] for t in (0, 1)]
+        def minus(v):
+            return -v % p
+        # -S(0) is the layout with the parity of every block flipped and -I beside
+        m0 = _tridiagonal(evaluated[0], seq.start + 1, N, 0, p - 1, minus)
+        n = len(m0)
+        for i, row in enumerate(m0):
+            row += [int(i == j) for j in range(n)]
+        if not (det0 := _eliminate_modp(m0, p)):
+            raise InternalInvariantViolation(f"S(0) {invalid}")
+        s1 = _tridiagonal(evaluated[1], seq.start, N, 0, 1, minus)
+        rows = [row + [0] * n for row in s1]
+        if not (det1 := _eliminate_modp(s1, p)):
+            raise InternalInvariantViolation(f"S(1) {invalid}")
+        rows += [[0] * n + row[n:] for row in m0]
+        rep = HermitianForm(_wrap_modp(ring0, rows), 1)
+        determinant = ring0.constant(det1 * pow(det0, -1, p))
+        witt = WittClass.from_determinant(rep.dim, determinant)
+        return MaslovResult(rep, witt, rep.dim % 2, determinant)
+    s0, s1 = (sturm_tridiagonal(seq.eval_T(t)).matrix for t in (0, 1))
     try:
-        inv0, det0 = _inverse_and_det(s0.matrix)
+        inv0, det0 = _inverse_and_det(s0)
     except NotAUnit:
         raise InternalInvariantViolation(f"S(0) {invalid}") from None
-    det1 = det(s1.matrix)
+    det1 = det(s1)
     if not det1.is_unit():
         raise InternalInvariantViolation(f"S(1) {invalid}")
-    # rep is hermitian by construction, and its Witt class over F_p follows
-    # from det(rep) = det S(1) * det(-S(0)^-1) = det S(1) * (-1)^n / det S(0)
-    rep = HermitianForm(RingMatrix.block_diag([s1.matrix, -inv0]), 1)
-    determinant = det1 * det0.unit_inverse() * (-1) ** s0.dim
-    witt = (
-        WittClass.from_determinant(rep.dim, determinant)
-        if ring0.spatial_vars == 0
-        else None
-    )
-    return MaslovResult(rep, witt, rep.dim % 2, determinant)
+    rep = HermitianForm(RingMatrix.block_diag([s1, -inv0]), 1)
+    determinant = det1 * det0.unit_inverse() * (-1) ** s0.rows
+    return MaslovResult(rep, None, rep.dim % 2, determinant)
 
 
 def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:

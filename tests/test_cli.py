@@ -163,6 +163,24 @@ def test_witt_classify_degenerate(capsys):
     assert json.loads(out)["error"] == "degenerate-form"
 
 
+def test_witt_classify_rejects_a_form_without_rows(capsys):
+    # a 0 x 3 "form" is not square: it must not decode to the empty form
+    blob = {
+        "rows": 0,
+        "cols": 3,
+        "ring": {"p": 5, "vars": [], "T": False},
+        "entries": [],
+        "sign": 1,
+    }
+    code, out = run_cli(capsys, ["witt", "classify", "--form", json.dumps(blob)])
+    assert code == 2
+    assert json.loads(out)["error"] == "shape-error"
+    blob["cols"] = 0
+    code, out = run_cli(capsys, ["witt", "classify", "--form", json.dumps(blob)])
+    assert code == 0
+    assert json.loads(out) == {"p": 5, "class": "0"}
+
+
 def test_lagrangian_check_unsupported_dimension(capsys):
     ring = RingDescriptor(5, 2)
     from maslovkit import PauliModule, StabilizerModule

@@ -68,6 +68,20 @@ def test_matrix_and_form_round_trip():
     assert serialize.decode_matrix(serialize.encode_matrix(empty)).cols == 0
 
 
+def test_decode_matrix_keeps_the_declared_width():
+    # a matrix with no rows keeps its cols; negative dimensions are malformed
+    for shape in ((0, 0), (0, 3)):
+        blob = serialize.encode_matrix(RingMatrix.zeros(L5, *shape))
+        assert (blob["rows"], blob["cols"]) == shape
+        decoded = serialize.decode_matrix(blob)
+        assert decoded.shape == shape and decoded == RingMatrix.zeros(L5, *shape)
+    ring_json = {"p": 5, "vars": [], "T": False}
+    for rows, cols in ((0, -1), (-1, 0), (-1, 2)):
+        blob = {"rows": rows, "cols": cols, "ring": ring_json, "entries": []}
+        with pytest.raises(DomainError, match="non-negative"):
+            serialize.decode_matrix(blob)
+
+
 def test_witt_round_trip():
     for p in (5, 7):
         for rp in (0, 1):

@@ -149,10 +149,11 @@ def _first_moved_endpoint(seq):
 def test_validate_loop_matches_dense_word():
     # loop_from_pair loops, and the same words with T r or (1 - T) r added to
     # one form: validate_loop must reject exactly when the dense word moves L,
-    # naming the same first endpoint
+    # naming the same first endpoint; p = 10^9 + 7 puts large residues
+    # through the int recurrence over F_p
     rng = random.Random(62)
     seen = set()
-    for ring in ORACLE_RINGS:
+    for ring in ORACLE_RINGS + (RingDescriptor(10**9 + 7),):
         for _ in range(12):
             N = rng.randrange(1, 4)
             loop = loop_from_pair(_nondeg_form(ring, N, rng), _nondeg_form(ring, N, rng))
@@ -328,6 +329,11 @@ def test_maslov_determinant_equals_det_of_representative():
             scalar_form(L5xy, 1, 2),
         )
     )
+    # seeded d = 0 draws reach the int rows of maslov_index over F_p
+    for p in (3, 5, 7, 13, 10**9 + 7):
+        for _ in range(12):
+            n = rng.randrange(1, 7)
+            cases.append((rand_symmetric_nondeg(p, n, rng), rand_symmetric_nondeg(p, n, rng)))
     for q0, q1 in cases:
         loop = loop_from_pair(q0, q1)
         result = maslov_index(loop)
@@ -415,18 +421,25 @@ def test_maslov_laurent_ring_invariants():
 
 
 def test_maslov_degenerate_endpoint_is_caught():
-    # a non-loop smuggled past validation must be rejected by the invariant
-    # check: S(0) = (2 1; 1 -2) is singular mod 5
+    # non-loops smuggled past validation must be rejected by the invariant
+    # checks, over F_5[T] (int rows) and over F_5[x^+-][T] (polynomial rows):
+    # S(0) = (2 1; 1 -2) is singular mod 5; for the forms (1, 4T, 0),
+    # S(0) = (1 1; 1 0) is invertible and det S(1) = det (1 1; 1 -4) = -5
     from maslovkit.sturm import LagrangianLoop
 
-    two = scalar_form(F5T, 2)
-    zero = HermitianForm(RingMatrix.zeros(F5T, 1, 1), 1)
-    fake = LagrangianLoop(SturmSequence(F5T, 1, (two, two, zero)))
-    with pytest.raises(InternalInvariantViolation):
-        maslov_index(fake)
-    # the same sequence genuinely fails validation
-    with pytest.raises(NotALoop):
-        validate_loop(fake.seq)
+    for ring in (F5T, RingDescriptor(5, 1, True)):
+        two = scalar_form(ring, 2)
+        zero = HermitianForm(RingMatrix.zeros(ring, 1, 1), 1)
+        fake = LagrangianLoop(SturmSequence(ring, 1, (two, two, zero)))
+        with pytest.raises(InternalInvariantViolation, match=r"^S\(0\) is degenerate"):
+            maslov_index(fake)
+        # the same sequence genuinely fails validation
+        with pytest.raises(NotALoop):
+            validate_loop(fake.seq)
+        four_T = HermitianForm(RingMatrix(ring, [[4 * ring.T()]]), 1)
+        fake = LagrangianLoop(SturmSequence(ring, 1, (scalar_form(ring, 1), four_T, zero)))
+        with pytest.raises(InternalInvariantViolation, match=r"^S\(1\) is degenerate"):
+            maslov_index(fake)
 
 
 def test_trivmas_homotopy():
