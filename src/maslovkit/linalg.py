@@ -4,12 +4,12 @@ Provides dense matrices of Laurent polynomials with the dagger
 (involution-transpose), exact polynomial-time determinants and inverses over
 every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and spans.
 
-Over F_p, products, determinants and inverses run on int rows of residues
-through one elimination kernel, and only the result is wrapped back into
-polynomial entries.  Off F_p, determinants and inverses come from
-fraction-free (Bareiss) elimination.  A step touches only the rows with a nonzero entry in the pivot
-column; the others keep the level of their last update and are caught up
-lazily.  A division by a single-term pivot is an exponent shift.
+Only this module decides how entries are stored while they are computed on:
+its private rows (_rows and the helpers after it) hold int residues over F_p
+and polynomials elsewhere.  Eliminations run mod p over F_p and fraction-free
+(Bareiss) elsewhere; a Bareiss step touches only the rows with a nonzero entry
+in the pivot column, the others keep the level of their last update and are
+caught up lazily.  A division by a single-term pivot is an exponent shift.
 
 The Euclidean size function on F_p[x, x^-1] is the exponent spread
 (max degree - min degree); every nonzero element factors as a unit times an
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .errors import (
     DivisionByZero,
@@ -159,29 +159,8 @@ class RingMatrix:
             raise RingMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        ring = self.ring
-        p = ring.p
-        if ring.spatial_vars == 0 and not ring.has_T:
-            rows = _matmul_modp(_modp_rows(self), _modp_rows(other.transpose()), p)
-            return _wrap_modp(ring, rows, other.cols)
-        # each entry sums all its term products in one dict and reduces once
-        wrap = LaurentPolynomial._unchecked
-        columns = [[b.terms for b in col] for col in other._columns()]
-        out = []
-        for row in self.entries:
-            left = [a.terms for a in row]
-            new_row = []
-            for col in columns:
-                acc: dict = {}
-                for a, b in zip(left, col):
-                    if a and b:
-                        for e1, c1 in a.items():
-                            for e2, c2 in b.items():
-                                e = tuple(map(add, e1, e2))
-                                acc[e] = acc.get(e, 0) + c1 * c2
-                new_row.append(wrap(ring, _reduced(acc, p)))
-            out.append(tuple(new_row))
-        return RingMatrix._unchecked(ring, out, other.cols)
+        rows = _matmul_rows(self.ring, _rows(self), _rows(other.transpose()))
+        return _wrap(self.ring, rows, other.cols)
 
     def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
         if self.ring != other.ring:
@@ -526,29 +505,86 @@ def spans_equal(G1: RingMatrix, G2: RingMatrix) -> bool:
     return span_contains(G1, G2) and span_contains(G2, G1)
 
 
-# -- determinants, units, inverses -----------------------------------------
+# -- the rows linalg computes on; determinants and inverses ----------------
 
 
-def _modp_rows(A: RingMatrix, t: int = 0) -> list:
-    """A over F_p as int rows of residues, or A at T = t in {0, 1} over F_p[T]."""
-    if A.ring.has_T and t == 1:
-        p = A.ring.p
+def _rows(A: RingMatrix, t: int | None = None) -> list:
+    """Fresh rows of A's entries: int residues over F_p, polynomials elsewhere.
+
+    With t in {0, 1} a matrix over R[T] is evaluated at T = t first, so a
+    matrix over F_p[T] gives int rows only then.
+    """
+    ring = A.ring
+    if ring.spatial_vars or (ring.has_T and t is None):
+        if t is None:
+            return [list(row) for row in A.entries]
+        return [[e.eval_T(t) for e in row] for row in A.entries]
+    if t == 1:  # the value at T = 1 is the sum of the coefficients
+        p = ring.p
         return [[sum(e.terms.values()) % p for e in row] for row in A.entries]
-    constant = (0,) * A.ring.nexponents  # the T-free term is the value at T = 0
+    constant = (0,) * ring.nexponents  # the T-free term is the value at T = 0
     return [[e.terms.get(constant, 0) for e in row] for row in A.entries]
 
 
-def _wrap_modp(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
-    """The RingMatrix over F_p of int rows of residues; zeros share one entry."""
+def _wrap(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
+    """The RingMatrix over ring of rows as _rows gives them; zeros share one entry."""
+    if ring.nexponents:
+        return RingMatrix._unchecked(ring, map(tuple, rows), cols)
     wrap = LaurentPolynomial._unchecked
     zero = wrap(ring, {})
     entries = [tuple(wrap(ring, {(): v}) if v else zero for v in row) for row in rows]
     return RingMatrix._unchecked(ring, entries, cols)
 
 
-def _matmul_modp(A: list, columns: list, p: int) -> list:
-    """The int rows of A B mod p from the int rows of A and the int columns of B."""
-    return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
+def _scalars(ring: RingDescriptor) -> tuple:
+    """(zero, one, neg, add) for _rows over ring; neg takes an entry, add two rows."""
+    if ring.nexponents:
+        return ring.zero(), ring.one(), neg, lambda r, s: list(map(add, r, s))
+    p = ring.p
+    return 0, 1, lambda v: -v % p, lambda r, s: [(u + v) % p for u, v in zip(r, s)]
+
+
+def _identity_rows(ring: RingDescriptor, n: int) -> list:
+    """The rows of the n x n identity over ring."""
+    zero, one, _, _ = _scalars(ring)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _matmul_rows(ring: RingDescriptor, A: list, columns: list) -> list:
+    """The rows of A B over ring from the rows of A and the columns of B."""
+    p = ring.p
+    if not ring.nexponents:
+        return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
+    # each entry sums all its term products in one dict and reduces once
+    wrap = LaurentPolynomial._unchecked
+    columns = [[b.terms for b in col] for col in columns]
+    out = []
+    for row in A:
+        left = [a.terms for a in row]
+        new_row = []
+        for col in columns:
+            acc: dict = {}
+            for a, b in zip(left, col):
+                if a and b:
+                    for e1, c1 in a.items():
+                        for e2, c2 in b.items():
+                            e = tuple(map(add, e1, e2))
+                            acc[e] = acc.get(e, 0) + c1 * c2
+            new_row.append(wrap(ring, _reduced(acc, p)))
+        out.append(new_row)
+    return out
+
+
+def _eliminate_rows(ring: RingDescriptor, M: list) -> LaurentPolynomial:
+    """Row-reduce the n rows M over ring in place; det of their n x n part.
+
+    With augmented columns [A | B] and a unit det, B's columns end as A^-1 B.
+    """
+    if not M:
+        return ring.one()
+    if ring.nexponents:
+        return _eliminate(M)
+    return ring.constant(_eliminate_modp(M, ring.p))
 
 
 def _eliminate_modp(M: list, p: int) -> int:
@@ -560,7 +596,7 @@ def _eliminate_modp(M: list, p: int) -> int:
     cleared, so a nonsingular A leaves [I | A^-1 B].  A singular A gives 0.
     """
     n = len(M)
-    augmented = n > 0 and len(M[0]) > n
+    augmented = len(M[0]) > n
     d = 1
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c]), None)
@@ -572,15 +608,16 @@ def _eliminate_modp(M: list, p: int) -> int:
         d = d * M[c][c] % p
         inv = pow(M[c][c], -1, p)
         if augmented:
-            M[c] = [v * inv % p for v in M[c]]
+            M[c][c:] = [v * inv % p for v in M[c][c:]]
             inv = 1
             targets = [r for r in range(n) if r != c]
         else:
             targets = range(c + 1, n)
+        top = M[c][c:]  # the pivot row is zero left of column c
         for r in targets:
             factor = M[r][c] * inv % p
             if factor:
-                M[r] = [(a - factor * b) % p for a, b in zip(M[r], M[c])]
+                M[r][c:] = [(a - factor * b) % p for a, b in zip(M[r][c:], top)]
     return d
 
 
@@ -630,7 +667,7 @@ def _exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyno
     return LaurentPolynomial._unchecked(f.ring, q)
 
 
-def _eliminate(M: list) -> tuple[LaurentPolynomial, list | None]:
+def _eliminate(M: list) -> LaurentPolynomial:
     """Fraction-free (Bareiss) elimination of the n polynomial rows M in place.
 
     As _eliminate_modp, but each update is divided exactly by an earlier pivot,
@@ -647,9 +684,9 @@ def _eliminate(M: list) -> tuple[LaurentPolynomial, list | None]:
       leaves it unchanged, so it is then at level c + 1.
     Row swaps carry the levels with the rows.
 
-    Returns (det, divisors), divisors[r] = p_l for the level l of row r, or
-    (0, None) for a singular A.  With augmented columns [A | B] a nonsingular A
-    leaves divisors[r] (A^-1 B)[r] in row r's columns of B.
+    Returns det (0 for a singular A).  With augmented columns [A | B] a
+    nonsingular A leaves p_l (A^-1 B)[r] in B's columns of a row r at level
+    l; for a unit det these are divided by p_l, which leaves A^-1 B there.
     """
     n, width = len(M), len(M[0])
     ring = M[0][0].ring
@@ -658,7 +695,7 @@ def _eliminate(M: list) -> tuple[LaurentPolynomial, list | None]:
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c]), None)
         if piv is None:
-            return ring.zero(), None
+            return ring.zero()
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             level[c], level[piv] = level[piv], level[c]
@@ -690,51 +727,26 @@ def _eliminate(M: list) -> tuple[LaurentPolynomial, list | None]:
                                 acc[e] = acc.get(e, 0) + c1 * c2
                     row[j] = _exact_quotient(wrap(ring, _reduced(acc, p)), prev)
             level[r] = c + 1
-    d = pivots[-1]
-    return -d if negate else d, [pivots[l] for l in level]
+    d = -pivots[-1] if negate else pivots[-1]
+    if width > n and d.is_unit():
+        for row, l in zip(M, level):
+            row[n:] = [_exact_quotient(e, pivots[l]) for e in row[n:]]
+    return d
 
 
 def det(A: RingMatrix) -> LaurentPolynomial:
     """Exact determinant in polynomial time: mod-p or fraction-free elimination."""
     if not A.is_square():
         raise ShapeError("determinant of a non-square matrix")
-    ring = A.ring
-    if A.rows == 0:
-        return ring.one()
-    if ring.spatial_vars == 0 and not ring.has_T:
-        return ring.constant(_eliminate_modp(_modp_rows(A), ring.p))
-    return _eliminate([list(row) for row in A.entries])[0]
+    return _eliminate_rows(A.ring, _rows(A))
 
 
 def inverse(A: RingMatrix) -> RingMatrix:
     """Inverse of a matrix whose determinant is a unit; NotAUnit otherwise."""
-    return _inverse_and_det(A)[0]
-
-
-def _inverse_and_det(A: RingMatrix) -> tuple[RingMatrix, LaurentPolynomial]:
-    """(A^-1, det A) from the one elimination of [A | I] that inverts A."""
     if not A.is_square():
         raise ShapeError("inverse of a non-square matrix")
     ring, n = A.ring, A.rows
-    if n == 0:
-        return A, ring.one()
-    if ring.spatial_vars == 0 and not ring.has_T:
-        M = [
-            row + [int(i == j) for j in range(n)]
-            for i, row in enumerate(_modp_rows(A))
-        ]
-        if not (d := _eliminate_modp(M, ring.p)):
-            raise NotAUnit("matrix is singular mod p")
-        return _wrap_modp(ring, [row[n:] for row in M]), ring.constant(d)
-    one, zero = ring.one(), ring.zero()
-    M = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(A.entries)
-    ]
-    d, divisors = _eliminate(M)
-    if not d.is_unit():
+    M = [a + b for a, b in zip(_rows(A), _identity_rows(ring, n))]
+    if not _eliminate_rows(ring, M).is_unit():
         raise NotAUnit("matrix is not invertible over the ring")
-    rows = [
-        tuple(_exact_quotient(e, q) for e in row[n:]) for row, q in zip(M, divisors)
-    ]
-    return RingMatrix._unchecked(ring, rows), d
+    return _wrap(ring, [row[n:] for row in M], n)

@@ -23,11 +23,12 @@ from .ring import LaurentPolynomial, RingDescriptor
 from .sturm import LagrangianLoop, MaslovResult, SturmSequence, validate_loop
 
 
-def _expect(obj, key, kinds, what):
+def _expect(obj, key, kind, what):
     if not isinstance(obj, dict) or key not in obj:
         raise DomainError(f"{what}: missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, kinds):
+    # exact JSON types: bool subclasses int, but true and false are not integers
+    if type(value) is not kind:
         raise DomainError(f"{what}: key {key!r} has the wrong type")
     return value
 
@@ -65,7 +66,7 @@ def decode_poly(obj) -> LaurentPolynomial:
     for item in raw:
         exps = _expect(item, "e", list, "polynomial term")
         c = _expect(item, "c", int, "polynomial term")
-        if len(exps) != ring.nexponents or not all(isinstance(e, int) for e in exps):
+        if len(exps) != ring.nexponents or not all(type(e) is int for e in exps):
             raise DomainError("polynomial term: bad exponent tuple")
         terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
     return LaurentPolynomial(ring, terms)

@@ -14,15 +14,13 @@ N columns (I; 0) of L.  Its Maslov index is the stable class of
 S(1) + (-S(0)^-1) for the tridiagonal form S(t) of the truncated sequence,
 assembled from the forms evaluated at t = 0 and t = 1; over F_p this is a
 Witt class, over Laurent rings the representative form and its computable
-invariants are returned.  Over F_p (d = 0) both the loop test and the index
-run on int rows of residues from the evaluated forms on, and only the
-representative is wrapped into polynomial entries.
+invariants are returned.  Words, loop tests and the index run on the private
+rows of linalg, one path for every ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
 
 from .errors import (
     DegenerateForm,
@@ -35,8 +33,8 @@ from .errors import (
     ShapeError,
 )
 from .forms import HermitianForm, WittClass
-from .linalg import RingMatrix, _inverse_and_det, det, inverse
-from .linalg import _eliminate_modp, _matmul_modp, _modp_rows, _wrap_modp
+from .linalg import RingMatrix, _eliminate_rows, _identity_rows, _matmul_rows, inverse
+from .linalg import _rows, _scalars, _wrap
 from .pauli import CliffordUnitary, PauliModule, StabilizerModule, elementary_unitary
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
@@ -51,6 +49,8 @@ class SturmSequence:
     start: int = 0
 
     def __post_init__(self):
+        if self.N < 0:
+            raise DomainError(f"Sturm sequences need N >= 0, got {self.N}")
         for q in self.forms:
             if not isinstance(q, HermitianForm):
                 raise FormError("Sturm sequences consist of HermitianForm entries")
@@ -99,13 +99,20 @@ class SturmSequence:
         )
 
 
-def _apply_word(seq: SturmSequence, a, c, step=lambda q, x, y: y + q.matrix @ x):
+def _apply_word(seq: SturmSequence, a: list, c: list, t: int | None = None):
     """(A; C) = E_m(q_m) ... E_n(q_n) (a; c) for N-row blocks a and c.
 
     The factors act right to left: E0(q) = (1 0; q 1) adds q a to c and
-    E1(q) = (1 q; 0 1) adds q c to a.  step(q, x, y) is y + q x for the
-    form q; by default the blocks are RingMatrix objects.
+    E1(q) = (1 q; 0 1) adds q c to a.  The blocks are rows as linalg._rows
+    gives them, over the sequence's ring, or at T = t when t is given.
     """
+    ring = seq.ring if t is None else seq.ring.drop_T()
+    add = _scalars(ring)[3]
+
+    def step(q, x, y):  # y + q x
+        qx = _matmul_rows(ring, _rows(q.matrix, t), list(zip(*x)))
+        return list(map(add, y, qx))
+
     for k, q in reversed(tuple(enumerate(seq.forms, seq.start))):
         if k % 2 == 0:
             c = step(q, a, c)
@@ -122,12 +129,9 @@ def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
     construction and is not checked again.
     """
     ring, N = seq.ring, seq.N
-    ident = RingMatrix.identity(ring, 2 * N)
-    top = ident.submatrix(range(N), range(2 * N))
-    bottom = ident.submatrix(range(N, 2 * N), range(2 * N))
-    a, c = _apply_word(seq, top, bottom)
-    matrix = RingMatrix.from_blocks([[a], [c]])
-    return CliffordUnitary._unchecked(PauliModule(ring, N), matrix)
+    ident = _identity_rows(ring, 2 * N)
+    a, c = _apply_word(seq, ident[:N], ident[N:])
+    return CliffordUnitary._unchecked(PauliModule(ring, N), _wrap(ring, a + c, 2 * N))
 
 
 def _tridiagonal(blocks, start: int, N: int, zero, one, neg) -> list:
@@ -150,9 +154,10 @@ def _tridiagonal(blocks, start: int, N: int, zero, one, neg) -> list:
 def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
     """Block tridiagonal form with (-1)^k q_k diagonal, identity off-diagonal."""
     ring = seq.ring
-    blocks = [q.matrix.entries for q in seq.forms]
-    grid = _tridiagonal(blocks, seq.start, seq.N, ring.zero(), ring.one(), neg)
-    return HermitianForm(RingMatrix._unchecked(ring, map(tuple, grid)), 1)
+    zero, one, neg, _ = _scalars(ring)
+    blocks = [_rows(q.matrix) for q in seq.forms]
+    grid = _tridiagonal(blocks, seq.start, seq.N, zero, one, neg)
+    return HermitianForm(_wrap(ring, grid), 1)
 
 
 def _require_loop_type(seq: SturmSequence):
@@ -177,7 +182,8 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
     ring = seq.ring
     N = seq.N
     rest = (blocks - 1) * N
-    a, c = _apply_word(seq, RingMatrix.identity(ring, N), RingMatrix.zeros(ring, N, N))
+    a0, c0 = _identity_rows(ring, N), [[_scalars(ring)[0]] * N] * N
+    a, c = (_wrap(ring, x, N) for x in _apply_word(seq, a0, c0))
     zero = RingMatrix.zeros(ring, N, rest)
     # columns: the word applied to slot 0 of L, then L_{1,2n-1} on the X side
     gens = RingMatrix.from_blocks(
@@ -257,18 +263,10 @@ def validate_loop(seq: SturmSequence) -> LagrangianLoop:
         raise DomainError("loop sequences must start at index 0")
     if len(seq.forms) % 2 == 0:
         seq = seq.padded(1)
-    ring0, N, p = seq.ring.drop_T(), seq.N, seq.ring.p
+    ring0, N = seq.ring.drop_T(), seq.N
+    a0, c0 = _identity_rows(ring0, N), [[_scalars(ring0)[0]] * N] * N
     for t in (0, 1):
-        if ring0.spatial_vars == 0:  # int rows over F_p, each form evaluated once
-            def step(q, x, y):
-                qx = _matmul_modp(_modp_rows(q.matrix, t), list(zip(*x)), p)
-                return [[(u + v) % p for u, v in zip(r, s)] for r, s in zip(y, qx)]
-            ident = [[int(i == j) for j in range(N)] for i in range(N)]
-            moved = any(map(any, _apply_word(seq, ident, [[0] * N] * N, step)[1]))
-        else:
-            ident, zero = RingMatrix.identity(ring0, N), RingMatrix.zeros(ring0, N, N)
-            moved = not _apply_word(seq.eval_T(t), ident, zero)[1].is_zero()
-        if moved:
+        if any(map(any, _apply_word(seq, a0, c0, t)[1])):
             raise NotALoop(f"the word does not fix the base Lagrangian at T = {t}")
     return LagrangianLoop(seq)
 
@@ -355,41 +353,28 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     """Maslov index of a based loop of Lagrangians."""
     seq = loop.seq.truncated()
     ring0, N = seq.ring.drop_T(), seq.N
+    zero, one, neg, _ = _scalars(ring0)
     invalid = "is degenerate; the sequence is not a valid loop"
+    evaluated = [[_rows(q.matrix, t) for q in seq.forms] for t in (0, 1)]
+    # -S(0) is the layout with the parity of every block flipped and -I beside;
+    # one elimination of [-S(0) | I] gives det(-S(0)) and -S(0)^-1
+    m0 = _tridiagonal(evaluated[0], seq.start + 1, N, zero, neg(one), neg)
+    n = len(m0)
+    for row, e in zip(m0, _identity_rows(ring0, n)):
+        row += e
+    if not (det0 := _eliminate_rows(ring0, m0)).is_unit():
+        raise InternalInvariantViolation(f"S(0) {invalid}")
+    s1 = _tridiagonal(evaluated[1], seq.start, N, zero, one, neg)
+    rows = [row + [zero] * n for row in s1]
+    if not (det1 := _eliminate_rows(ring0, s1)).is_unit():
+        raise InternalInvariantViolation(f"S(1) {invalid}")
+    rows += [[zero] * n + row[n:] for row in m0]
     # rep is hermitian by construction, and its Witt class over F_p follows
     # from det(rep) = det S(1) * det(-S(0)^-1) = det S(1) / det(-S(0))
-    if ring0.spatial_vars == 0:  # int rows over F_p, wrapped once at the end
-        p = ring0.p
-        evaluated = [[_modp_rows(q.matrix, t) for q in seq.forms] for t in (0, 1)]
-        def minus(v):
-            return -v % p
-        # -S(0) is the layout with the parity of every block flipped and -I beside
-        m0 = _tridiagonal(evaluated[0], seq.start + 1, N, 0, p - 1, minus)
-        n = len(m0)
-        for i, row in enumerate(m0):
-            row += [int(i == j) for j in range(n)]
-        if not (det0 := _eliminate_modp(m0, p)):
-            raise InternalInvariantViolation(f"S(0) {invalid}")
-        s1 = _tridiagonal(evaluated[1], seq.start, N, 0, 1, minus)
-        rows = [row + [0] * n for row in s1]
-        if not (det1 := _eliminate_modp(s1, p)):
-            raise InternalInvariantViolation(f"S(1) {invalid}")
-        rows += [[0] * n + row[n:] for row in m0]
-        rep = HermitianForm(_wrap_modp(ring0, rows), 1)
-        determinant = ring0.constant(det1 * pow(det0, -1, p))
-        witt = WittClass.from_determinant(rep.dim, determinant)
-        return MaslovResult(rep, witt, rep.dim % 2, determinant)
-    s0, s1 = (sturm_tridiagonal(seq.eval_T(t)).matrix for t in (0, 1))
-    try:
-        inv0, det0 = _inverse_and_det(s0)
-    except NotAUnit:
-        raise InternalInvariantViolation(f"S(0) {invalid}") from None
-    det1 = det(s1)
-    if not det1.is_unit():
-        raise InternalInvariantViolation(f"S(1) {invalid}")
-    rep = HermitianForm(RingMatrix.block_diag([s1, -inv0]), 1)
-    determinant = det1 * det0.unit_inverse() * (-1) ** s0.rows
-    return MaslovResult(rep, None, rep.dim % 2, determinant)
+    rep = HermitianForm(_wrap(ring0, rows, 2 * n), 1)
+    determinant = det1 * det0.unit_inverse()
+    witt = None if ring0.spatial_vars else WittClass.from_determinant(2 * n, determinant)
+    return MaslovResult(rep, witt, rep.dim % 2, determinant)
 
 
 def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:

@@ -207,6 +207,25 @@ def test_maslov_compute_rejects_non_loops(capsys):
     assert json.loads(out)["error"] == "not-a-loop"
 
 
+def test_booleans_are_not_integers(capsys):
+    f5 = {"p": 5, "vars": [], "T": False}
+    entry = {**f5, "terms": [{"e": [], "c": True}]}
+    blob = {"rows": True, "cols": True, "ring": f5, "entries": [[entry]], "sign": 1}
+    code, out = run_cli(capsys, ["witt", "classify", "--form", json.dumps(blob)])
+    assert code == 2
+    assert json.loads(out)["error"] == "domain-error"
+
+
+def test_maslov_compute_rejects_negative_N(capsys):
+    ring_t = RingDescriptor(5, 0, True)
+    zero = serialize.encode_form(HermitianForm(RingMatrix.zeros(ring_t, 1, 1), 1))
+    for sturm in ([], [zero]):
+        blob = {"N": -1, "ring": serialize.encode_ring(ring_t), "sturm": sturm}
+        code, out = run_cli(capsys, ["maslov", "compute", "--loop", json.dumps(blob)])
+        assert code == 2
+        assert json.loads(out)["error"] == "domain-error"
+
+
 def test_lagrangian_check_cluster(capsys, fixture_dir):
     code, out = run_cli(
         capsys,

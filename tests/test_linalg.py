@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maslovkit import (
     RingDescriptor,
@@ -18,7 +20,7 @@ from maslovkit import (
     span_contains,
     spans_equal,
 )
-from maslovkit.linalg import laurent_divmod, spread
+from maslovkit.linalg import _rows, _wrap, laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix
 
@@ -225,3 +227,24 @@ def test_snf_divisibility_repair():
     cubic = x * x * x + 2 * x * x + 4 * x + 3
     assert cubic == -(1 + x) * (1 - x) * (2 + x)
     assert snf.D == RingMatrix(L5, [[1, 0, 0], [0, 1, 0], [0, 0, cubic]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((F5, RingDescriptor(7, 0, True), L5, RingDescriptor(5, 2, True))),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_rows_round_trip(ring, rows, cols, rng):
+    # over F_p the rows hold int residues, elsewhere the entries themselves;
+    # at T = 0 or 1 a matrix over R[T] gives the rows of its evaluation
+    A = rand_matrix(ring, rng, rows, cols) if rows else RingMatrix.zeros(ring, 0, cols)
+    B = _wrap(ring, _rows(A), A.cols)
+    assert B == A and B.shape == A.shape
+    if ring == F5:
+        assert all(type(v) is int for row in _rows(A) for v in row)
+    if ring.has_T:
+        for t in (0, 1):
+            B = _wrap(ring.drop_T(), _rows(A, t), A.cols)
+            assert B == A.eval_T(t) and B.shape == A.shape

@@ -142,6 +142,21 @@ def test_malformed_inputs_raise_domain_error():
             decoder(blob)
 
 
+def test_booleans_are_not_integers():
+    ring = {"p": 5, "vars": ["x1"], "T": True}
+    term = {"e": [1, 0], "c": 2}
+    assert serialize.decode_poly({**ring, "terms": [term]}) == L5.with_T().x(0, 1) * 2
+    for bad in ({"e": [1, 0], "c": True}, {"e": [True, 0], "c": 2}, {"e": [1, False], "c": 2}):
+        with pytest.raises(DomainError):
+            serialize.decode_poly({**ring, "terms": [bad]})
+    with pytest.raises(DomainError):
+        serialize.decode_ring({"p": True, "vars": [], "T": False})
+    blob = serialize.encode_form(HermitianForm(RingMatrix.identity(L5, 1), 1))
+    for key in ("rows", "cols", "sign"):
+        with pytest.raises(DomainError):
+            serialize.decode_form({**blob, key: True})
+
+
 def test_loop_decode_requires_T():
     blob = {"N": 1, "ring": {"p": 5, "vars": [], "T": False}, "sturm": []}
     with pytest.raises(DomainError):

@@ -37,7 +37,7 @@ from maslovkit import (
 from maslovkit.linalg import det
 from maslovkit.sturm import recurrence_companion, three_term_transfer
 
-from helpers import rand_hermitian, rand_symmetric_nondeg, rand_unit_matrix
+from helpers import rand_hermitian, rand_symmetric_nondeg, rand_unit_matrix, unipotent
 
 
 F5 = RingDescriptor(5)
@@ -104,7 +104,7 @@ def _dense_stabilized_image(seq):
     return StabilizerModule(PauliModule(ring, total), gens)
 
 
-ORACLE_RINGS = (F5, RingDescriptor(7, 1))
+ORACLE_RINGS = (F5, RingDescriptor(7, 1), RingDescriptor(5, 2))
 
 
 def test_sturm_unitary_matches_dense_word():
@@ -329,11 +329,16 @@ def test_maslov_determinant_equals_det_of_representative():
             scalar_form(L5xy, 1, 2),
         )
     )
-    # seeded d = 0 draws reach the int rows of maslov_index over F_p
+    # seeded draws over F_p (int rows) and over d = 1 and d = 2 (polynomial rows)
     for p in (3, 5, 7, 13, 10**9 + 7):
         for _ in range(12):
             n = rng.randrange(1, 7)
             cases.append((rand_symmetric_nondeg(p, n, rng), rand_symmetric_nondeg(p, n, rng)))
+    for ring, sizes in ((L5, range(1, 4)), (RingDescriptor(7, 1), range(1, 4)), (L5xy, (1, 2))):
+        for n in sizes:
+            cases.append((_nondeg_form(ring, n, rng), _nondeg_form(ring, n, rng)))
+            a = unipotent(ring, n, ring.x(0) + (ring.x(1) if ring.spatial_vars > 1 else 1))
+            cases.append((HermitianForm(a.dagger() @ a, 1), _nondeg_form(ring, n, rng)))
     for q0, q1 in cases:
         loop = loop_from_pair(q0, q1)
         result = maslov_index(loop)
