@@ -527,27 +527,37 @@ def _rows(A: RingMatrix, t: int | None = None) -> list:
 
 
 def _wrap(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
-    """The RingMatrix over ring of rows as _rows gives them; zeros share one entry."""
+    """The RingMatrix over ring of rows as _rows gives them.
+
+    Over F_p the entries of one residue share one immutable polynomial.
+    """
     if ring.nexponents:
         return RingMatrix._unchecked(ring, map(tuple, rows), cols)
     wrap = LaurentPolynomial._unchecked
-    zero = wrap(ring, {})
-    entries = [tuple(wrap(ring, {(): v}) if v else zero for v in row) for row in rows]
+    shared = {v: wrap(ring, {(): v} if v else {}) for v in set().union(*rows)}
+    entries = [tuple(map(shared.__getitem__, row)) for row in rows]
     return RingMatrix._unchecked(ring, entries, cols)
 
 
 def _scalars(ring: RingDescriptor) -> tuple:
-    """(zero, one, neg, add) for _rows over ring; neg takes an entry, add two rows."""
+    """(zero, one, neg) for _rows over ring; neg negates an entry."""
     if ring.nexponents:
-        return ring.zero(), ring.one(), neg, lambda r, s: list(map(add, r, s))
+        return ring.zero(), ring.one(), neg
     p = ring.p
-    return 0, 1, lambda v: -v % p, lambda r, s: [(u + v) % p for u, v in zip(r, s)]
+    return 0, 1, lambda v: -v % p
 
 
 def _identity_rows(ring: RingDescriptor, n: int) -> list:
     """The rows of the n x n identity over ring."""
-    zero, one, _, _ = _scalars(ring)
+    zero, one, _ = _scalars(ring)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _dagger_rows(ring: RingDescriptor, rows: list) -> list:
+    """The rows of the dagger of the matrix with these rows; no rows give none."""
+    if ring.nexponents:
+        return [[e.involute() for e in col] for col in zip(*rows)]
+    return [list(col) for col in zip(*rows)]
 
 
 def _matmul_rows(ring: RingDescriptor, A: list, columns: list) -> list:
@@ -555,17 +565,18 @@ def _matmul_rows(ring: RingDescriptor, A: list, columns: list) -> list:
     p = ring.p
     if not ring.nexponents:
         return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
-    # each entry sums all its term products in one dict and reduces once
+    # each entry sums all its term products in one dict and reduces once; the
+    # nonzero entries of a left row are collected once for all columns
     wrap = LaurentPolynomial._unchecked
     columns = [[b.terms for b in col] for col in columns]
     out = []
     for row in A:
-        left = [a.terms for a in row]
+        left = [(k, a.terms) for k, a in enumerate(row) if a.terms]
         new_row = []
         for col in columns:
             acc: dict = {}
-            for a, b in zip(left, col):
-                if a and b:
+            for k, a in left:
+                if b := col[k]:
                     for e1, c1 in a.items():
                         for e2, c2 in b.items():
                             e = tuple(map(add, e1, e2))

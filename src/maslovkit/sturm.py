@@ -11,11 +11,13 @@ Every word is applied factor by factor from the right to N-row blocks
 form.  A based loop is a Sturm sequence over R[T] whose word fixes the
 standard Lagrangian L at T = 0 and T = 1; the test applies the word to the
 N columns (I; 0) of L.  Its Maslov index is the stable class of
-S(1) + (-S(0)^-1) for the tridiagonal form S(t) of the truncated sequence,
-assembled from the forms evaluated at t = 0 and t = 1; over F_p this is a
-Witt class, over Laurent rings the representative form and its computable
-invariants are returned.  Words, loop tests and the index run on the private
-rows of linalg, one path for every ring.
+S(1) + (-S(0)^-1) for the tridiagonal form S(t) of the truncated sequence;
+over F_p this is a Witt class, over Laurent rings the representative form
+and its computable invariants are returned.  Both determinants and -S(0)^-1
+come from the three-term recurrence x_{i-1} = -x_{i+1} - D_i x_i of S(t) on
+N x N blocks, the same recurrence the words run on, so no elimination sees
+more than N rows.  Words, loop tests and the index run on the private rows
+of linalg, one path for every ring.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import (
     ShapeError,
 )
 from .forms import HermitianForm, WittClass
-from .linalg import RingMatrix, _eliminate_rows, _identity_rows, _matmul_rows, inverse
-from .linalg import _rows, _scalars, _wrap
+from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
+from .linalg import _matmul_rows, _rows, _scalars, _wrap
 from .pauli import CliffordUnitary, PauliModule, StabilizerModule, elementary_unitary
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
@@ -99,26 +101,36 @@ class SturmSequence:
         )
 
 
+def _three_term(ring: RingDescriptor, steps, x: list, y: list) -> list:
+    """The blocks y, x, x', x'', ... with x' = L (x; y) for each step L in turn.
+
+    Every block is a list of rows over ring; each step gives the rows of an
+    N x 2N matrix L and costs one product with the stacked columns of (x; y).
+    """
+    out = [y, x]
+    for left in steps:
+        out.append(_matmul_rows(ring, left, list(zip(*out[-1], *out[-2]))))
+    return out
+
+
 def _apply_word(seq: SturmSequence, a: list, c: list, t: int | None = None):
     """(A; C) = E_m(q_m) ... E_n(q_n) (a; c) for N-row blocks a and c.
 
     The factors act right to left: E0(q) = (1 0; q 1) adds q a to c and
-    E1(q) = (1 q; 0 1) adds q c to a.  The blocks are rows as linalg._rows
-    gives them, over the sequence's ring, or at T = t when t is given.
+    E1(q) = (1 q; 0 1) adds q c to a, so each factor sends the pair (x, y)
+    of the last block updated and the other one to (y + q x, x), one step
+    [q | I] of _three_term.  The blocks are rows as linalg._rows gives them,
+    over the sequence's ring, or at T = t when t is given.
     """
     ring = seq.ring if t is None else seq.ring.drop_T()
-    add = _scalars(ring)[3]
-
-    def step(q, x, y):  # y + q x
-        qx = _matmul_rows(ring, _rows(q.matrix, t), list(zip(*x)))
-        return list(map(add, y, qx))
-
-    for k, q in reversed(tuple(enumerate(seq.forms, seq.start))):
-        if k % 2 == 0:
-            c = step(q, a, c)
-        else:
-            a = step(q, c, a)
-    return a, c
+    ident = _identity_rows(ring, seq.N)
+    steps = [
+        [row + e for row, e in zip(_rows(q.matrix, t), ident)]
+        for q in reversed(seq.forms)
+    ]
+    x, y = (c, a) if seq.end % 2 else (a, c)
+    *_, y, x = _three_term(ring, steps, x, y)
+    return (x, y) if seq.start % 2 else (y, x)
 
 
 def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
@@ -154,7 +166,7 @@ def _tridiagonal(blocks, start: int, N: int, zero, one, neg) -> list:
 def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
     """Block tridiagonal form with (-1)^k q_k diagonal, identity off-diagonal."""
     ring = seq.ring
-    zero, one, neg, _ = _scalars(ring)
+    zero, one, neg = _scalars(ring)
     blocks = [_rows(q.matrix) for q in seq.forms]
     grid = _tridiagonal(blocks, seq.start, seq.N, zero, one, neg)
     return HermitianForm(_wrap(ring, grid), 1)
@@ -339,8 +351,10 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
 class MaslovResult:
     """Representative form S(1) + (-S(0)^-1) with its computable invariants.
 
-    witt is present exactly when the loop lives over F_p (d = 0); for d >= 1
-    the rank parity and determinant are still exact invariants of the class.
+    The block -S(0)^-1 comes from the three-term recurrence of S(0) (see
+    maslov_index), not from a dense inverse; it is the same matrix.  witt is
+    present exactly when the loop lives over F_p (d = 0); for d >= 1 the rank
+    parity and determinant are still exact invariants of the class.
     """
 
     form: HermitianForm
@@ -350,29 +364,64 @@ class MaslovResult:
 
 
 def maslov_index(loop: LagrangianLoop) -> MaslovResult:
-    """Maslov index of a based loop of Lagrangians."""
+    """Maslov index of a based loop of Lagrangians.
+
+    For the k forms b_i of the truncated sequence, from index m, S(t) is
+    block tridiagonal with D_i = (-1)^(m+i) b_i(t) on the diagonal and I
+    beside it.  Its right solutions Q_k = 0, Q_{k-1} = I,
+    Q_{i-1} = -Q_{i+1} - D_i Q_i give det S(t) = (-1)^(kN) det Q_{-1}(t) and,
+    with W = Q_{-1}(0), the block column Q_j W^-1 of H = -S(0)^-1.  Its
+    dagger is block row 0, and S(0) H = -I gives the blocks above the
+    diagonal row by row as H_{i+1,j} = -H_{i-1,j} - D_i H_ij; H is
+    hermitian.  Only W and Q_{-1}(1) are eliminated, on N rows each.
+    """
     seq = loop.seq.truncated()
-    ring0, N = seq.ring.drop_T(), seq.N
-    zero, one, neg, _ = _scalars(ring0)
+    ring0, N, k = seq.ring.drop_T(), seq.N, len(seq.forms)
+    n = k * N
+    zero, one, neg = _scalars(ring0)
+    ident = _identity_rows(ring0, N)
+    minus = [list(map(neg, row)) for row in ident]
+    zeros = [[zero] * N] * N
     invalid = "is degenerate; the sequence is not a valid loop"
-    evaluated = [[_rows(q.matrix, t) for q in seq.forms] for t in (0, 1)]
-    # -S(0) is the layout with the parity of every block flipped and -I beside;
-    # one elimination of [-S(0) | I] gives det(-S(0)) and -S(0)^-1
-    m0 = _tridiagonal(evaluated[0], seq.start + 1, N, zero, neg(one), neg)
-    n = len(m0)
-    for row, e in zip(m0, _identity_rows(ring0, n)):
-        row += e
-    if not (det0 := _eliminate_rows(ring0, m0)).is_unit():
+
+    def steps(blocks):  # the rows of [-D_i | -I] for i = 0, ..., k - 1
+        return [
+            [(r if (seq.start + i) % 2 else [*map(neg, r)]) + e
+             for r, e in zip(b, minus)]
+            for i, b in enumerate(blocks)
+        ]
+
+    left0 = steps(_rows(q.matrix, 0) for q in seq.forms)
+    Q = _three_term(ring0, left0[::-1], ident, zeros)  # Q_k, Q_{k-1}, ..., Q_{-1}
+    M = [w + e for w, e in zip(Q[-1], ident)]
+    if not (det0 := _eliminate_rows(ring0, M)).is_unit():
         raise InternalInvariantViolation(f"S(0) {invalid}")
-    s1 = _tridiagonal(evaluated[1], seq.start, N, zero, one, neg)
-    rows = [row + [zero] * n for row in s1]
-    if not (det1 := _eliminate_rows(ring0, s1)).is_unit():
+    blocks1 = [_rows(q.matrix, 1) for q in seq.forms]
+    W1 = _three_term(ring0, steps(blocks1)[::-1], ident, zeros)[-1]
+    if not (det1 := _eliminate_rows(ring0, W1)).is_unit():
         raise InternalInvariantViolation(f"S(1) {invalid}")
-    rows += [[zero] * n + row[n:] for row in m0]
+    s1 = _tridiagonal(blocks1, seq.start, N, zero, one, neg)
+    rows = [row + [zero] * n for row in s1]
+    # H's block column Q_j W^-1 for j = 0, ..., k - 1; upper[i] is block row i
+    # of H from column i N on, and lower[i] its dagger
+    winv = list(zip(*(row[N:] for row in M)))
+    column = _matmul_rows(ring0, [r for Qj in Q[k:0:-1] for r in Qj], winv)
+    upper = [_dagger_rows(ring0, column)]
+    for i in range(k - 1):
+        x = [row[N:] for row in upper[i]]
+        y = [row[2 * N :] for row in upper[i - 1]] if i else [[zero] * (n - N)] * N
+        upper.append(_matmul_rows(ring0, left0[i], list(zip(*x, *y))))
+    lower = [column] + [_dagger_rows(ring0, u) for u in upper[1:-1]]
+    for i, u in enumerate(upper):
+        for r, row in enumerate(u):
+            left = [e for h in range(i) for e in lower[h][(i - h) * N + r]]
+            rows.append([zero] * n + left + row)
     # rep is hermitian by construction, and its Witt class over F_p follows
-    # from det(rep) = det S(1) * det(-S(0)^-1) = det S(1) / det(-S(0))
-    rep = HermitianForm(_wrap(ring0, rows, 2 * n), 1)
+    # from det(rep) = det S(1) / det(-S(0)) = (-1)^(kN) det Q_{-1}(1) / det W
     determinant = det1 * det0.unit_inverse()
+    if n % 2:
+        determinant = -determinant
+    rep = HermitianForm(_wrap(ring0, rows, 2 * n), 1)
     witt = None if ring0.spatial_vars else WittClass.from_determinant(2 * n, determinant)
     return MaslovResult(rep, witt, rep.dim % 2, determinant)
 
@@ -413,11 +462,14 @@ def _word_matrix(ring: RingDescriptor, N: int, start: int, matrices) -> RingMatr
 
 
 def _as_scalar(ring: RingDescriptor, t) -> int:
+    """The residue of a homotopy parameter: an int (not a bool) or a FieldElement."""
     if isinstance(t, FieldElement):
         if t.p != ring.p:
             raise RingMismatch("scalar modulus differs from the ring")
         return t.value
-    return int(t) % ring.p
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise DomainError(f"homotopy parameters are ints or FieldElements, got {t!r}")
+    return t % ring.p
 
 
 def three_term_transfer(q: HermitianForm, k: int) -> RingMatrix:

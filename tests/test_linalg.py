@@ -1,6 +1,7 @@
 """Matrix algebra, Smith normal form, kernels and inverses."""
 
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from maslovkit import (
     span_contains,
     spans_equal,
 )
-from maslovkit.linalg import _rows, _wrap, laurent_divmod, spread
+from maslovkit.linalg import _matmul_rows, _rows, _wrap, laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix
 
@@ -248,3 +249,55 @@ def test_rows_round_trip(ring, rows, cols, rng):
         for t in (0, 1):
             B = _wrap(ring.drop_T(), _rows(A, t), A.cols)
             assert B == A.eval_T(t) and B.shape == A.shape
+
+
+def test_wrap_over_field_matches_constructor():
+    # over F_p the entries of one residue share one polynomial, and the
+    # wrapped matrix equals the one RingMatrix builds entry by entry
+    rng = random.Random(12)
+    for p in (5, 10**9 + 7):
+        ring = RingDescriptor(p)
+        for rows, cols in ((0, 3), (1, 1), (3, 4), (6, 6)):
+            grid = [[rng.choice((0, 1, 2, p - 1)) for _ in range(cols)] for _ in range(rows)]
+            A = _wrap(ring, grid, cols)
+            B = RingMatrix(ring, grid) if rows else RingMatrix.zeros(ring, 0, cols)
+            assert A == B and A.shape == B.shape and hash(A) == hash(B)
+            shared = {}
+            for row, entries in zip(grid, A.entries):
+                for v, e in zip(row, entries):
+                    assert shared.setdefault(v, e) is e
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        (RingDescriptor(5, 1), RingDescriptor(7, 2), RingDescriptor(5, 3), RingDescriptor(5, 1, True))
+    ),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_matmul_rows_matches_dense_product(ring, m, k, n, rng):
+    # monomial-sparse entries, with an all-zero row of A and column of B
+    # whenever there is one to clear, against the product entry by entry
+    def sparse(rows, cols):
+        def entry():
+            if rng.random() < 0.5:
+                return ring.zero()
+            exps = [rng.randrange(-2, 3) for _ in range(ring.spatial_vars)]
+            return ring.monomial(exps + [rng.randrange(3)] * ring.has_T, rng.randrange(1, ring.p))
+
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    A, B = sparse(m, k), sparse(k, n)
+    if m and k:
+        A[rng.randrange(m)] = [ring.zero()] * k
+    if k and n:
+        j = rng.randrange(n)
+        for row in B:
+            row[j] = ring.zero()
+    columns = [list(col) for col in zip(*B)] if k else [[] for _ in range(n)]
+    got = _matmul_rows(ring, A, columns)
+    want = [[sum(map(mul, row, col), ring.zero()) for col in columns] for row in A]
+    assert got == want and all(len(row) == n for row in got)

@@ -7,8 +7,10 @@ import pytest
 from maslovkit import (
     DegenerateForm,
     DomainError,
+    FieldElement,
     HermitianForm,
     InternalInvariantViolation,
+    LagrangianLoop,
     NotALoop,
     PauliModule,
     RingDescriptor,
@@ -34,10 +36,17 @@ from maslovkit import (
     witt_add,
     witt_class,
 )
-from maslovkit.linalg import det
-from maslovkit.sturm import recurrence_companion, three_term_transfer
+from maslovkit import sturm
+from maslovkit.linalg import _rows, _wrap, det
+from maslovkit.sturm import _three_term, recurrence_companion, three_term_transfer
 
-from helpers import rand_hermitian, rand_symmetric_nondeg, rand_unit_matrix, unipotent
+from helpers import (
+    rand_hermitian,
+    rand_matrix,
+    rand_symmetric_nondeg,
+    rand_unit_matrix,
+    unipotent,
+)
 
 
 F5 = RingDescriptor(5)
@@ -339,15 +348,66 @@ def test_maslov_determinant_equals_det_of_representative():
             cases.append((_nondeg_form(ring, n, rng), _nondeg_form(ring, n, rng)))
             a = unipotent(ring, n, ring.x(0) + (ring.x(1) if ring.spatial_vars > 1 else 1))
             cases.append((HermitianForm(a.dagger() @ a, 1), _nondeg_form(ring, n, rng)))
-    for q0, q1 in cases:
-        loop = loop_from_pair(q0, q1)
+    loops = [loop_from_pair(q0, q1) for q0, q1 in cases]
+    # longer recurrences: padded loops (k = 6, 8, 10 blocks in S(t)), direct
+    # sums of loops of different lengths, and constant loops (k = 0 and 2)
+    loops += [loop.padded(rng.randrange(1, 4)) for loop in loops[::3]]
+    summands = [(a, b) for a, b in zip(loops[::4], loops[1::4]) if a.ring == b.ring]
+    loops += [a.direct_sum(b.padded(1)) for a, b in summands]
+    loops += [constant_loop(ring, N, pairs) for ring in (F5, L5) for N in (1, 2) for pairs in (0, 1)]
+    # an even number of forms is no loop shape, but S(t) then has an odd
+    # number k of blocks and the determinant its sign (-1)^(kN)
+    for ring in (F5T, RingDescriptor(5, 1, True)):
+        for N in (1, 2):
+            forms = (scalar_form(ring, 2 + ring.T(), N), scalar_form(ring, 0, N))
+            loops.append(LagrangianLoop(SturmSequence(ring, N, forms)))
+    for loop in loops:
         result = maslov_index(loop)
         s0, s1 = (sturm_tridiagonal(loop.seq.truncated()).eval_T(t).matrix for t in (0, 1))
-        assert result.form.matrix == RingMatrix.block_diag([s1, -inverse(s0)])
+        assert result.form.matrix == RingMatrix.block_diag([s1, inverse(-s0)])
         assert result.determinant == det(result.form.matrix)
         assert result.determinant.is_unit()
         if result.form.ring.spatial_vars == 0:
             assert result.witt == witt_class(result.form)
+
+
+def test_three_term_determinant_identity():
+    # det S = (-1)^(kN) det Q_{-1} for the right solutions Q_k = 0,
+    # Q_{k-1} = I, Q_{i-1} = -Q_{i+1} - D_i Q_i of any S = tridiag(I, D_i, I);
+    # the D_i are arbitrary, so these are not loop shapes
+    rng = random.Random(71)
+    for ring in (F7, L5, RingDescriptor(5, 2)):
+        for k in (1, 2, 3, 5):
+            for N in (1, 2, 3):
+                D = [rand_matrix(ring, rng, N, N) for _ in range(k)]
+                one, zero = RingMatrix.identity(ring, N), RingMatrix.zeros(ring, N, N)
+                grid = [[one if abs(i - j) == 1 else zero for j in range(k)] for i in range(k)]
+                for i in range(k):
+                    grid[i][i] = D[i]
+                S = RingMatrix.from_blocks(grid)
+                steps = [_rows(RingMatrix.from_blocks([[-d, -one]])) for d in reversed(D)]
+                Q = _three_term(ring, steps, _rows(one), _rows(zero))
+                sign = -1 if k * N % 2 else 1
+                assert det(S) == sign * det(_wrap(ring, Q[-1], N))
+
+
+def test_maslov_index_eliminates_at_most_N_rows(monkeypatch):
+    # both determinants and -S(0)^-1 come from N x N blocks: no elimination
+    # inside maslov_index sees more than N rows, whatever the loop's length
+    eliminate, sizes = sturm._eliminate_rows, []
+
+    def recording(ring, M):
+        sizes.append(len(M))
+        return eliminate(ring, M)
+
+    monkeypatch.setattr(sturm, "_eliminate_rows", recording)
+    rng = random.Random(72)
+    for ring in (F5, L5):
+        loop = loop_from_pair(_nondeg_form(ring, 4, rng), _nondeg_form(ring, 4, rng))
+        for extra in (0, 2):
+            sizes.clear()
+            maslov_index(loop.padded(extra))
+            assert sizes == [4, 4]
 
 
 def test_validate_loop_requires_T():
@@ -430,8 +490,6 @@ def test_maslov_degenerate_endpoint_is_caught():
     # checks, over F_5[T] (int rows) and over F_5[x^+-][T] (polynomial rows):
     # S(0) = (2 1; 1 -2) is singular mod 5; for the forms (1, 4T, 0),
     # S(0) = (1 1; 1 0) is invertible and det S(1) = det (1 1; 1 -4) = -5
-    from maslovkit.sturm import LagrangianLoop
-
     for ring in (F5T, RingDescriptor(5, 1, True)):
         two = scalar_form(ring, 2)
         zero = HermitianForm(RingMatrix.zeros(ring, 1, 1), 1)
@@ -492,6 +550,19 @@ def test_homotopy_witnesses_match_dense_words():
         trivmas_homotopy(HermitianForm(RingMatrix(F5, []), 1), 1)
     with pytest.raises(DomainError):
         lambda_flip_homotopy(1, 0, F5)
+
+
+def test_homotopy_parameter_is_an_int_or_field_element():
+    # a float, bool or string parameter is refused rather than truncated
+    q = scalar_form(F5, 2)
+    for t in (0.5, 1.9, True, "1"):
+        with pytest.raises(DomainError):
+            trivmas_homotopy(q, t)
+        with pytest.raises(DomainError):
+            lambda_flip_homotopy(t, 1, F5)
+    for t in (-2, FieldElement(3, 5)):
+        assert lambda_flip_homotopy(t, 1, F5) == lambda_flip_homotopy(3, 1, F5)
+        assert trivmas_homotopy(q, t) == trivmas_homotopy(q, 3)
 
 
 def test_three_term_transfer_matches_companion():
