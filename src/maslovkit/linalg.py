@@ -11,10 +11,13 @@ and polynomials elsewhere.  Eliminations run mod p over F_p and fraction-free
 in the pivot column, the others keep the level of their last update and are
 caught up lazily.  A division by a single-term pivot is an exponent shift.
 
-The Euclidean size function on F_p[x, x^-1] is the exponent spread
-(max degree - min degree); every nonzero element factors as a unit times an
-ordinary polynomial with nonzero constant term, which is what the division
-helper below reduces to.
+Smith normal form runs for d <= 1 on the same sparse terms.  Its Euclidean
+size is the exponent spread (max degree - min degree, 0 for a monomial):
+long division walks f's exponents from the top down and leaves a remainder of
+smaller spread than the divisor, and a single-term divisor (every nonzero
+element over F_p, every unit over F_p[x, x^-1]) divides as an exponent shift.
+Division walks the exponent range, so the Smith form rejects entries whose
+spread exceeds 2^16.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from operator import add, mul, neg, sub
 
 from .errors import (
     DivisionByZero,
+    DomainError,
     InternalInvariantViolation,
     NotAUnit,
     RingMismatch,
@@ -247,78 +251,64 @@ class RingMatrix:
 
 # -- Euclidean division in F_p[x, x^-1] -----------------------------------
 
+# The largest exponent spread of an entry that enters the Smith form: long
+# division walks the exponent range, so its cost grows with the spread.
+_MAX_SPREAD = 1 << 16
+
 
 def spread(f: LaurentPolynomial) -> int:
-    """Exponent spread of a nonzero element; the Euclidean size for d = 1."""
+    """Exponent spread of a nonzero element; the Euclidean size for d <= 1."""
     if f.is_zero():
         raise DivisionByZero("spread of zero is undefined")
-    if f.ring.spatial_vars == 0:
+    if len(f.terms) == 1:
         return 0
-    exps = [e[0] for e in f.terms]
-    return max(exps) - min(exps)
+    return max(f.terms)[0] - min(f.terms)[0]
 
 
-def _unipoly(f: LaurentPolynomial):
-    """Shift a d=1 Laurent polynomial to (min_exp, dense coefficient list)."""
-    exps = [e[0] for e in f.terms]
-    lo, hi = min(exps), max(exps)
-    coeffs = [0] * (hi - lo + 1)
-    for (e,), c in f.terms.items():
-        coeffs[e - lo] = c
-    return lo, coeffs
-
-
-def _from_unipoly(ring: RingDescriptor, shift: int, coeffs) -> LaurentPolynomial:
-    """Inverse of _unipoly; coeffs are residues in [0, p)."""
-    return LaurentPolynomial._unchecked(
-        ring, {(shift + i,): c for i, c in enumerate(coeffs) if c}
-    )
+def _check_spread(A: RingMatrix):
+    """DomainError when an entry of A has spread beyond _MAX_SPREAD."""
+    worst = max((spread(e) for row in A.entries for e in row if e), default=0)
+    if worst > _MAX_SPREAD:
+        raise DomainError(f"exponent spread {worst} exceeds the bound {_MAX_SPREAD}")
 
 
 def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
-    """f = q*g + r with spread(r) < spread(g), over F_p or F_p[x, x^-1]."""
+    """f = q*g + r with r = 0 or spread(r) < spread(g), over F_p or F_p[x, x^-1].
+
+    Long division on the terms, from the top exponent of f down to the
+    window of width spread(g) at f's lowest exponent, which keeps r.
+    """
     ring = f.ring
+    if g.ring != ring:
+        raise RingMismatch(f"rings differ: {ring} vs {g.ring}")
     if ring.has_T or ring.spatial_vars > 1:
-        raise UnsupportedRing("division implemented for d <= 1 without T")
+        raise UnsupportedRing("division needs d <= 1 without T")
     if g.is_zero():
         raise DivisionByZero("division by zero polynomial")
-    if f.is_zero():
-        return ring.zero(), ring.zero()
+    if len(g.terms) == 1 or f.is_zero():  # exact: a unit g is an exponent shift
+        return _exact_quotient(f, g), ring.zero()
     p = ring.p
-    if ring.spatial_vars == 0:
-        fc = next(iter(f.terms.values()))
-        gc = next(iter(g.terms.values()))
-        return ring.constant(fc * pow(gc, -1, p)), ring.zero()
-    flo, fc = _unipoly(f)
-    glo, gc = _unipoly(g)
-    ginv = pow(gc[-1], -1, p)
-    rem = list(fc)
-    quo = [0] * max(len(fc) - len(gc) + 1, 0)
-    while len(rem) >= len(gc) and any(rem):
-        while rem and rem[-1] % p == 0:
-            rem.pop()
-        if len(rem) < len(gc):
-            break
-        k = len(rem) - len(gc)
-        c = rem[-1] * ginv % p
-        quo[k] = c
-        for i, gcoef in enumerate(gc):
-            rem[k + i] = (rem[k + i] - c * gcoef) % p
-        rem.pop()
-    q = _from_unipoly(ring, flo - glo, quo)
-    r = _from_unipoly(ring, flo, rem)
-    return q, r
+    (lo,), (hi,) = min(g.terms), max(g.terms)
+    inv = pow(g.terms[(hi,)], -1, p)
+    lower = [(e - hi, c) for (e,), c in g.terms.items() if e != hi]
+    rem, q = dict(f.terms), {}
+    for k in range(max(rem)[0], min(rem)[0] + hi - lo - 1, -1):
+        if c := rem.pop((k,), 0):
+            q[(k - hi,)] = c = c * inv % p
+            for e, gc in lower:
+                t = (k + e,)
+                if v := (rem.get(t, 0) - c * gc) % p:
+                    rem[t] = v
+                else:
+                    rem.pop(t, None)
+    wrap = LaurentPolynomial._unchecked
+    return wrap(ring, q), wrap(ring, rem)
 
 
 def _canonical_unit(f: LaurentPolynomial) -> LaurentPolynomial:
     """Unit u such that u*f has lowest exponent 0 and leading coefficient 1."""
-    ring = f.ring
-    p = ring.p
-    if ring.spatial_vars == 0:
-        c = next(iter(f.terms.values()))
-        return LaurentPolynomial._unchecked(ring, {(): pow(c, -1, p)})
-    lo, coeffs = _unipoly(f)
-    return LaurentPolynomial._unchecked(ring, {(-lo,): pow(coeffs[-1], -1, p)})
+    inv = pow(f.terms[max(f.terms)], -1, f.ring.p)
+    return LaurentPolynomial._unchecked(f.ring, {tuple(map(neg, min(f.terms))): inv})
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -356,109 +346,76 @@ def _check_snf_ring(ring: RingDescriptor):
         )
 
 
+def _submul(M: list, dst: int, q: LaurentPolynomial, src: int):
+    """Row dst of M minus q times row src."""
+    M[dst] = [a - q * b if b else a for a, b in zip(M[dst], M[src])]
+
+
 def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
     """Smith normal form over F_p or F_p[x, x^-1].
 
-    Pivots are chosen with least spread (ties by lowest row, then column
-    index) so the output is deterministic.
+    The pivot is the entry of least spread left, ties by lowest row, then
+    column, so the output is deterministic.  Row operations clear its column,
+    then column operations (row operations on V transposed) clear its row; the
+    first nonzero remainder has a smaller spread, so the pass ends there and
+    the pivot is picked again.  Once the cross is clear, a pivot that does not
+    divide some entry left gets that entry's row added to its own.  An entry
+    of G whose spread exceeds 2^16 raises DomainError.
     """
     ring = G.ring
     _check_snf_ring(ring)
+    _check_spread(G)
     m, n = G.rows, G.cols
     A = [list(row) for row in G.entries]
-    U = [[ring.one() if i == j else ring.zero() for j in range(m)] for i in range(m)]
-    V = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-
-    def swap_rows(M, a, b):
-        M[a], M[b] = M[b], M[a]
-
-    def swap_cols(M, a, b):
-        for row in M:
-            row[a], row[b] = row[b], row[a]
-
-    def row_submul(M, dst, q, src):
-        M[dst] = [e - q * f for e, f in zip(M[dst], M[src])]
-
-    def col_submul(M, dst, q, src):
-        for row in M:
-            row[dst] = row[dst] - q * row[src]
-
-    def row_add(M, dst, src):
-        M[dst] = [e + f for e, f in zip(M[dst], M[src])]
-
+    U = [list(row) for row in RingMatrix.identity(ring, m).entries]
+    Vt = [list(row) for row in RingMatrix.identity(ring, n).entries]
+    minus_one = -ring.one()
     t = 0
     while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if not A[i][j].is_zero():
-                    key = (spread(A[i][j]), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+        cells = [
+            (spread(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]
+        ]
+        if not cells:
             break
-        _, pi, pj = best
-        if pi != t:
-            swap_rows(A, t, pi)
-            swap_rows(U, t, pi)
-        if pj != t:
-            swap_cols(A, t, pj)
-            swap_cols(V, t, pj)
-
-        while True:
-            restarted = False
-            i = 0
-            while i < m:
-                if i != t and not A[i][t].is_zero():
-                    q, r = laurent_divmod(A[i][t], A[t][t])
-                    row_submul(A, i, q, t)
-                    row_submul(U, i, q, t)
-                    if not r.is_zero():
-                        swap_rows(A, t, i)
-                        swap_rows(U, t, i)
-                        restarted = True
-                        break
-                i += 1
-            if restarted:
-                continue
-            j = 0
-            while j < n:
-                if j != t and not A[t][j].is_zero():
-                    q, r = laurent_divmod(A[t][j], A[t][t])
-                    col_submul(A, j, q, t)
-                    col_submul(V, j, q, t)
-                    if not r.is_zero():
-                        swap_cols(A, t, j)
-                        swap_cols(V, t, j)
-                        restarted = True
-                        break
-                j += 1
-            if restarted:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] and laurent_divmod(A[i][j], A[t][t])[1]:
-                        offender = i
-                        break
-                if offender is not None:
+        _, pi, pj = min(cells)
+        A[t], A[pi], U[t], U[pi] = A[pi], A[t], U[pi], U[t]
+        for row in A:
+            row[t], row[pj] = row[pj], row[t]
+        Vt[t], Vt[pj] = Vt[pj], Vt[t]
+        pivot = A[t][t]
+        for i in range(t + 1, m):
+            if A[i][t]:
+                q, r = laurent_divmod(A[i][t], pivot)
+                _submul(A, i, q, t)
+                _submul(U, i, q, t)
+                if r:
                     break
-            if offender is None:
-                break
-            row_add(A, t, offender)
-            row_add(U, t, offender)
-        t += 1
+        else:  # the column is clear, so a column operation changes only row t
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    q, A[t][j] = laurent_divmod(A[t][j], pivot)
+                    _submul(Vt, j, q, t)
+                    if A[t][j]:
+                        break
+            else:  # the cross is clear; a unit pivot divides every entry left
+                for i in () if pivot.is_unit() else range(t + 1, m):
+                    if any(e and laurent_divmod(e, pivot)[1] for e in A[i]):
+                        _submul(A, t, minus_one, i)
+                        _submul(U, t, minus_one, i)
+                        break
+                else:
+                    t += 1
 
     for k in range(min(m, n)):
-        if not A[k][k].is_zero():
+        if A[k][k]:
             u = _canonical_unit(A[k][k])
-            A[k] = [u * e for e in A[k]]
+            A[k][k] = u * A[k][k]
             U[k] = [u * e for e in U[k]]
 
     return SmithDecomposition(
-        U=RingMatrix._unchecked(ring, map(tuple, U)),
+        U=RingMatrix._unchecked(ring, map(tuple, U), m),
         D=RingMatrix._unchecked(ring, map(tuple, A), n),
-        V=RingMatrix._unchecked(ring, map(tuple, V)),
+        V=RingMatrix._unchecked(ring, zip(*Vt), n),
     )
 
 
@@ -474,6 +431,7 @@ def solve_in_span(G: RingMatrix, B: RingMatrix) -> RingMatrix | None:
     """Solve G X = B over the ring; None when some column is not in the span."""
     if G.rows != B.rows:
         raise ShapeError("row counts differ")
+    _check_spread(B)
     return _solve(smith_normal_form(G), B)
 
 

@@ -194,6 +194,20 @@ def test_lagrangian_check_unsupported_dimension(capsys):
     assert json.loads(out)["error"] == "unsupported-ring"
 
 
+def test_lagrangian_check_rejects_huge_exponent_spread(capsys):
+    from maslovkit import PauliModule, StabilizerModule
+
+    ring = RingDescriptor(5, 1)
+    far = 1 + ring.x(0, (1 << 16) + 1)
+    module = StabilizerModule(
+        PauliModule(ring, 1), RingMatrix(ring, [[far], [1 + ring.x(0)]])
+    )
+    blob = serialize.encode_module(module)
+    code, out = run_cli(capsys, ["lagrangian", "check", "--module", json.dumps(blob)])
+    assert code == 2
+    assert json.loads(out)["error"] == "domain-error"
+
+
 def test_maslov_compute_rejects_non_loops(capsys):
     ring_t = RingDescriptor(5, 0, True)
     moving = HermitianForm(RingMatrix(ring_t, [[2 * ring_t.T()]]), 1)

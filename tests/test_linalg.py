@@ -6,8 +6,11 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
 
 from maslovkit import (
+    DomainError,
+    LaurentPolynomial,
     RingDescriptor,
     RingMismatch,
     RingMatrix,
@@ -21,6 +24,7 @@ from maslovkit import (
     span_contains,
     spans_equal,
 )
+from maslovkit import linalg
 from maslovkit.linalg import _matmul_rows, _rows, _wrap, laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix
@@ -28,8 +32,10 @@ from helpers import check_snf_contract, rand_matrix, rand_unit_matrix
 
 F5 = RingDescriptor(5)
 F3 = RingDescriptor(3)
+F7 = RingDescriptor(7)
 L3 = RingDescriptor(3, 1)
 L5 = RingDescriptor(5, 1)
+L7 = RingDescriptor(7, 1)
 
 
 def test_mat_mul_examples():
@@ -96,6 +102,11 @@ def test_snf_random_laurent():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         check_snf_contract(rand_matrix(L3, rng, rows, cols, max_spread=3))
+    # larger draws, with longer chains of nonzero remainders
+    for _ in range(12):
+        rows = rng.randrange(5, 7)
+        cols = rng.randrange(5, 7)
+        check_snf_contract(rand_matrix(L7, rng, rows, cols, max_spread=5))
 
 
 def test_snf_random_field():
@@ -104,6 +115,42 @@ def test_snf_random_field():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         check_snf_contract(rand_matrix(F5, rng, rows, cols))
+    for _ in range(20):
+        rows = rng.randrange(5, 7)
+        cols = rng.randrange(5, 7)
+        check_snf_contract(rand_matrix(F7, rng, rows, cols))
+
+
+def test_snf_divides_once_per_entry_of_each_cross(monkeypatch):
+    # over a field every pivot is a unit: each pass clears its cross with at
+    # most one division per entry and skips the divisibility search, so a
+    # dense invertible 4 x 4 takes at most (3 + 3) + (2 + 2) + (1 + 1) calls
+    G = RingMatrix(F5, [[3, 2, 2, 4], [3, 1, 4, 1], [2, 3, 1, 3], [4, 2, 3, 3]])
+    assert all(e for row in G.entries for e in row) and det(G)
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return laurent_divmod(f, g)
+
+    monkeypatch.setattr(linalg, "laurent_divmod", counted)
+    snf = smith_normal_form(G)
+    assert snf.D == RingMatrix.identity(F5, 4)
+    assert 0 < len(calls) <= 12
+
+
+def test_snf_rejects_entries_of_huge_spread():
+    x = L5.x(0)
+    bound = RingMatrix(L5, [[1 + L5.x(0, 1 << 16)], [1 + x]])
+    assert smith_normal_form(bound).rank == 1
+    beyond = RingMatrix(L5, [[1 + x], [L5.x(0, -3) + L5.x(0, (1 << 16) - 2)]])
+    with pytest.raises(DomainError):
+        smith_normal_form(beyond)
+    with pytest.raises(DomainError):
+        solve_in_span(RingMatrix.identity(L5, 2), beyond)
+    # a monomial has spread 0, whatever its exponent
+    far = RingMatrix(L5, [[L5.x(0, 10**9)], [1 + x]])
+    assert smith_normal_form(far).rank == 1
 
 
 def test_snf_ring_restrictions():
@@ -189,6 +236,58 @@ def test_spread_and_divmod():
     assert r.is_zero() or spread(r) < spread(g)
     q2, r2 = laurent_divmod(L3.x(0, -2) + 1, x + 2)
     assert q2 * (x + 2) + r2 == L3.x(0, -2) + 1
+    assert spread(L3.x(0, 7)) == spread(F5.constant(3)) == 0
+    assert spread(L3.x(0, -2) + x) == 3
+
+
+def test_divmod_rejects_mixed_rings():
+    f = L5.x(0, 3) + 1
+    with pytest.raises(RingMismatch):
+        laurent_divmod(f, L7.x(0) + 3)
+    with pytest.raises(RingMismatch):
+        laurent_divmod(f, F7.constant(3))
+    with pytest.raises(RingMismatch):
+        laurent_divmod(F5.constant(2), F7.constant(3))
+
+
+def sympy_poly(f, p):
+    """f times the power of x that makes its least exponent 0, as a Poly mod p."""
+    x = symbols("x")
+    lo = min((sum(e) for e in f.terms), default=0)
+    return Poly(sum(c * x ** (sum(e) - lo) for e, c in f.terms.items()), x, modulus=p)
+
+
+@st.composite
+def divmod_cases(draw):
+    """(f, g) over F_p or F_p[x^+-]: sparse terms, negative exponents, spans to 10^3.
+
+    In half the draws f is a multiple of g.
+    """
+    p = draw(st.sampled_from((3, 5, 7, 101, 10**9 + 7)))
+    d = draw(st.integers(0, 1))
+    ring = RingDescriptor(p, d)
+
+    def poly(min_terms):
+        width = draw(st.sampled_from((2, 8, 1000)))
+        base = draw(st.integers(-1000, 1000))
+        exps = st.integers(base, base + width)
+        terms = draw(st.lists(exps, min_size=min_terms, max_size=6))
+        coeffs = st.integers(1, p - 1)
+        return LaurentPolynomial(ring, {(e,) * d: draw(coeffs) for e in terms})
+
+    f, g = poly(0), poly(1)
+    return (f * g if draw(st.booleans()) else f), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(divmod_cases())
+def test_divmod_matches_sympy(case):
+    f, g = case
+    p = f.ring.p
+    q, r = laurent_divmod(f, g)
+    assert q * g + r == f
+    assert r.is_zero() or spread(r) < spread(g)
+    assert r.is_zero() == sympy_poly(f, p).rem(sympy_poly(g, p)).is_zero
 
 
 def test_matrices_without_rows_keep_their_width():
