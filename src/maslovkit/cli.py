@@ -10,16 +10,17 @@ Subcommands
     lgroup table       --p P [--d D]
 
 Every --something argument accepts either a file path or inline JSON.
+Each command returns its JSON payload and its text lines; `main` alone
+writes stdout, printing one or the other per --format.
 Exit codes: 0 success, 2 validation error, 3 unsupported-ring error;
-failures print a machine-readable {"error": code, "detail": ...} object.
-MASLOVKIT_COLOR={auto,never} controls ANSI color in text output only.
+failures, usage errors included, print a machine-readable
+{"error": code, "detail": ...} object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import serialize
@@ -30,19 +31,6 @@ from .pauli import apply as pauli_apply
 from .pauli import lagrangian_report
 from .realmaslov import RealPolynomial, preset_polynomial, real_maslov
 from .sturm import loop_from_pair, maslov_index
-
-
-def _use_color() -> bool:
-    mode = os.environ.get("MASLOVKIT_COLOR", "auto")
-    if mode == "never":
-        return False
-    return sys.stdout.isatty()
-
-
-def _bold(text: str) -> str:
-    if _use_color():
-        return f"\x1b[1m{text}\x1b[0m"
-    return text
 
 
 def _load_json(arg: str, what: str):
@@ -59,58 +47,37 @@ def _load_json(arg: str, what: str):
         raise DomainError(f"{what}: malformed JSON: {exc}") from exc
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+# -- subcommand bodies: each returns (payload, lines) -------------------------
 
 
-def _emit_text(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-# -- subcommand bodies -------------------------------------------------------
-
-
-def _cmd_witt_classify(args) -> int:
+def _cmd_witt_classify(args):
     form = serialize.decode_form(_load_json(args.form, "form"))
     cls = witt_class(form)
-    payload = serialize.encode_witt(cls)
-    if args.format == "json":
-        _emit(payload)
-    else:
-        _emit_text([f"p = {cls.p}", f"class = {cls.class_name}"])
-    return 0
+    return serialize.encode_witt(cls), [f"p = {cls.p}", f"class = {cls.class_name}"]
 
 
-def _emit_maslov(result, fmt: str) -> int:
-    if fmt == "json":
-        _emit(serialize.encode_maslov_result(result))
-        return 0
+def _maslov_output(result):
     lines = []
     if result.witt is not None:
         lines.append(f"witt class = {result.witt.class_name} (p = {result.witt.p})")
     lines.append(f"rank parity = {result.rank_parity}")
     lines.append(f"determinant = {result.determinant!r}")
     lines.append(f"representative dimension = {result.form.dim}")
-    _emit_text(lines)
-    return 0
+    return serialize.encode_maslov_result(result), lines
 
 
-def _cmd_maslov_compute(args) -> int:
+def _cmd_maslov_compute(args):
     loop = serialize.decode_loop(_load_json(args.loop, "loop"))
-    return _emit_maslov(maslov_index(loop), args.format)
+    return _maslov_output(maslov_index(loop))
 
 
-def _cmd_maslov_pair(args) -> int:
+def _cmd_maslov_pair(args):
     q0 = serialize.decode_form(_load_json(args.q0, "q0"))
     q1 = serialize.decode_form(_load_json(args.q1, "q1"))
-    return _emit_maslov(maslov_index(loop_from_pair(q0, q1)), args.format)
+    return _maslov_output(maslov_index(loop_from_pair(q0, q1)))
 
 
-def _cmd_maslov_real(args) -> int:
+def _cmd_maslov_real(args):
     if (args.poly is None) == (args.preset is None):
         raise DomainError("provide exactly one of --poly or --preset")
     if args.preset is not None:
@@ -124,42 +91,29 @@ def _cmd_maslov_real(args) -> int:
             raise DomainError("--poly: empty coefficient list")
         poly = RealPolynomial(coeffs)
     index = real_maslov(poly)
-    if args.format == "json":
-        _emit({"maslov_index": index})
-    else:
-        _emit_text([str(index)])
-    return 0
+    return {"maslov_index": index}, [str(index)]
 
 
-def _cmd_lagrangian_check(args) -> int:
+def _cmd_lagrangian_check(args):
     module = serialize.decode_module(_load_json(args.module, "module"))
     report = lagrangian_report(module)
-    if args.format == "json":
-        _emit(report)
-    else:
-        _emit_text([f"{key} = {_bool_str(val)}" for key, val in report.items()])
-    return 0
+    return report, [f"{key} = {json.dumps(val)}" for key, val in report.items()]
 
 
-def _cmd_qca_apply(args) -> int:
+def _cmd_qca_apply(args):
     module = serialize.decode_module(_load_json(args.module, "module"))
     circuit = serialize.decode_circuit(_load_json(args.circuit, "circuit"))
     for step in circuit:
         module = pauli_apply(step, module)
-    payload = serialize.encode_module(module)
-    if args.format == "json":
-        _emit(payload)
-    else:
-        lines = [f"N = {module.ambient.N}", "generators:"]
-        gens = module.generators
-        for j in range(gens.cols):
-            parts = [repr(gens[i, j]) for i in range(gens.rows)]
-            lines.append("  (" + ", ".join(parts) + ")")
-        _emit_text(lines)
-    return 0
+    lines = [f"N = {module.ambient.N}", "generators:"]
+    gens = module.generators
+    for j in range(gens.cols):
+        parts = [repr(gens[i, j]) for i in range(gens.rows)]
+        lines.append("  (" + ", ".join(parts) + ")")
+    return serialize.encode_module(module), lines
 
 
-def _cmd_lgroup_table(args) -> int:
+def _cmd_lgroup_table(args):
     p = args.p
     d_max = args.d if args.d is not None else 4
     if d_max < 0 or d_max > 4:
@@ -171,34 +125,33 @@ def _cmd_lgroup_table(args) -> int:
     ]
     ideals = [serialize.encode_group(fundamental_ideal_group(d, p)) for d in dims]
     loops = [serialize.encode_group(classify_loops(d, p)) for d in dims]
-    if args.format == "json":
-        _emit(
-            {
-                "p": p,
-                "residue_mod_4": p % 4,
-                "d_max": d_max,
-                "lgroups": lrows,
-                "fundamental_ideals": ideals,
-                "loop_classes": loops,
-            }
-        )
-        return 0
-    header = ["group"] + [f"d={d}" for d in dims]
-    rows = [header]
+    payload = {
+        "p": p,
+        "residue_mod_4": p % 4,
+        "d_max": d_max,
+        "lgroups": lrows,
+        "fundamental_ideals": ideals,
+        "loop_classes": loops,
+    }
+    rows = [["group"] + [f"d={d}" for d in dims]]
     for row in lrows:
         rows.append([f"L_{row['n']}"] + [g["name"] for g in row["groups"]])
     rows.append(["I"] + [g["name"] for g in ideals])
     rows.append(["OmegaC"] + [g["name"] for g in loops])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = [_bold(f"classification table, p = {p} (p = {p % 4} mod 4)")]
-    for k, row in enumerate(rows):
-        line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-        lines.append(_bold(line) if k == 0 else line)
-    _emit_text(lines)
-    return 0
+    widths = [max(len(r[i]) for r in rows) for i in range(len(dims) + 1)]
+    lines = [f"classification table, p = {p} (p = {p % 4} mod 4)"]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows]
+    return payload, lines
 
 
 # -- parser ------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DomainError, so main reports them like any other."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
 
 
 def _add_format(parser: argparse.ArgumentParser, default: str = "json"):
@@ -208,7 +161,7 @@ def _add_format(parser: argparse.ArgumentParser, default: str = "json"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maslovkit",
         description="Exact Clifford-QCA computations on JSON inputs",
     )
@@ -265,19 +218,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; the only writer of stdout."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        payload, lines = args.func(args)
+        if args.format == "text":
+            sys.stdout.write("\n".join(lines) + "\n")
+            return 0
+        code = 0
     except UnsupportedRing as exc:
-        _emit({"error": exc.code, "detail": str(exc)})
-        return 3
+        payload, code = {"error": exc.code, "detail": str(exc)}, 3
     except MaslovkitError as exc:
-        _emit({"error": exc.code, "detail": str(exc)})
-        return 2
+        payload, code = {"error": exc.code, "detail": str(exc)}, 2
     except Exception as exc:  # contract: structured errors, never a traceback
-        _emit({"error": "internal-error", "detail": f"{type(exc).__name__}: {exc}"})
-        return 2
+        payload = {"error": "internal-error", "detail": f"{type(exc).__name__}: {exc}"}
+        code = 2
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

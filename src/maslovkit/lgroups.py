@@ -2,9 +2,11 @@
 
 The four-periodic family of form groups over the Laurent extensions of F_p
 satisfies L_n(d) = L_n(d-1) + L_{n-1}(d-1) with base L_0(0) the Witt group
-of F_p and L_1(0) = L_2(0) = L_3(0) = 0.  The fundamental ideal of the Witt
-group is Z/2 up to three Laurent variables and Z/2 + W(F_p) in four; the
-loop classification is the quotient of the ideal by its constant Z/2:
+W of F_p and L_1(0) = L_2(0) = L_3(0) = 0.  By Pascal's rule it unrolls to
+L_n(d) = W^m, m the sum of C(d, k) over 0 <= k <= d with k = n mod 4.  The
+fundamental ideal of the Witt group is Z/2 up to three Laurent variables
+and Z/2 + W(F_p) in four; the loop classification is the quotient of the
+ideal by its constant Z/2:
 
     OmegaC(d, p) = 0            for d = 0, 1, 2, 3
     OmegaC(4, p) = Z/2 + Z/2    for p = 1 mod 4
@@ -13,6 +15,7 @@ loop classification is the quotient of the ideal by its constant Z/2:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,12 +48,13 @@ def _canonical_factors(orders) -> tuple:
             per_prime.setdefault(q, []).append(e)
     if not per_prime:
         return ()
+    for exps in per_prime.values():
+        exps.sort(reverse=True)
     width = max(len(v) for v in per_prime.values())
     factors = []
     for i in range(width):
         f = 1
         for q, exps in per_prime.items():
-            exps = sorted(exps, reverse=True)
             if i < len(exps):
                 f *= q ** exps[i]
         factors.append(f)
@@ -110,7 +114,7 @@ def lgroup_base(n: int, p: int) -> FiniteAbelianGroup:
 
 
 def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
-    """L_n over d Laurent variables, unrolled from the base recursion."""
+    """L_n over d Laurent variables: W(F_p)^m, m = sum of C(d, k), k = n mod 4."""
     _check_odd_prime(p)
     if d < 0:
         raise DomainError("d must be >= 0")
@@ -120,14 +124,8 @@ def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
             "beyond the validated range",
             stacklevel=2,
         )
-    n %= 4
-    if d == 0:
-        return lgroup_base(n, p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        left = lgroup(n, d - 1, p)
-        right = lgroup((n - 1) % 4, d - 1, p)
-    return left.direct_sum(right)
+    m = sum(math.comb(d, k) for k in range(n % 4, d + 1, 4))
+    return FiniteAbelianGroup.from_orders(witt_group_structure(p).cyclic_orders * m)
 
 
 def fundamental_ideal_group(d: int, p: int) -> FiniteAbelianGroup:

@@ -276,7 +276,9 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     """f = q*g + r with r = 0 or spread(r) < spread(g), over F_p or F_p[x, x^-1].
 
     Long division on the terms, from the top exponent of f down to the
-    window of width spread(g) at f's lowest exponent, which keeps r.
+    window of width spread(g) at f's lowest exponent, which keeps r.  That
+    walk grows with spread(f), so a g of more than one term takes an f of
+    spread at most _MAX_SPREAD; a single-term g is an exponent shift.
     """
     ring = f.ring
     if g.ring != ring:
@@ -287,6 +289,8 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
         raise DivisionByZero("division by zero polynomial")
     if len(g.terms) == 1 or f.is_zero():  # exact: a unit g is an exponent shift
         return _exact_quotient(f, g), ring.zero()
+    if spread(f) > _MAX_SPREAD:
+        raise DomainError(f"dividend spread {spread(f)} exceeds the bound {_MAX_SPREAD}")
     p = ring.p
     (lo,), (hi,) = min(g.terms), max(g.terms)
     inv = pow(g.terms[(hi,)], -1, p)

@@ -95,14 +95,10 @@ def decode_matrix(obj) -> RingMatrix:
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DomainError("matrix: entry grid does not match rows x cols")
-    entries = [[decode_poly(e) for e in row] for row in raw]
-    for row in entries:
-        for e in row:
-            if e.ring != ring:
-                raise DomainError("matrix: entry ring differs from matrix ring")
-    if not rows:  # the constructor reads the width from the first row
-        return RingMatrix.zeros(ring, 0, cols)
-    return RingMatrix(ring, entries)
+    entries = [tuple(decode_poly(e) for e in row) for row in raw]
+    if any(e.ring != ring for row in entries for e in row):
+        raise DomainError("matrix: entry ring differs from matrix ring")
+    return RingMatrix._unchecked(ring, entries, cols)
 
 
 def encode_form(F: HermitianForm) -> dict:

@@ -12,7 +12,8 @@ from maslovkit import HermitianForm, RingDescriptor, RingMatrix, serialize
 from maslovkit.cli import main
 from maslovkit.fixtures import write_all
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +407,52 @@ def test_shipped_fixtures_match_their_generator(tmp_path):
     assert sorted(p.name for p in shipped.glob("*.json")) == sorted(p.name for p in written)
     for path in written:
         assert (shipped / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_usage_errors_are_structured(capsys):
+    for argv, flag in (
+        (["maslov", "pair", "--q0", "fixtures/pair_q0.json"], "--q1"),
+        (["lgroup", "table", "--p", "seven"], "--p"),
+        (["lgroup", "tabel", "--p", "7"], "tabel"),
+    ):
+        code, out = run_cli(capsys, argv)
+        assert code == 2, argv
+        err = json.loads(out)
+        assert err["error"] == "domain-error", argv
+        assert flag in err["detail"], argv
+    with pytest.raises(SystemExit) as exc:
+        main(["lgroup", "table", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_shipped_fixture_commands_print_stored_bytes(capsys, monkeypatch):
+    # perfbench/expected/<name>.out holds the stdout of each command below
+    monkeypatch.chdir(ROOT)
+    expected = ROOT / "perfbench" / "expected"
+    commands = {
+        "witt-classify": ["witt", "classify", "--form", "fixtures/pair_q1.json"],
+        "maslov-pair": [
+            "maslov", "pair", "--q0", "fixtures/pair_q0.json", "--q1", "fixtures/pair_q1.json",
+        ],
+        "maslov-real": ["maslov", "real", "--preset", "paper-example"],
+        "lagrangian-check": ["lagrangian", "check", "--module", "fixtures/cluster_module.json"],
+        "qca-apply": [
+            "qca", "apply", "--circuit", "fixtures/cluster_circuit.json",
+            "--module", "fixtures/product_state_module.json",
+        ],
+        "lgroup-table": ["lgroup", "table", "--p", "7"],
+    }
+    assert sorted(commands) == sorted(p.stem for p in expected.glob("*.out"))
+    for name, argv in commands.items():
+        code, out = run_cli(capsys, argv)
+        assert code == 0, name
+        assert out == (expected / f"{name}.out").read_text(encoding="utf-8"), name
+    code, out = run_cli(
+        capsys, ["witt", "classify", "--form", "fixtures/pair_q1.json", "--format", "text"]
+    )
+    assert (code, out) == (0, "p = 5\nclass = <t>\n")
+    code, out = run_cli(
+        capsys, ["maslov", "real", "--preset", "paper-example", "--format", "json"]
+    )
+    assert (code, out) == (0, '{\n  "maslov_index": 1\n}\n')

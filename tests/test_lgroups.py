@@ -19,7 +19,7 @@ from maslovkit import (
     witt_group_structure,
 )
 
-from helpers import rand_symmetric_nondeg
+from helpers import rand_symmetric_nondeg, time_limit
 
 
 def test_canonical_invariant_factors():
@@ -62,6 +62,15 @@ def test_lgroup_binomial_order():
                 )
                 assert lgroup(n, d, p).order() == w_order**count
         assert lgroup(0, 4, p).order() == 16
+
+
+def test_lgroup_is_polynomial_in_d():
+    # comb(16, 0) + comb(16, 4) + ... + comb(16, 16) Witt-group copies
+    m = sum(math.comb(16, k) for k in range(0, 17, 4))
+    with time_limit(2), pytest.warns(UserWarning):
+        got = lgroup(0, 16, 5)
+    assert got.order() == 4**m
+    assert got.cyclic_orders == (2,) * (2 * m)
 
 
 def test_lgroup_out_of_range_warns():

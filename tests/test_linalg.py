@@ -27,7 +27,7 @@ from maslovkit import (
 from maslovkit import linalg
 from maslovkit.linalg import _matmul_rows, _rows, _wrap, laurent_divmod, spread
 
-from helpers import check_snf_contract, rand_matrix, rand_unit_matrix
+from helpers import check_snf_contract, rand_matrix, rand_unit_matrix, time_limit
 
 
 F5 = RingDescriptor(5)
@@ -238,6 +238,19 @@ def test_spread_and_divmod():
     assert q2 * (x + 2) + r2 == L3.x(0, -2) + 1
     assert spread(L3.x(0, 7)) == spread(F5.constant(3)) == 0
     assert spread(L3.x(0, -2) + x) == 3
+
+
+def test_divmod_bounds_the_dividend_spread():
+    x = L5.x(0)
+    # long division walks the dividend's exponent range: refused at once
+    with time_limit(2), pytest.raises(DomainError):
+        laurent_divmod(L5.x(0, 10**7) + 1, x + 1)
+    at_bound = L5.x(0, 1 << 16) + 1
+    q, r = laurent_divmod(at_bound, x + 1)
+    assert q * (x + 1) + r == at_bound
+    # a single-term divisor is an exponent shift, whatever the spread
+    q, r = laurent_divmod(L5.x(0, 10**7) + 1, L5.x(0, 3))
+    assert r.is_zero() and q == L5.x(0, 10**7 - 3) + L5.x(0, -3)
 
 
 def test_divmod_rejects_mixed_rings():
