@@ -29,6 +29,7 @@ from .errors import (
 )
 from .linalg import RingMatrix, det
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor, is_square
+from .ring import _check_odd_prime
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,7 @@ class WittClass:
     disc_class: int
 
     def __post_init__(self):
+        _check_odd_prime(self.p)
         if self.rank_parity not in (0, 1) or self.disc_class not in (0, 1):
             raise DomainError("rank parity and disc class are bits")
 

@@ -46,30 +46,32 @@ def _canonical_factors(orders) -> tuple:
             raise DomainError(f"cyclic order must be >= 2, got {n}")
         for q, e in _prime_factorization(n).items():
             per_prime.setdefault(q, []).append(e)
-    if not per_prime:
-        return ()
     for exps in per_prime.values():
         exps.sort(reverse=True)
-    width = max(len(v) for v in per_prime.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for q, exps in per_prime.items():
-            if i < len(exps):
-                f *= q ** exps[i]
-        factors.append(f)
+    width = max(map(len, per_prime.values()), default=0)
+    factors = (
+        math.prod(q ** exps[i] for q, exps in per_prime.items() if i < len(exps))
+        for i in range(width)
+    )
     return tuple(sorted(factors))
 
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """Finite abelian group in canonical invariant-factor form."""
+    """Finite abelian group, stored in canonical invariant-factor form.
+
+    Any cyclic orders >= 2 are accepted: FiniteAbelianGroup((6, 4)) is Z/2 + Z/12.
+    """
 
     cyclic_orders: tuple
 
+    def __post_init__(self):
+        factors = _canonical_factors(self.cyclic_orders)
+        object.__setattr__(self, "cyclic_orders", factors)
+
     @classmethod
     def from_orders(cls, orders) -> "FiniteAbelianGroup":
-        return cls(_canonical_factors(orders))
+        return cls(tuple(orders))
 
     @classmethod
     def trivial(cls) -> "FiniteAbelianGroup":
@@ -79,10 +81,7 @@ class FiniteAbelianGroup:
         return not self.cyclic_orders
 
     def order(self) -> int:
-        out = 1
-        for n in self.cyclic_orders:
-            out *= n
-        return out
+        return math.prod(self.cyclic_orders)
 
     def direct_sum(self, other: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
         return FiniteAbelianGroup.from_orders(self.cyclic_orders + other.cyclic_orders)

@@ -10,6 +10,8 @@ and polynomials elsewhere.  Eliminations run mod p over F_p and fraction-free
 (Bareiss) elsewhere; a Bareiss step touches only the rows with a nonzero entry
 in the pivot column, the others keep the level of their last update and are
 caught up lazily.  A division by a single-term pivot is an exponent shift.
+Polynomial entries are multiplied in one loop, _matmul_rows: matrix products
+and each Bareiss row update (a 1 x 2 by 2 x w product) call it.
 
 Smith normal form runs for d <= 1 on the same sparse terms.  Its Euclidean
 size is the exponent spread (max degree - min degree, 0 for a monomial):
@@ -127,18 +129,10 @@ class RingMatrix:
         if not blocks:
             raise ShapeError("block_diag needs at least one block")
         ring = blocks[0].ring
-        if any(b.ring != ring for b in blocks):
-            raise RingMismatch("block ring mismatch")
-        total_c = sum(b.cols for b in blocks)
-        zero = ring.zero()
-        rows = []
-        c0 = 0
-        for b in blocks:
-            left = (zero,) * c0
-            right = (zero,) * (total_c - c0 - b.cols)
-            rows.extend(left + row + right for row in b.entries)
-            c0 += b.cols
-        return cls._unchecked(ring, rows, total_c)
+        grid = [[cls.zeros(ring, a.rows, b.cols) for b in blocks] for a in blocks]
+        for i, b in enumerate(blocks):
+            grid[i][i] = b
+        return cls.from_blocks(grid)
 
     # -- basic operations --------------------------------------------------
 
@@ -652,7 +646,7 @@ def _eliminate(M: list) -> LaurentPolynomial:
     so a row left alone since level l stands for R_c = p_c R_l / p_l.  At step c
     - a row with R_l[c] = 0 is skipped and stays at level l;
     - any other row r != c becomes R_{c+1}[j] = (p_{c+1} R_l[j] - R_l[c] top[j])
-      / p_l in the columns j > c where R_l[j] or top[j] is nonzero;
+      / p_l in the columns j > c, the numerators as one _matmul_rows product;
     - the pivot row top is first caught up to R_c = p_c R_l / p_l; its own step
       leaves it unchanged, so it is then at level c + 1.
     Row swaps carry the levels with the rows.
@@ -663,7 +657,6 @@ def _eliminate(M: list) -> LaurentPolynomial:
     """
     n, width = len(M), len(M[0])
     ring = M[0][0].ring
-    p, wrap = ring.p, LaurentPolynomial._unchecked
     pivots, level, negate = [ring.one()], [0] * n, False
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c]), None)
@@ -681,24 +674,16 @@ def _eliminate(M: list) -> LaurentPolynomial:
             ]
         level[c] = c + 1
         pivots.append(top[c])
-        pivot = top[c].terms
         for r in range(n) if width > n else range(c + 1, n):
             row = M[r]
             if r == c or not row[c].terms:
                 continue
-            # pivot * row[j] - row[c] * top[j] in one dict, reduced once
-            neg = {e: p - v for e, v in row[c].terms.items()}
+            # pivot * row[j] - row[c] * top[j] for every j > c, then / p_l
+            (new,) = _matmul_rows(
+                ring, [[top[c], -row[c]]], list(zip(row[c + 1 :], top[c + 1 :]))
+            )
             prev = pivots[level[r]]
-            for j in range(c + 1, width):
-                a, b = row[j].terms, top[j].terms
-                if a or b:
-                    acc: dict = {}
-                    for f, g in ((pivot, a), (neg, b)):
-                        for e1, c1 in f.items():
-                            for e2, c2 in g.items():
-                                e = tuple(map(add, e1, e2))
-                                acc[e] = acc.get(e, 0) + c1 * c2
-                    row[j] = _exact_quotient(wrap(ring, _reduced(acc, p)), prev)
+            row[c + 1 :] = [_exact_quotient(e, prev) for e in new]
             level[r] = c + 1
     d = -pivots[-1] if negate else pivots[-1]
     if width > n and d.is_unit():

@@ -16,8 +16,9 @@ over F_p this is a Witt class, over Laurent rings the representative form
 and its computable invariants are returned.  Both determinants and -S(0)^-1
 come from the three-term recurrence x_{i-1} = -x_{i+1} - D_i x_i of S(t) on
 N x N blocks, the same recurrence the words run on, so no elimination sees
-more than N rows.  Words, loop tests and the index run on the private rows
-of linalg, one path for every ring.
+more than N rows.  _three_term is the one implementation of that recurrence:
+words, loop tests and the index all run it on the private rows of linalg,
+one path for every ring.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
 from .forms import HermitianForm, WittClass
 from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
 from .linalg import _matmul_rows, _rows, _scalars, _wrap
-from .pauli import CliffordUnitary, PauliModule, StabilizerModule, elementary_unitary
+from .pauli import CliffordUnitary, PauliModule, StabilizerModule
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
 
@@ -315,7 +316,7 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
     into the L-based type (0, 4) sequence
         ((1-T)q0 + Tq1, (T-1)q0^-1 - Tq1^-1 + 1, -1, 1, 0),
     whose first two forms are built as q0 + T(q1 - q0) and
-    (1 - q0^-1) + T(q0^-1 - q1^-1).
+    (1 - q0^-1) + T(q0^-1 - q1^-1).  It is a loop by construction: not re-validated.
     """
     if q0.ring != q1.ring:
         raise RingMismatch("forms live over different rings")
@@ -344,7 +345,7 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         HermitianForm(ident, 1),
         HermitianForm(RingMatrix.zeros(ring_T, N, N), 1),
     )
-    return validate_loop(SturmSequence._unchecked(ring_T, N, forms, 0))
+    return LagrangianLoop(SturmSequence._unchecked(ring_T, N, forms, 0))
 
 
 @dataclass(frozen=True)
@@ -470,32 +471,3 @@ def _as_scalar(ring: RingDescriptor, t) -> int:
     if isinstance(t, bool) or not isinstance(t, int):
         raise DomainError(f"homotopy parameters are ints or FieldElements, got {t!r}")
     return t % ring.p
-
-
-def three_term_transfer(q: HermitianForm, k: int) -> RingMatrix:
-    """Transfer matrix (-1)^(k-1) sigma_{k-1} E_k(q) sigma_k^-1.
-
-    Relates consecutive solution pairs: (x_{k-1}, x_k) = transfer (x_k, x_{k+1})
-    holds iff x_{k-1} + (-1)^k q(x_k) + x_{k+1} = 0.
-    """
-    ring = q.ring
-    n = q.dim
-    module = PauliModule(ring, n)
-    sigma = module.lambda_minus()
-    ident = RingMatrix.identity(ring, 2 * n)
-    kind = "E0" if k % 2 == 0 else "E1"
-    ek = elementary_unitary(kind, q).matrix
-    left = ident if (k - 1) % 2 == 0 else sigma
-    right = ident if k % 2 == 0 else -sigma  # sigma^2 = -1
-    out = left @ ek @ right
-    return out if (k - 1) % 2 == 0 else -out
-
-
-def recurrence_companion(q: HermitianForm, k: int) -> RingMatrix:
-    """Companion form of the three-term recurrence, for consistency checks."""
-    ring = q.ring
-    n = q.dim
-    ident = RingMatrix.identity(ring, n)
-    zero = RingMatrix.zeros(ring, n, n)
-    top_left = q.matrix if k % 2 == 1 else -q.matrix
-    return RingMatrix.from_blocks([[top_left, -ident], [ident, zero]])

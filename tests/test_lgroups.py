@@ -33,6 +33,19 @@ def test_canonical_invariant_factors():
     assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
 
 
+def test_constructor_is_canonical():
+    # calling the class is from_orders: invariant factors, orders >= 2 only
+    assert FiniteAbelianGroup((6, 4)) == FiniteAbelianGroup.from_orders((6, 4))
+    assert FiniteAbelianGroup((6, 4)).name == "Z/2 + Z/12"
+    assert FiniteAbelianGroup((2, 3, 2)).cyclic_orders == (2, 6)
+    assert FiniteAbelianGroup(()) == FiniteAbelianGroup.trivial()
+    for orders in ((1,), (0,), (4, 1), (-3,)):
+        with pytest.raises(DomainError):
+            FiniteAbelianGroup(orders)
+        with pytest.raises(DomainError):
+            FiniteAbelianGroup.from_orders(orders)
+
+
 def test_lgroup_base_examples():
     assert lgroup_base(0, 5) == FiniteAbelianGroup.from_orders((2, 2))
     assert lgroup_base(0, 7) == FiniteAbelianGroup.from_orders((4,))

@@ -90,6 +90,15 @@ def test_witt_round_trip():
                 assert serialize.decode_witt(serialize.encode_witt(cls)) == cls
 
 
+def test_witt_class_needs_an_odd_prime_modulus():
+    # "0" names a class for p = 1 and 3 mod 4 alike, so only the modulus is wrong
+    for p in (9, 15, 4, 2, -1):
+        with pytest.raises(DomainError):
+            WittClass(p, 1, 0)
+        with pytest.raises(DomainError):
+            serialize.decode_witt({"p": p, "class": "0"})
+
+
 def test_module_unitary_circuit_round_trip():
     module = product_state_module()
     blob = serialize.encode_module(module)

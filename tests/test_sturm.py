@@ -38,7 +38,7 @@ from maslovkit import (
 )
 from maslovkit import sturm
 from maslovkit.linalg import _rows, _wrap, det
-from maslovkit.sturm import _three_term, recurrence_companion, three_term_transfer
+from maslovkit.sturm import _three_term
 
 from helpers import (
     rand_hermitian,
@@ -389,6 +389,21 @@ def test_three_term_determinant_identity():
                 Q = _three_term(ring, steps, _rows(one), _rows(zero))
                 sign = -1 if k * N % 2 else 1
                 assert det(S) == sign * det(_wrap(ring, Q[-1], N))
+    # the recurrence itself, densely, on Sturm sequences: with D_i = (-1)^(m+i) q_i
+    # the diagonal of sturm_tridiagonal, S (Q_0; ...; Q_{k-1}) = (-Q_{-1}; 0; ...; 0)
+    for ring in (F5, RingDescriptor(7, 1), RingDescriptor(5, 2)):
+        for k in range(1, 5):
+            for N in (1, 2, 3):
+                one, zero = RingMatrix.identity(ring, N), RingMatrix.zeros(ring, N, N)
+                for start in range(4):
+                    forms = tuple(rand_hermitian(ring, N, rng) for _ in range(k))
+                    D = [(-q if (start + i) % 2 else q).matrix for i, q in enumerate(forms)]
+                    steps = [_rows(RingMatrix.from_blocks([[-d, -one]])) for d in reversed(D)]
+                    Q = _three_term(ring, steps, _rows(one), _rows(zero))
+                    solution = _wrap(ring, [r for Qi in Q[k:0:-1] for r in Qi], N)
+                    rhs = [[-_wrap(ring, Q[-1], N)]] + [[zero]] * (k - 1)
+                    S = sturm_tridiagonal(SturmSequence(ring, N, forms, start)).matrix
+                    assert S @ solution == RingMatrix.from_blocks(rhs)
 
 
 def test_maslov_index_eliminates_at_most_N_rows(monkeypatch):
@@ -469,6 +484,25 @@ def test_maslov_additivity():
         )
         combined = maslov_index(l1.direct_sum(l2)).witt
         assert combined == witt_add(maslov_index(l1).witt, maslov_index(l2).witt)
+
+
+def test_loop_from_pair_builds_loops():
+    # loop_from_pair trusts its construction; validate_loop is the oracle here,
+    # on c^+ D c forms and unipotent a^+ a forms for d = 0, 1 and 2
+    rng = random.Random(73)
+    for ring in (F7, L5, RingDescriptor(5, 2)):
+        entry = sum((ring.x(i) for i in range(ring.spatial_vars)), ring.constant(2))
+        for N in (1, 2, 3):
+            a = unipotent(ring, N, entry)
+            forms = [HermitianForm(a.dagger() @ a, 1)]
+            for _ in range(3):
+                c = rand_unit_matrix(ring, rng, N)
+                diag = [[rng.randrange(1, ring.p) * (i == j) for j in range(N)] for i in range(N)]
+                forms.append(HermitianForm(c.dagger() @ RingMatrix(ring, diag) @ c, 1))
+            for q0 in forms:
+                for q1 in forms:
+                    loop = loop_from_pair(q0, q1)
+                    assert validate_loop(loop.seq) == loop
 
 
 def test_maslov_laurent_ring_invariants():
@@ -563,27 +597,6 @@ def test_homotopy_parameter_is_an_int_or_field_element():
     for t in (-2, FieldElement(3, 5)):
         assert lambda_flip_homotopy(t, 1, F5) == lambda_flip_homotopy(3, 1, F5)
         assert trivmas_homotopy(q, t) == trivmas_homotopy(q, 3)
-
-
-def test_three_term_transfer_matches_companion():
-    rng = random.Random(59)
-    for k in range(4):
-        for _ in range(5):
-            q = rand_hermitian(L5, 1, rng)
-            assert three_term_transfer(q, k) == recurrence_companion(q, k)
-    # and the recurrence itself: (x_{k-1}, x_k) = M (x_k, x_{k+1})
-    for k in range(4):
-        q = rand_hermitian(L5, 1, rng)
-        m = three_term_transfer(q, k)
-        xk = RingMatrix.column(L5, [L5.x(0)])
-        xk1 = RingMatrix.column(L5, [2])
-        stacked = RingMatrix.from_blocks([[xk], [xk1]])
-        image = m @ stacked
-        x_prev = image.submatrix([0], [0])[0, 0]
-        assert image[1, 0] == xk[0, 0]
-        sign = 1 if k % 2 == 0 else -1
-        recurrence = x_prev + sign * (q.matrix[0, 0] * xk[0, 0]) + xk1[0, 0]
-        assert recurrence.is_zero()
 
 
 def test_loop_json_independent_of_padding():
