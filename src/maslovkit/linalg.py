@@ -10,8 +10,19 @@ and polynomials elsewhere.  Eliminations run mod p over F_p and fraction-free
 (Bareiss) elsewhere; a Bareiss step touches only the rows with a nonzero entry
 in the pivot column, the others keep the level of their last update and are
 caught up lazily.  A division by a single-term pivot is an exponent shift.
-Polynomial entries are multiplied in one loop, _matmul_rows: matrix products
-and each Bareiss row update (a 1 x 2 by 2 x w product) call it.
+
+Products have one kernel, _matmul_rows, in row form: it takes the rows of A
+and of B and returns the rows C[i] = sum_k A[i][k] B[k].  Matrix products,
+each Bareiss row update (a 1 x 2 by 2 x w product, in which a column zero in
+both rows stays zero) and every step of the Sturm recurrence call it.
+Polynomial rows sum their term products in one dict per nonzero entry of C.
+Over F_p a product is packed when two properties of its input hold: it has
+at least _PACK_MIN entry products (rows of A x width x inner length K), and
+K (p - 1)^2 fits the widest unsigned array slot (8 bytes).  Each row of B is
+then packed once into one int with a byte-aligned slot per entry, each row of
+C is one big-int multiply-add of those ints, unpacked once and reduced mod p.
+Any other product takes the plain sums; the output is the same either way,
+and nothing but the input selects the path.
 
 Smith normal form runs for d <= 1 on the same sparse terms.  Its Euclidean
 size is the exponent spread (max degree - min degree, 0 for a monomial):
@@ -24,6 +35,8 @@ spread exceeds 2^16.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
@@ -157,7 +170,7 @@ class RingMatrix:
             raise RingMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        rows = _matmul_rows(self.ring, _rows(self), _rows(other.transpose()))
+        rows = _matmul_rows(self.ring, _rows(self), _rows(other), other.cols)
         return _wrap(self.ring, rows, other.cols)
 
     def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
@@ -516,28 +529,57 @@ def _dagger_rows(ring: RingDescriptor, rows: list) -> list:
     return [list(col) for col in zip(*rows)]
 
 
-def _matmul_rows(ring: RingDescriptor, A: list, columns: list) -> list:
-    """The rows of A B over ring from the rows of A and the columns of B."""
-    p = ring.p
+# Int products of at least this many entry products (rows of A x width x
+# inner length) are packed; measured, smaller ones are faster as plain sums.
+_PACK_MIN = 256
+# (itemsize, typecode) of the unsigned array types, narrowest first.
+_SLOTS = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
+
+
+def _matmul_rows(ring: RingDescriptor, A: list, B: list, cols: int = 0) -> list:
+    """The rows C[i] = sum_k A[i][k] B[k] of A B from the rows of A and of B.
+
+    cols is the width of B when it has no rows.  Int rows are residues; over
+    F_p a product of at least _PACK_MIN entry products whose sums, at most
+    K (p - 1)^2 for K = len(B), fit a slot is packed (see the module text).
+    """
+    p, width = ring.p, len(B[0]) if B else cols
     if not ring.nexponents:
-        return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
-    # each entry sums all its term products in one dict and reduces once; the
-    # nonzero entries of a left row are collected once for all columns
+        K = len(B)
+        bound = K * (p - 1) ** 2
+        if len(A) * width * K < _PACK_MIN or bound >> 8 * _SLOTS[-1][0]:
+            columns = list(zip(*B)) if B else [()] * width
+            return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
+        size, code = next(s for s in _SLOTS if not bound >> 8 * s[0])
+        order = sys.byteorder  # array bytes are in the machine's order
+        packed = [int.from_bytes(array(code, b).tobytes(), order) for b in B]
+        return [
+            [v % p for v in memoryview(
+                sum(map(mul, row, packed)).to_bytes(width * size, order)
+            ).cast(code)]
+            for row in A
+        ]
+    # each entry of a row of C sums all its term products in one dict and
+    # reduces once; an entry no term reaches is the shared zero, with no dict
     wrap = LaurentPolynomial._unchecked
-    columns = [[b.terms for b in col] for col in columns]
+    zero = wrap(ring, {})
+    B = [[(j, b.terms) for j, b in enumerate(row) if b.terms] for row in B]
     out = []
     for row in A:
-        left = [(k, a.terms) for k, a in enumerate(row) if a.terms]
-        new_row = []
-        for col in columns:
-            acc: dict = {}
-            for k, a in left:
-                if b := col[k]:
-                    for e1, c1 in a.items():
-                        for e2, c2 in b.items():
-                            e = tuple(map(add, e1, e2))
-                            acc[e] = acc.get(e, 0) + c1 * c2
-            new_row.append(wrap(ring, _reduced(acc, p)))
+        accs: dict = {}
+        for a, right in zip(row, B):
+            if not (a := a.terms):
+                continue
+            for j, b in right:
+                if (acc := accs.get(j)) is None:
+                    acc = accs[j] = {}
+                for e1, c1 in a.items():
+                    for e2, c2 in b.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        new_row = [zero] * width
+        for j, acc in accs.items():
+            new_row[j] = wrap(ring, _reduced(acc, p))
         out.append(new_row)
     return out
 
@@ -678,12 +720,11 @@ def _eliminate(M: list) -> LaurentPolynomial:
             row = M[r]
             if r == c or not row[c].terms:
                 continue
-            # pivot * row[j] - row[c] * top[j] for every j > c, then / p_l
-            (new,) = _matmul_rows(
-                ring, [[top[c], -row[c]]], list(zip(row[c + 1 :], top[c + 1 :]))
-            )
+            # pivot * row[j] - row[c] * top[j] for every j > c, then / p_l; a
+            # column zero in both rows stays zero and is not divided
+            (new,) = _matmul_rows(ring, [[top[c], -row[c]]], [row[c + 1 :], top[c + 1 :]])
             prev = pivots[level[r]]
-            row[c + 1 :] = [_exact_quotient(e, prev) for e in new]
+            row[c + 1 :] = [_exact_quotient(e, prev) if e.terms else e for e in new]
             level[r] = c + 1
     d = -pivots[-1] if negate else pivots[-1]
     if width > n and d.is_unit():

@@ -106,11 +106,11 @@ def _three_term(ring: RingDescriptor, steps, x: list, y: list) -> list:
     """The blocks y, x, x', x'', ... with x' = L (x; y) for each step L in turn.
 
     Every block is a list of rows over ring; each step gives the rows of an
-    N x 2N matrix L and costs one product with the stacked columns of (x; y).
+    N x 2N matrix L and costs one product with the stacked rows of (x; y).
     """
     out = [y, x]
     for left in steps:
-        out.append(_matmul_rows(ring, left, list(zip(*out[-1], *out[-2]))))
+        out.append(_matmul_rows(ring, left, out[-1] + out[-2]))
     return out
 
 
@@ -405,13 +405,13 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     rows = [row + [zero] * n for row in s1]
     # H's block column Q_j W^-1 for j = 0, ..., k - 1; upper[i] is block row i
     # of H from column i N on, and lower[i] its dagger
-    winv = list(zip(*(row[N:] for row in M)))
+    winv = [row[N:] for row in M]
     column = _matmul_rows(ring0, [r for Qj in Q[k:0:-1] for r in Qj], winv)
     upper = [_dagger_rows(ring0, column)]
     for i in range(k - 1):
         x = [row[N:] for row in upper[i]]
         y = [row[2 * N :] for row in upper[i - 1]] if i else [[zero] * (n - N)] * N
-        upper.append(_matmul_rows(ring0, left0[i], list(zip(*x, *y))))
+        upper.append(_matmul_rows(ring0, left0[i], x + y))
     lower = [column] + [_dagger_rows(ring0, u) for u in upper[1:-1]]
     for i, u in enumerate(upper):
         for r, row in enumerate(u):

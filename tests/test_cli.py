@@ -12,6 +12,8 @@ from maslovkit import HermitianForm, RingDescriptor, RingMatrix, serialize
 from maslovkit.cli import main
 from maslovkit.fixtures import write_all
 
+from helpers import time_limit
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
@@ -207,6 +209,19 @@ def test_lagrangian_check_rejects_huge_exponent_spread(capsys):
     code, out = run_cli(capsys, ["lagrangian", "check", "--module", json.dumps(blob)])
     assert code == 2
     assert json.loads(out)["error"] == "domain-error"
+
+
+def test_maslov_pair_with_a_huge_exponent_span_is_fast(capsys):
+    # q0 = q1 = a^+ a for a = (1, x^(10^9) + 2; 0, 1): the row products and
+    # Bareiss steps work on sparse terms, so a span of 10^9 costs no more
+    # than a span of 1; anything dense in the exponents would not finish
+    ring = RingDescriptor(5, 1)
+    a = RingMatrix(ring, [[1, ring.x(0, 10**9) + 2], [0, 1]])
+    blob = json.dumps(serialize.encode_form(HermitianForm(a.dagger() @ a, 1)))
+    with time_limit(1):
+        code, out = run_cli(capsys, ["maslov", "pair", "--q0", blob, "--q1", blob])
+    assert code == 0
+    assert json.loads(out)["witt"] is None
 
 
 def test_maslov_compute_rejects_non_loops(capsys):

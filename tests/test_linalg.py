@@ -1,12 +1,13 @@
 """Matrix algebra, Smith normal form, kernels and inverses."""
 
 import random
+from math import isqrt
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Poly, symbols
+from sympy import Poly, nextprime, prevprime, symbols
 
 from maslovkit import (
     DomainError,
@@ -409,7 +410,39 @@ def test_matmul_rows_matches_dense_product(ring, m, k, n, rng):
         j = rng.randrange(n)
         for row in B:
             row[j] = ring.zero()
-    columns = [list(col) for col in zip(*B)] if k else [[] for _ in range(n)]
-    got = _matmul_rows(ring, A, columns)
-    want = [[sum(map(mul, row, col), ring.zero()) for col in columns] for row in A]
-    assert got == want and all(len(row) == n for row in got)
+    got = _matmul_rows(ring, A, B, n)
+    assert got == _dense_product(A, B, n, ring.zero())
+
+
+def _dense_product(A, B, n, zero):
+    """The rows of A B entry by entry, from the rows of A and of B (n wide)."""
+    columns = list(zip(*B)) if B else [()] * n
+    return [[sum(map(mul, row, col), zero) for col in columns] for row in A]
+
+
+def test_matmul_rows_int_rows_match_dense_product():
+    # int rows over F_p on both sides of the packing gate (m k n against
+    # _PACK_MIN) and of each slot width: for the drawn k, primes whose
+    # k (p - 1)^2 lies just below and just above 2^16, 2^32 and 2^64.  A's
+    # first row and B's first column are all p - 1, so one entry sums to
+    # exactly k (p - 1)^2; A's last row and B's last column are all zero
+    rng = random.Random(16)
+    gate = linalg._PACK_MIN
+    shapes = [(0, 5, 7), (5, 0, 7), (7, 5, 0), (1, 1, 1), (4, 8, 4), (1, 2, gate // 2 - 1),
+              (1, 2, gate // 2), (6, 12, 6), (12, 24, 12), (24, 48, 24)]
+    for m, k, n in shapes:
+        primes = [3, 13, 10**9 + 7]
+        for bits in (16, 32, 64):
+            below = prevprime(isqrt((2**bits - 1) // max(k, 1)) + 2)
+            primes += [below, nextprime(below)]
+        for p in primes:
+            ring = RingDescriptor(p)
+            A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+            B = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)] for _ in range(k)]
+            if m and k:
+                A[0], A[-1] = [p - 1] * k, [0] * k
+            for row in B if n else ():
+                row[0], row[-1] = p - 1, 0
+            got = _matmul_rows(ring, A, B, n)
+            want = [[v % p for v in row] for row in _dense_product(A, B, n, 0)]
+            assert got == want and all(len(row) == n for row in got)

@@ -361,6 +361,14 @@ def test_maslov_determinant_equals_det_of_representative():
         for N in (1, 2):
             forms = (scalar_form(ring, 2 + ring.T(), N), scalar_form(ring, 0, N))
             loops.append(LagrangianLoop(SturmSequence(ring, N, forms)))
+    # F_p loops whose products are packed; at p = 10^9 + 7 the 2N-term sums
+    # of the recurrence are too wide for a slot and fall back; the dense
+    # inverse below packs nothing
+    wide = random.Random(16)
+    for p in (5, 13, 10**9 + 7):
+        for N in (12, 16, 24):
+            q0, q1 = (rand_symmetric_nondeg(p, N, wide) for _ in range(2))
+            loops.append(loop_from_pair(q0, q1))
     for loop in loops:
         result = maslov_index(loop)
         s0, s1 = (sturm_tridiagonal(loop.seq.truncated()).eval_T(t).matrix for t in (0, 1))
