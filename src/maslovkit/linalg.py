@@ -6,7 +6,9 @@ every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and span
 
 Only this module decides how entries are stored while they are computed on:
 its private rows (_rows and the helpers after it) hold int residues over F_p
-and polynomials elsewhere.  Eliminations run mod p over F_p and fraction-free
+and polynomials elsewhere.  _wrap turns rows back into a matrix, and
+_interpolate turns the rows of two T-free matrices A and B into the matrix
+A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.  Eliminations run mod p over F_p and fraction-free
 (Bareiss) elsewhere; a Bareiss step touches only the rows with a nonzero entry
 in the pivot column, the others keep the level of their last update and are
 caught up lazily.  A division by a single-term pivot is an exponent shift.
@@ -101,10 +103,7 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: RingDescriptor, n: int) -> "RingMatrix":
-        one, zero = ring.one(), ring.zero()
-        return cls._unchecked(
-            ring, [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
-        )
+        return cls.scalar(ring, n, 1)
 
     @classmethod
     def zeros(cls, ring: RingDescriptor, r: int, c: int) -> "RingMatrix":
@@ -112,7 +111,12 @@ class RingMatrix:
 
     @classmethod
     def scalar(cls, ring: RingDescriptor, n: int, c) -> "RingMatrix":
-        return cls(ring, [[c if i == j else 0 for j in range(n)] for i in range(n)])
+        """c times the n x n identity; c is checked once and its entries shared."""
+        ((c,),) = cls(ring, [[c]]).entries
+        zero = ring.zero()
+        return cls._unchecked(
+            ring, [tuple(c if i == j else zero for j in range(n)) for i in range(n)], n
+        )
 
     @classmethod
     def column(cls, ring: RingDescriptor, entries) -> "RingMatrix":
@@ -217,7 +221,13 @@ class RingMatrix:
         return zip(*self.entries) if self.entries else [()] * self.cols
 
     def dagger(self) -> "RingMatrix":
-        """Transpose with entrywise involution (the dual map)."""
+        """Transpose with entrywise involution (the dual map).
+
+        Without spatial variables the involution is trivial, and entries are
+        immutable, so the dagger is the transpose.
+        """
+        if not self.ring.spatial_vars:
+            return self.transpose()
         return RingMatrix._unchecked(
             self.ring,
             [tuple(e.involute() for e in col) for col in self._columns()],
@@ -508,6 +518,44 @@ def _wrap(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
     return RingMatrix._unchecked(ring, entries, cols)
 
 
+def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatrix:
+    """The matrix over ring, a ring with T, whose entries are v0 + T (v1 - v0).
+
+    rows0 and rows1 hold the entries v0 and v1 as _rows gives them over the
+    ring without T, so the result M has _rows(M, 0) == rows0 and
+    _rows(M, 1) == rows1.  Over F_p each entry is one small dict; elsewhere
+    the terms of v0 and of v1 - v0 are shifted to T^0 and T^1.  cols is the
+    width when there are no rows.
+    """
+    wrap = LaurentPolynomial._unchecked
+    if ring.spatial_vars:
+
+        def entry(v0, slope):
+            terms = {e + (0,): c for e, c in v0.terms.items()}
+            terms.update({e + (1,): c for e, c in slope.terms.items()})
+            return wrap(ring, terms)
+
+    else:
+
+        def entry(v0, slope):
+            terms = {(0,): v0} if v0 else {}
+            if slope:
+                terms[(1,)] = slope
+            return wrap(ring, terms)
+
+    slopes = _sub_rows(ring.drop_T(), rows1, rows0)
+    rows = [tuple(map(entry, r0, s)) for r0, s in zip(rows0, slopes)]
+    return RingMatrix._unchecked(ring, rows, cols)
+
+
+def _sub_rows(ring: RingDescriptor, A: list, B: list) -> list:
+    """The rows of A - B from the rows of A and of B, as _rows gives them."""
+    if ring.nexponents:
+        return [list(map(sub, a, b)) for a, b in zip(A, B)]
+    p = ring.p
+    return [[(x - y) % p for x, y in zip(a, b)] for a, b in zip(A, B)]
+
+
 def _scalars(ring: RingDescriptor) -> tuple:
     """(zero, one, neg) for _rows over ring; neg negates an entry."""
     if ring.nexponents:
@@ -740,12 +788,17 @@ def det(A: RingMatrix) -> LaurentPolynomial:
     return _eliminate_rows(A.ring, _rows(A))
 
 
+def _inverse_rows(ring: RingDescriptor, rows: list) -> list:
+    """The rows of A^-1 from the n rows of a square A; NotAUnit unless det A is a unit."""
+    n = len(rows)
+    M = [a + b for a, b in zip(rows, _identity_rows(ring, n))]
+    if not _eliminate_rows(ring, M).is_unit():
+        raise NotAUnit("matrix is not invertible over the ring")
+    return [row[n:] for row in M]
+
+
 def inverse(A: RingMatrix) -> RingMatrix:
     """Inverse of a matrix whose determinant is a unit; NotAUnit otherwise."""
     if not A.is_square():
         raise ShapeError("inverse of a non-square matrix")
-    ring, n = A.ring, A.rows
-    M = [a + b for a, b in zip(_rows(A), _identity_rows(ring, n))]
-    if not _eliminate_rows(ring, M).is_unit():
-        raise NotAUnit("matrix is not invertible over the ring")
-    return _wrap(ring, [row[n:] for row in M], n)
+    return _wrap(A.ring, _inverse_rows(A.ring, _rows(A)), A.rows)

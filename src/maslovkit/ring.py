@@ -163,8 +163,11 @@ class RingDescriptor:
 
     def __post_init__(self):
         _check_odd_prime(self.p)
-        if self.spatial_vars < 0:
-            raise DomainError("spatial variable count must be >= 0")
+        d = self.spatial_vars
+        if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+            raise DomainError(f"spatial variable count must be an int >= 0, got {d!r}")
+        if not isinstance(self.has_T, bool):
+            raise DomainError(f"has_T must be a bool, got {self.has_T!r}")
 
     @property
     def nexponents(self) -> int:
@@ -212,7 +215,10 @@ class RingDescriptor:
 
 @cache
 def _interned(p: int, spatial_vars: int, has_T: bool) -> RingDescriptor:
-    """One shared descriptor per ring, for the T-twins of a validated one."""
+    """One shared descriptor per ring, validated once when it is first built.
+
+    The T-twins of a descriptor and every decoded ring come from here.
+    """
     return RingDescriptor(p, spatial_vars, has_T)
 
 

@@ -19,7 +19,7 @@ from .pauli import (
     elementary_unitary,
     hyperbolic_unitary,
 )
-from .ring import LaurentPolynomial, RingDescriptor
+from .ring import LaurentPolynomial, RingDescriptor, _interned
 from .sturm import LagrangianLoop, MaslovResult, SturmSequence, validate_loop
 
 
@@ -45,10 +45,11 @@ def encode_ring(ring: RingDescriptor) -> dict:
 
 
 def decode_ring(obj) -> RingDescriptor:
+    """The interned descriptor: each ring is validated once and shared."""
     p = _expect(obj, "p", int, "ring")
     variables = _expect(obj, "vars", list, "ring")
     has_T = _expect(obj, "T", bool, "ring")
-    return RingDescriptor(p, len(variables), has_T)
+    return _interned(p, len(variables), has_T)
 
 
 def encode_poly(f: LaurentPolynomial) -> dict:
@@ -60,16 +61,21 @@ def encode_poly(f: LaurentPolynomial) -> dict:
 
 
 def decode_poly(obj) -> LaurentPolynomial:
+    """Each term is checked once here; duplicate exponents are summed mod p."""
     ring = decode_ring(obj)
     raw = _expect(obj, "terms", list, "polynomial")
+    width, p = ring.nexponents, ring.p
     terms = {}
     for item in raw:
         exps = _expect(item, "e", list, "polynomial term")
         c = _expect(item, "c", int, "polynomial term")
-        if len(exps) != ring.nexponents or not all(type(e) is int for e in exps):
+        if len(exps) != width or not all(type(e) is int for e in exps):
             raise DomainError("polynomial term: bad exponent tuple")
-        terms[tuple(exps)] = terms.get(tuple(exps), 0) + c
-    return LaurentPolynomial(ring, terms)
+        if ring.has_T and exps[-1] < 0:
+            raise DomainError("polynomial term: T exponent must be non-negative")
+        exps = tuple(exps)
+        terms[exps] = (terms.get(exps, 0) + c) % p
+    return LaurentPolynomial._unchecked(ring, {e: c for e, c in terms.items() if c})
 
 
 # -- matrices and forms ------------------------------------------------------
@@ -96,7 +102,7 @@ def decode_matrix(obj) -> RingMatrix:
     ):
         raise DomainError("matrix: entry grid does not match rows x cols")
     entries = [tuple(decode_poly(e) for e in row) for row in raw]
-    if any(e.ring != ring for row in entries for e in row):
+    if any(e.ring is not ring for row in entries for e in row):
         raise DomainError("matrix: entry ring differs from matrix ring")
     return RingMatrix._unchecked(ring, entries, cols)
 

@@ -18,7 +18,8 @@ come from the three-term recurrence x_{i-1} = -x_{i+1} - D_i x_i of S(t) on
 N x N blocks, the same recurrence the words run on, so no elimination sees
 more than N rows.  _three_term is the one implementation of that recurrence:
 words, loop tests and the index all run it on the private rows of linalg,
-one path for every ring.
+one path for every ring.  loop_from_pair builds its forms on the same rows:
+each T-form is the interpolation of its rows at T = 0 and T = 1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .forms import HermitianForm, WittClass
 from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
-from .linalg import _matmul_rows, _rows, _scalars, _wrap
+from .linalg import _interpolate, _inverse_rows, _matmul_rows, _rows, _scalars, _sub_rows, _wrap
 from .pauli import CliffordUnitary, PauliModule, StabilizerModule
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
@@ -292,31 +293,16 @@ def constant_loop(ring: RingDescriptor, N: int, pairs: int = 0) -> LagrangianLoo
     return LagrangianLoop(SturmSequence(ring, N, (zero,) * (2 * pairs + 1)))
 
 
-def _plus_T_times(A: RingMatrix, B: RingMatrix) -> HermitianForm:
-    """The form A + T B over R[T] for T-free hermitian A and B, term by term."""
-    ring, wrap = A.ring.with_T(), LaurentPolynomial._unchecked
-    rows = [
-        tuple(
-            wrap(
-                ring,
-                {e + (k,): c for k, f in enumerate(fg) for e, c in f.terms.items()},
-            )
-            for fg in zip(row_a, row_b)
-        )
-        for row_a, row_b in zip(A.entries, B.entries)
-    ]
-    return HermitianForm(RingMatrix._unchecked(ring, rows, A.cols), 1)
-
-
 def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
     """The loop interpolating the graphs of two nondegenerate forms.
 
     The parametrized word E0((1-T)q0 + Tq1) E1((T-1)q0^-1 - Tq1^-1) lands on
     L* rather than L; conjugating by sigma = E1(1) E0(-1) E1(1) turns it
     into the L-based type (0, 4) sequence
-        ((1-T)q0 + Tq1, (T-1)q0^-1 - Tq1^-1 + 1, -1, 1, 0),
-    whose first two forms are built as q0 + T(q1 - q0) and
-    (1 - q0^-1) + T(q0^-1 - q1^-1).  It is a loop by construction: not re-validated.
+        ((1-T)q0 + Tq1, (T-1)q0^-1 - Tq1^-1 + 1, -1, 1, 0).
+    Its first two forms are the interpolations v0 + T(v1 - v0) from q0 to q1
+    and from 1 - q0^-1 to 1 - q1^-1, built on the rows of linalg, where the
+    inverses are taken.  It is a loop by construction: not re-validated.
     """
     if q0.ring != q1.ring:
         raise RingMismatch("forms live over different rings")
@@ -324,25 +310,26 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         raise ShapeError("forms have different ranks")
     if q0.ring.has_T:
         raise DomainError("input forms must be T-free")
-    inverses = []
+    ring, N = q0.ring, q0.dim
+    ident = _identity_rows(ring, N)
+    ends, shifted = [], []  # the rows of q and of 1 - q^-1 at T = 0 and T = 1
     for q in (q0, q1):
         if q.sign != 1 or not q.is_hermitian():
             raise FormError("loop construction needs +hermitian forms")
+        ends.append(_rows(q.matrix))
         try:
-            inverses.append(inverse(q.matrix))
+            inv = _inverse_rows(ring, ends[-1])
         except NotAUnit:
             raise DegenerateForm(
                 "loop construction needs nondegenerate forms"
             ) from None
-    q0inv, q1inv = inverses
-    ring_T = q0.ring.with_T()
-    N = q0.dim
-    ident = RingMatrix.identity(ring_T, N)
+        shifted.append(_sub_rows(ring, ident, inv))
+    ring_T = ring.with_T()
     forms = (
-        _plus_T_times(q0.matrix, q1.matrix - q0.matrix),
-        _plus_T_times(RingMatrix.identity(q0.ring, N) - q0inv, q0inv - q1inv),
-        HermitianForm(-ident, 1),
-        HermitianForm(ident, 1),
+        HermitianForm(_interpolate(ring_T, *ends, N), 1),
+        HermitianForm(_interpolate(ring_T, *shifted, N), 1),
+        HermitianForm(RingMatrix.scalar(ring_T, N, -1), 1),
+        HermitianForm(RingMatrix.identity(ring_T, N), 1),
         HermitianForm(RingMatrix.zeros(ring_T, N, N), 1),
     )
     return LagrangianLoop(SturmSequence._unchecked(ring_T, N, forms, 0))

@@ -26,7 +26,7 @@ from maslovkit import (
     spans_equal,
 )
 from maslovkit import linalg
-from maslovkit.linalg import _matmul_rows, _rows, _wrap, laurent_divmod, spread
+from maslovkit.linalg import _interpolate, _matmul_rows, _rows, _wrap, laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix, time_limit
 
@@ -362,6 +362,36 @@ def test_rows_round_trip(ring, rows, cols, rng):
         for t in (0, 1):
             B = _wrap(ring.drop_T(), _rows(A, t), A.cols)
             assert B == A.eval_T(t) and B.shape == A.shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((F5, RingDescriptor(10**9 + 7), L5, RingDescriptor(5, 2))),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.randoms(use_true_random=False),
+)
+def test_interpolate_round_trip(ring, rows, cols, rng):
+    # the matrix v0 + T (v1 - v0) built on rows gives back its rows at T = 0
+    # and T = 1, and equals A + T (B - A) built with public operations
+    def draw():
+        if not rows:
+            return RingMatrix.zeros(ring, 0, cols)
+        M = rand_matrix(ring, rng, rows, cols)
+        if rng.random() < 0.3:  # large residues and repeated entries
+            value = ring.constant(rng.choice((1, ring.p - 1)))
+            M = RingMatrix(ring, [[value if rng.random() < 0.5 else e for e in row] for row in M.entries])
+        return M
+
+    A = draw()
+    B = A if rng.random() < 0.2 else draw()
+    r0, r1 = _rows(A), _rows(B)
+    ring_T = ring.with_T()
+    M = _interpolate(ring_T, r0, r1, cols)
+    assert M.ring is ring_T and M.shape == A.shape
+    assert _rows(M, 0) == r0 and _rows(M, 1) == r1
+    T = RingMatrix.scalar(ring_T, rows, ring_T.T())
+    assert M == A.lift_T() + T @ (B - A).lift_T()
 
 
 def test_wrap_over_field_matches_constructor():

@@ -189,3 +189,15 @@ def test_T_twins_are_interned():
     assert base.drop_T() == base and base.with_T() != base
     f = L5T.x(0) * L5T.T() + 3
     assert f.eval_T(2).ring is (L5.x(0) + 1).lift_T().eval_T(0).ring
+
+
+def test_descriptor_fields_are_checked():
+    # spatial_vars is an int >= 0 (not a bool), has_T a bool
+    for bad in ((5, 1.5), (5, "a"), (5, True), (5, False), (5, -1), (5, None)):
+        with pytest.raises(DomainError):
+            RingDescriptor(*bad)
+    for has_T in (1, 0, "yes", None):
+        with pytest.raises(DomainError):
+            RingDescriptor(5, 1, has_T)
+    ring = RingDescriptor(5, 2, True)
+    assert (ring.spatial_vars, ring.has_T, ring.nexponents) == (2, True, 3)

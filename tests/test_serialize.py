@@ -11,6 +11,7 @@ from maslovkit import (
     HermitianForm,
     RingDescriptor,
     RingMatrix,
+    ShapeError,
     WittClass,
     apply,
     hyperbolic_unitary,
@@ -136,19 +137,49 @@ def test_group_encoding():
 
 
 def test_malformed_inputs_raise_domain_error():
+    F5_json = {"p": 5, "vars": [], "T": False}
+    x_entry = {"p": 5, "vars": ["x1"], "T": False, "terms": [{"e": [1], "c": 1}]}
     bad_cases = [
         ({"p": 5, "vars": ["x1"]}, serialize.decode_ring),
         ({"p": "5", "vars": [], "T": False}, serialize.decode_ring),
+        ({"p": 5, "vars": 1, "T": False}, serialize.decode_ring),
+        ({"p": 5, "vars": "x1", "T": False}, serialize.decode_ring),
         ({"p": 5, "vars": [], "T": False, "terms": [{"e": [1], "c": 1}]}, serialize.decode_poly),
         ({"p": 5, "vars": [], "T": False, "terms": [{"c": 1}]}, serialize.decode_poly),
-        ({"rows": 2, "cols": 1, "ring": {"p": 5, "vars": [], "T": False}, "entries": []}, serialize.decode_matrix),
+        ({"p": 5, "vars": [], "T": True, "terms": [{"e": [-1], "c": 1}]}, serialize.decode_poly),
+        ({"p": 5, "vars": ["x1"], "T": True, "terms": [{"e": [2, -3], "c": 1}]}, serialize.decode_poly),
+        ({"rows": 2, "cols": 1, "ring": F5_json, "entries": []}, serialize.decode_matrix),
         ({"rows": 0, "cols": 0, "ring": {"p": 4, "vars": [], "T": False}, "entries": []}, serialize.decode_matrix),
+        ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[x_entry]]}, serialize.decode_matrix),
+        ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[{**x_entry, "p": 7, "vars": []}]]},
+         serialize.decode_matrix),
         ("nope", serialize.decode_circuit),
         ([{"kind": "E9", "payload": {}}], serialize.decode_circuit),
     ]
     for blob, decoder in bad_cases:
-        with pytest.raises((DomainError, Exception)):
+        with pytest.raises(DomainError):
             decoder(blob)
+
+
+def test_decode_poly_sums_duplicate_terms_mod_p():
+    ring = {"p": 5, "vars": ["x1"], "T": True}
+    cancel = [{"e": [1, 2], "c": 2}, {"e": [0, 0], "c": 4}, {"e": [1, 2], "c": 3}]
+    f = serialize.decode_poly({**ring, "terms": cancel})
+    assert f.terms == {(0, 0): 4} and f == 4 * L5T.one()
+    assert serialize.decode_poly({**ring, "terms": cancel[::2]}).is_zero()
+    big = {"p": 10**9 + 7, "vars": [], "T": False, "terms": [{"e": [], "c": -1}, {"e": [], "c": 10**9 + 8}]}
+    assert serialize.decode_poly(big).is_zero()
+    assert serialize.decode_poly({**big, "terms": big["terms"][:1]}).terms == {(): 10**9 + 6}
+
+
+def test_decoded_entries_share_one_descriptor():
+    rng = random.Random(42)
+    for ring in (RingDescriptor(5), L5, L5T, RingDescriptor(7, 2)):
+        blob = json.loads(json.dumps(serialize.encode_matrix(rand_matrix(ring, rng, 3, 2))))
+        decoded = serialize.decode_matrix(blob)
+        assert decoded.ring == ring
+        assert all(e.ring is decoded.ring for row in decoded.entries for e in row)
+        assert serialize.decode_ring(blob["ring"]) is decoded.ring
 
 
 def test_booleans_are_not_integers():
@@ -176,7 +207,7 @@ def test_module_decode_checks_shape():
     ring_json = {"p": 5, "vars": ["x1"], "T": False}
     gens = serialize.encode_matrix(RingMatrix.identity(L5, 3))
     blob = {"N": 1, "ring": ring_json, "generators": gens}
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError):
         serialize.decode_module(blob)
 
 

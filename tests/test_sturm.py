@@ -8,6 +8,7 @@ from maslovkit import (
     DegenerateForm,
     DomainError,
     FieldElement,
+    FormError,
     HermitianForm,
     InternalInvariantViolation,
     LagrangianLoop,
@@ -15,6 +16,7 @@ from maslovkit import (
     PauliModule,
     RingDescriptor,
     RingMatrix,
+    RingMismatch,
     StabilizerModule,
     SturmSequence,
     WittClass,
@@ -511,6 +513,57 @@ def test_loop_from_pair_builds_loops():
                 for q1 in forms:
                     loop = loop_from_pair(q0, q1)
                     assert validate_loop(loop.seq) == loop
+
+
+def entrywise_loop_forms(q0, q1):
+    """Reference: the forms of loop_from_pair built entry by entry, as
+    (q0 + T(q1 - q0), (1 - q0^-1) + T(q0^-1 - q1^-1), -1, 1, 0)."""
+    ring, N = q0.ring, q0.dim
+    ring_T, T = ring.with_T(), ring.with_T().T()
+    q0inv, q1inv = inverse(q0.matrix), inverse(q1.matrix)
+    one, one_T = RingMatrix.identity(ring, N), RingMatrix.identity(ring_T, N)
+    matrices = (
+        q0.matrix.lift_T() + (q1.matrix - q0.matrix).lift_T().scale(T),
+        (one - q0inv).lift_T() + (q0inv - q1inv).lift_T().scale(T),
+        -one_T,
+        one_T,
+        RingMatrix.zeros(ring_T, N, N),
+    )
+    return tuple(HermitianForm(m, 1) for m in matrices)
+
+
+def test_loop_from_pair_matches_entrywise_construction():
+    rng = random.Random(74)
+    cases = []
+    for ring in (F5, RingDescriptor(13), RingDescriptor(10**9 + 7), L5, RingDescriptor(5, 2)):
+        entry = sum((ring.x(i) for i in range(ring.spatial_vars)), ring.constant(2))
+        for N in (0, 1, 3, 8):
+            a = unipotent(ring, N, entry)
+            q, r = _nondeg_form(ring, N, rng), _nondeg_form(ring, N, rng)
+            cases += [(q, r), (HermitianForm(a.dagger() @ a, 1), q), (q, q)]
+    for q0, q1 in cases:
+        loop = loop_from_pair(q0, q1)
+        expected = SturmSequence(q0.ring.with_T(), q0.dim, entrywise_loop_forms(q0, q1))
+        assert loop.seq == expected
+        assert all(q.ring is loop.ring for q in loop.seq.forms)
+    # the checks come first, in the same order: hermitian, then nondegenerate
+    one, x = scalar_form(L5, 1), L5.x(0)
+    not_hermitian = HermitianForm(RingMatrix(L5, [[1, x], [0, 1]]), 1)
+    singular = HermitianForm(RingMatrix(L5, [[x + L5.x(0, -1), 0], [0, 1]]), 1)  # det no unit
+    with pytest.raises(FormError):
+        loop_from_pair(scalar_form(L5, 1, 2), not_hermitian)
+    with pytest.raises(FormError):
+        loop_from_pair(HermitianForm(RingMatrix(F5, [[1, 2], [3, 1]]), 1), scalar_form(F5, 1, 2))
+    with pytest.raises(FormError):
+        loop_from_pair(HermitianForm(RingMatrix.identity(F5, 1), -1), scalar_form(F5, 1))
+    with pytest.raises(DegenerateForm):
+        loop_from_pair(singular, not_hermitian)
+    with pytest.raises(DegenerateForm):
+        loop_from_pair(scalar_form(F5, 1), scalar_form(F5, 5))
+    with pytest.raises(RingMismatch):
+        loop_from_pair(one, scalar_form(RingDescriptor(7, 1), 1))
+    with pytest.raises(RingMismatch):
+        loop_from_pair(scalar_form(F5, 1), one)
 
 
 def test_maslov_laurent_ring_invariants():
