@@ -96,7 +96,6 @@ from .lgroups import (
     classify_loops,
     fundamental_ideal_group,
     lgroup,
-    lgroup_base,
     witt_group_structure,
 )
 

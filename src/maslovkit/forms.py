@@ -93,6 +93,12 @@ def hyperbolic_form(n: int, sign: int, ring: RingDescriptor) -> HermitianForm:
     return HermitianForm(matrix, sign)
 
 
+def _require_plus_hermitian(F: HermitianForm, message: str):
+    """FormError(message) unless F is flagged +hermitian and is hermitian."""
+    if F.sign != 1 or not F.is_hermitian():
+        raise FormError(message)
+
+
 def _require_field(F: HermitianForm, what: str):
     if F.ring.spatial_vars > 0 or F.ring.has_T:
         raise UnsupportedRing(f"{what} is only defined over F_p (d = 0, no T)")
@@ -108,8 +114,7 @@ def diagonalize(F: HermitianForm) -> list[FieldElement]:
     to F.
     """
     _require_field(F, "diagonalization")
-    if F.sign != 1 or not F.is_hermitian():
-        raise FormError("diagonalization expects a symmetric (+hermitian) form")
+    _require_plus_hermitian(F, "diagonalization expects a symmetric (+hermitian) form")
     if F.dim == 0:
         return []
     d = det(F.matrix).augment()
@@ -193,8 +198,7 @@ class WittClass:
 def witt_class(F: HermitianForm) -> WittClass:
     """Witt class of a nondegenerate symmetric form over F_p."""
     _require_field(F, "Witt classification")
-    if F.sign != 1 or not F.is_hermitian():
-        raise FormError("Witt classification expects a +hermitian form")
+    _require_plus_hermitian(F, "Witt classification expects a +hermitian form")
     return WittClass.from_determinant(F.dim, det(F.matrix))
 
 

@@ -104,14 +104,6 @@ def witt_group_structure(p: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_orders((4,))
 
 
-def lgroup_base(n: int, p: int) -> FiniteAbelianGroup:
-    """Base of the recursion: the Witt group for n = 0, trivial otherwise."""
-    _check_odd_prime(p)
-    if n % 4 == 0:
-        return witt_group_structure(p)
-    return FiniteAbelianGroup.trivial()
-
-
 def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
     """L_n over d Laurent variables: W(F_p)^m, m = sum of C(d, k), k = n mod 4."""
     _check_odd_prime(p)

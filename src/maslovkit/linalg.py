@@ -52,7 +52,7 @@ from .errors import (
     ShapeError,
     UnsupportedRing,
 )
-from .ring import FieldElement, LaurentPolynomial, RingDescriptor, _reduced
+from .ring import LaurentPolynomial, RingDescriptor, _reduced
 
 
 class RingMatrix:
@@ -69,10 +69,8 @@ class RingMatrix:
         for raw in entries:
             row = []
             for e in raw:
-                if isinstance(e, (int, FieldElement)):
-                    e = ring.constant(e)
                 if not isinstance(e, LaurentPolynomial):
-                    raise ShapeError(f"bad matrix entry {e!r}")
+                    e = ring.constant(e)
                 if e.ring != ring:
                     raise RingMismatch("entry ring differs from matrix ring")
                 row.append(e)
@@ -107,20 +105,16 @@ class RingMatrix:
 
     @classmethod
     def zeros(cls, ring: RingDescriptor, r: int, c: int) -> "RingMatrix":
+        if not all(type(n) is int and n >= 0 for n in (r, c)):
+            raise DomainError(f"matrix sizes are ints >= 0, got {r!r} x {c!r}")
         return cls._unchecked(ring, [(ring.zero(),) * c] * r, c)
 
     @classmethod
     def scalar(cls, ring: RingDescriptor, n: int, c) -> "RingMatrix":
         """c times the n x n identity; c is checked once and its entries shared."""
         ((c,),) = cls(ring, [[c]]).entries
-        zero = ring.zero()
-        return cls._unchecked(
-            ring, [tuple(c if i == j else zero for j in range(n)) for i in range(n)], n
-        )
-
-    @classmethod
-    def column(cls, ring: RingDescriptor, entries) -> "RingMatrix":
-        return cls(ring, [[e] for e in entries])
+        rows = cls.zeros(ring, n, n).entries
+        return cls._unchecked(ring, [r[:i] + (c,) + r[i + 1 :] for i, r in enumerate(rows)], n)
 
     @classmethod
     def from_blocks(cls, blocks) -> "RingMatrix":
@@ -200,7 +194,7 @@ class RingMatrix:
         )
 
     def scale(self, c) -> "RingMatrix":
-        if isinstance(c, (int, FieldElement)):
+        if not isinstance(c, LaurentPolynomial):
             c = self.ring.constant(c)
         return RingMatrix._unchecked(
             self.ring, [tuple(c * e for e in row) for row in self.entries], self.cols
@@ -300,8 +294,7 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     ring = f.ring
     if g.ring != ring:
         raise RingMismatch(f"rings differ: {ring} vs {g.ring}")
-    if ring.has_T or ring.spatial_vars > 1:
-        raise UnsupportedRing("division needs d <= 1 without T")
+    _check_snf_ring(ring)
     if g.is_zero():
         raise DivisionByZero("division by zero polynomial")
     if len(g.terms) == 1 or f.is_zero():  # exact: a unit g is an exponent shift
@@ -359,12 +352,9 @@ class SmithDecomposition:
 
 
 def _check_snf_ring(ring: RingDescriptor):
-    if ring.has_T:
-        raise UnsupportedRing("Smith normal form over rings with T is unsupported")
-    if ring.spatial_vars > 1:
-        raise UnsupportedRing(
-            f"Smith normal form needs d <= 1, got d = {ring.spatial_vars}"
-        )
+    """Division and the Smith form are Euclidean over F_p and F_p[x, x^-1] only."""
+    if ring.has_T or ring.spatial_vars > 1:
+        raise UnsupportedRing(f"division and Smith normal form need d <= 1 and no T, got {ring}")
 
 
 def _submul(M: list, dst: int, q: LaurentPolynomial, src: int):

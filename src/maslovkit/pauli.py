@@ -22,7 +22,7 @@ from .errors import (
     RingMismatch,
     ShapeError,
 )
-from .forms import HermitianForm, hyperbolic_form
+from .forms import HermitianForm, _require_plus_hermitian, hyperbolic_form
 from .linalg import (
     RingMatrix,
     _solve,
@@ -76,9 +76,10 @@ class PauliModule:
 class StabilizerModule:
     """Column span of a generator matrix inside a Pauli module.
 
-    Generating sets are highly non-unique, so no canonical form is imposed;
-    module equality is decided by mutual span containment.  Zero columns are
-    dropped on construction.
+    Generating sets are highly non-unique, so no canonical form is imposed:
+    == compares the generators, and modules_equal decides whether the spans
+    are equal (mutual span containment).  Zero columns are dropped on
+    construction.
     """
 
     __slots__ = ("ambient", "generators")
@@ -230,8 +231,7 @@ def modules_equal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
 
 def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
     """E0(q) = (1 0; q 1) on L, or E1(q) = (1 q; 0 1) on L*."""
-    if q.sign != 1 or not q.is_hermitian():
-        raise FormError("elementary unitaries need a +hermitian form")
+    _require_plus_hermitian(q, "elementary unitaries need a +hermitian form")
     ring = q.ring
     n = q.dim
     ident = RingMatrix.identity(ring, n)

@@ -63,6 +63,21 @@ def _check_odd_prime(p: int) -> None:
         raise DomainError(f"modulus must be an odd prime, got {p}")
 
 
+def _residue(c, p: int) -> int:
+    """The residue mod p of a scalar, the one check of scalars from outside.
+
+    A scalar is an int that is not a bool, or a FieldElement mod p: any other
+    value is a DomainError, a FieldElement of another modulus a RingMismatch.
+    """
+    if isinstance(c, FieldElement):
+        if c.p != p:
+            raise RingMismatch(f"scalar mod {c.p} used mod {p}")
+        return c.value
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise DomainError(f"scalars are ints or FieldElements, got {c!r}")
+    return c % p
+
+
 def _reduced(terms: dict, p: int) -> dict:
     """Reduce integer coefficients mod p and drop the terms that vanish."""
     return {e: r for e, c in terms.items() if (r := c % p)}
@@ -73,17 +88,13 @@ class FieldElement:
 
     __slots__ = ("value", "p")
 
-    def __init__(self, value: int, p: int):
+    def __init__(self, value: int | FieldElement, p: int):
         _check_odd_prime(p)
         self.p = p
-        self.value = value % p
+        self.value = _residue(value, p)
 
     def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise RingMismatch(f"moduli differ: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
+        if isinstance(other, (int, FieldElement)):
             return FieldElement(other, self.p)
         return NotImplemented
 
@@ -118,13 +129,11 @@ class FieldElement:
         return FieldElement(pow(self.value, -1, self.p), self.p)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (
-            isinstance(other, FieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
+        """Equal to the scalars of the same residue; anything else is unequal."""
+        try:
+            return self.value == _residue(other, self.p)
+        except (DomainError, RingMismatch):
+            return False
 
     def __hash__(self):
         return hash((self.value, self.p))
@@ -186,16 +195,12 @@ class RingDescriptor:
         return self.constant(1)
 
     def constant(self, c: int | FieldElement) -> "LaurentPolynomial":
-        if isinstance(c, FieldElement):
-            if c.p != self.p:
-                raise RingMismatch(f"constant mod {c.p} in ring mod {self.p}")
-            c = c.value
-        return LaurentPolynomial(self, {(0,) * self.nexponents: c % self.p})
+        return LaurentPolynomial(self, {(0,) * self.nexponents: c})
 
     def x(self, i: int, power: int = 1) -> "LaurentPolynomial":
         """The monomial x_{i+1}^power (i is zero-based)."""
-        if not 0 <= i < self.spatial_vars:
-            raise DomainError(f"variable index {i} out of range")
+        if type(i) is not int or not 0 <= i < self.spatial_vars:
+            raise DomainError(f"variable index {i!r} out of range")
         exps = [0] * self.nexponents
         exps[i] = power
         return LaurentPolynomial(self, {tuple(exps): 1})
@@ -203,14 +208,12 @@ class RingDescriptor:
     def T(self, power: int = 1) -> "LaurentPolynomial":
         if not self.has_T:
             raise DomainError("ring has no T variable")
-        if power < 0:
-            raise DomainError("T only carries non-negative exponents")
         exps = [0] * self.nexponents
         exps[-1] = power
         return LaurentPolynomial(self, {tuple(exps): 1})
 
-    def monomial(self, exponents, c: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial(self, {tuple(exponents): c % self.p})
+    def monomial(self, exponents, c: int | FieldElement = 1) -> "LaurentPolynomial":
+        return LaurentPolynomial(self, {tuple(exponents): c})
 
 
 @cache
@@ -232,18 +235,17 @@ class LaurentPolynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingDescriptor, terms: dict):
+        """The one check of terms from outside: ring.nexponents ints (not bools)
+        per exponent tuple, the T exponent >= 0, and scalar coefficients."""
         cleaned = {}
-        width = ring.nexponents
+        width, p = ring.nexponents, ring.p
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != width:
-                raise DomainError(
-                    f"exponent tuple {exps} has length {len(exps)}, expected {width}"
-                )
+            if len(exps) != width or not all(type(e) is int for e in exps):
+                raise DomainError(f"exponent tuple {exps!r} must hold {width} ints")
             if ring.has_T and exps[-1] < 0:
                 raise DomainError("T exponent must be non-negative")
-            c = (c.value if isinstance(c, FieldElement) else c) % ring.p
-            if c:
+            if c := _residue(c, p):
                 cleaned[exps] = c
         self.ring = ring
         self.terms = cleaned
@@ -333,15 +335,13 @@ class LaurentPolynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int) or (
-            isinstance(other, FieldElement) and other.p == self.ring.p
-        ):
-            other = self.ring.constant(other)
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        """Polynomials compare by ring and terms, scalars as constants; else unequal."""
+        if not isinstance(other, LaurentPolynomial):
+            try:
+                other = self.ring.constant(other)
+            except (DomainError, RingMismatch):
+                return False
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -389,7 +389,7 @@ class LaurentPolynomial:
         if not self.ring.has_T:
             raise DomainError("ring has no T variable to evaluate")
         p = self.ring.p
-        t = (t.value if isinstance(t, FieldElement) else t) % p
+        t = _residue(t, p)
         out: dict = {}
         for exps, c in self.terms.items():
             e, k = exps[:-1], exps[-1]

@@ -36,11 +36,11 @@ from .errors import (
     RingMismatch,
     ShapeError,
 )
-from .forms import HermitianForm, WittClass
+from .forms import HermitianForm, WittClass, _require_plus_hermitian
 from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
 from .linalg import _interpolate, _inverse_rows, _matmul_rows, _rows, _scalars, _sub_rows, _wrap
 from .pauli import CliffordUnitary, PauliModule, StabilizerModule
-from .ring import FieldElement, LaurentPolynomial, RingDescriptor
+from .ring import LaurentPolynomial, RingDescriptor, _residue
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class SturmSequence:
                 raise RingMismatch("sequence entry over the wrong ring")
             if q.dim != self.N:
                 raise ShapeError(f"sequence entry of rank {q.dim}, expected {self.N}")
-            if q.sign != 1 or not q.is_hermitian():
-                raise FormError("sequence entries must be +hermitian")
+            _require_plus_hermitian(q, "sequence entries must be +hermitian")
 
     @classmethod
     def _unchecked(cls, ring, N, forms, start) -> "SturmSequence":
@@ -175,6 +174,9 @@ def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
 
 
 def _require_loop_type(seq: SturmSequence):
+    """A T-free sequence of type (0, 2n): one evaluated at a parameter value."""
+    if seq.ring.has_T:
+        raise DomainError("evaluate the sequence at a parameter value first")
     if seq.start != 0:
         raise DomainError("loop sequences must start at index 0")
     if len(seq.forms) % 2 == 0:
@@ -187,8 +189,6 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
     Requires a T-free sequence of type (0, 2n) with n >= 1.  Index k of the
     direct sum occupies the k-th N-wide slot of both the X and Z sides.
     """
-    if seq.ring.has_T:
-        raise DomainError("evaluate the sequence at a parameter value first")
     _require_loop_type(seq)
     blocks = len(seq.forms) - 1
     if blocks == 0:
@@ -217,8 +217,6 @@ def transversal_witness(seq: SturmSequence):
     The base case n = 0 returns the dual summand L* (with an empty form) as
     the witness: every graph of a form on L is transverse to it.
     """
-    if seq.ring.has_T:
-        raise DomainError("evaluate the sequence at a parameter value first")
     _require_loop_type(seq)
     ring = seq.ring
     N = seq.N
@@ -275,6 +273,8 @@ def validate_loop(seq: SturmSequence) -> LagrangianLoop:
         raise DomainError("loops are sequences over a ring with T")
     if seq.start != 0:
         raise DomainError("loop sequences must start at index 0")
+    if not seq.forms:
+        raise DomainError("a loop sequence of type (0, 2n) has at least one form")
     if len(seq.forms) % 2 == 0:
         seq = seq.padded(1)
     ring0, N = seq.ring.drop_T(), seq.N
@@ -287,6 +287,8 @@ def validate_loop(seq: SturmSequence) -> LagrangianLoop:
 
 def constant_loop(ring: RingDescriptor, N: int, pairs: int = 0) -> LagrangianLoop:
     """The constant loop at L, as 2*pairs + 1 zero forms over R[T]."""
+    if type(pairs) is not int or pairs < 0:
+        raise DomainError(f"a constant loop has an int pairs >= 0, got {pairs!r}")
     if not ring.has_T:
         ring = ring.with_T()
     zero = HermitianForm(RingMatrix.zeros(ring, N, N), 1)
@@ -314,8 +316,7 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
     ident = _identity_rows(ring, N)
     ends, shifted = [], []  # the rows of q and of 1 - q^-1 at T = 0 and T = 1
     for q in (q0, q1):
-        if q.sign != 1 or not q.is_hermitian():
-            raise FormError("loop construction needs +hermitian forms")
+        _require_plus_hermitian(q, "loop construction needs +hermitian forms")
         ends.append(_rows(q.matrix))
         try:
             inv = _inverse_rows(ring, ends[-1])
@@ -420,13 +421,12 @@ def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:
     At t = 0 this is the identity; at t = 1 it satisfies
     dagger(e) (q + (-q^-1)) e = lambda^+ exactly (2 must be invertible).
     """
-    if q.sign != 1 or not q.is_hermitian():
-        raise FormError("homotopy needs a +hermitian form")
+    _require_plus_hermitian(q, "homotopy needs a +hermitian form")
     try:
         qinv = inverse(q.matrix)
     except NotAUnit:
         raise DegenerateForm("homotopy needs a nondegenerate form") from None
-    t = _as_scalar(q.ring, t)
+    t = _residue(t, q.ring.p)
     half = pow(2, -1, q.ring.p)
     return _word_matrix(q.ring, q.dim, 1, [qinv.scale(t), q.matrix.scale(-t * half)])
 
@@ -436,7 +436,7 @@ def lambda_flip_homotopy(t, N: int, ring: RingDescriptor) -> RingMatrix:
 
     At t = 1 it conjugates lambda^+ to -lambda^+.
     """
-    t = _as_scalar(ring, t)
+    t = _residue(t, ring.p)
     half = pow(2, -1, ring.p)
     ident = RingMatrix.identity(ring, N)
     scalars = (t * half, -t, t, -t * half)
@@ -447,14 +447,3 @@ def _word_matrix(ring: RingDescriptor, N: int, start: int, matrices) -> RingMatr
     """The word of the hermitian-by-construction forms, from index start."""
     forms = tuple(HermitianForm(m, 1) for m in matrices)
     return sturm_unitary(SturmSequence._unchecked(ring, N, forms, start)).matrix
-
-
-def _as_scalar(ring: RingDescriptor, t) -> int:
-    """The residue of a homotopy parameter: an int (not a bool) or a FieldElement."""
-    if isinstance(t, FieldElement):
-        if t.p != ring.p:
-            raise RingMismatch("scalar modulus differs from the ring")
-        return t.value
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise DomainError(f"homotopy parameters are ints or FieldElements, got {t!r}")
-    return t % ring.p

@@ -256,6 +256,16 @@ def test_maslov_compute_rejects_negative_N(capsys):
         assert json.loads(out)["error"] == "domain-error"
 
 
+def test_maslov_compute_rejects_an_empty_loop_at_once(capsys):
+    # a type (0, 2n) sequence has at least one form; padding an empty one
+    # would build an N x N zero form, which no memory holds at N = 10^9
+    blob = {"N": 10**9, "ring": {"p": 5, "vars": [], "T": True}, "sturm": []}
+    with time_limit(1):
+        code, out = run_cli(capsys, ["maslov", "compute", "--loop", json.dumps(blob)])
+    assert code == 2
+    assert json.loads(out)["error"] == "domain-error"
+
+
 def test_lagrangian_check_cluster(capsys, fixture_dir):
     code, out = run_cli(
         capsys,

@@ -13,7 +13,6 @@ from maslovkit import (
     fundamental_ideal_group,
     in_fundamental_ideal,
     lgroup,
-    lgroup_base,
     loop_from_pair,
     maslov_index,
     witt_group_structure,
@@ -47,12 +46,13 @@ def test_constructor_is_canonical():
 
 
 def test_lgroup_base_examples():
-    assert lgroup_base(0, 5) == FiniteAbelianGroup.from_orders((2, 2))
-    assert lgroup_base(0, 7) == FiniteAbelianGroup.from_orders((4,))
-    assert lgroup_base(2, 5).is_trivial()
-    assert lgroup_base(1, 11).is_trivial()
+    # the base of the recursion is lgroup(n, 0, p): W(F_p) for n = 0, else trivial
+    assert lgroup(0, 0, 5) == FiniteAbelianGroup.from_orders((2, 2))
+    assert lgroup(0, 0, 7) == FiniteAbelianGroup.from_orders((4,))
+    assert lgroup(2, 0, 5).is_trivial()
+    assert lgroup(1, 0, 11).is_trivial()
     with pytest.raises(DomainError):
-        lgroup_base(0, 9)
+        lgroup(0, 0, 9)
 
 
 def test_lgroup_recursion_examples():

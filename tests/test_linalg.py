@@ -161,6 +161,29 @@ def test_snf_ring_restrictions():
         smith_normal_form(RingMatrix.identity(RingDescriptor(5, 1, True), 2))
 
 
+def test_divmod_takes_the_snf_ring_gate():
+    # division runs on the rings the Smith form runs on: d <= 1, no T
+    for ring in (RingDescriptor(5, 2), RingDescriptor(5, 1, True), RingDescriptor(5, 0, True)):
+        with pytest.raises(UnsupportedRing, match="d <= 1 and no T"):
+            laurent_divmod(ring.one(), ring.one())
+
+
+def test_negative_matrix_sizes_are_rejected():
+    for make in (
+        lambda: RingMatrix.identity(L5, -3),
+        lambda: RingMatrix.scalar(L5, -1, 2),
+        lambda: RingMatrix.zeros(L5, -1, 2),
+        lambda: RingMatrix.zeros(L5, 2, -1),
+        lambda: RingMatrix.zeros(L5, 1.5, 2),
+        lambda: RingMatrix.identity(L5, True),
+    ):
+        with pytest.raises(DomainError, match=">= 0"):
+            make()
+    assert RingMatrix.identity(L5, 0).shape == (0, 0)
+    assert RingMatrix.zeros(L5, 0, 3).shape == (0, 3)
+    assert RingMatrix.scalar(L5, 2, 3) == RingMatrix(L5, [[3, 0], [0, 3]])
+
+
 def test_kernel_examples():
     x = L5.x(0)
     G = RingMatrix(L5, [[1, x]])

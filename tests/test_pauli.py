@@ -38,7 +38,7 @@ L5 = RingDescriptor(5, 1)
 
 
 def col(ring, entries):
-    return RingMatrix.column(ring, entries)
+    return RingMatrix(ring, [[e] for e in entries])
 
 
 def test_pairing_examples():

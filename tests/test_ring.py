@@ -8,11 +8,15 @@ from maslovkit import (
     DivisionByZero,
     DomainError,
     FieldElement,
+    HermitianForm,
     LaurentPolynomial,
     RingDescriptor,
+    RingMatrix,
     RingMismatch,
     is_square,
+    lambda_flip_homotopy,
     least_non_residue,
+    trivmas_homotopy,
 )
 
 from helpers import rand_poly
@@ -201,3 +205,44 @@ def test_descriptor_fields_are_checked():
             RingDescriptor(5, 1, has_T)
     ring = RingDescriptor(5, 2, True)
     assert (ring.spatial_vars, ring.has_T, ring.nexponents) == (2, True, 3)
+
+
+def test_one_scalar_rule_at_every_entry_point():
+    # a scalar is an int that is not a bool, or a FieldElement of the ring's p
+    q = HermitianForm(RingMatrix(F5, [[2]]), 1)
+    entry_points = {
+        "FieldElement": lambda c: FieldElement(c, 5).value,
+        "constant": lambda c: F5.constant(c),
+        "monomial": lambda c: L5.monomial((2,), c),
+        "LaurentPolynomial": lambda c: LaurentPolynomial(L5T, {(1, 2): c}),
+        "RingMatrix": lambda c: RingMatrix(L5, [[1, c]]),
+        "scale": lambda c: RingMatrix.identity(L5, 2).scale(c),
+        "eval_T": lambda c: (L5T.T() + L5T.x(0)).eval_T(c),
+        "trivmas_homotopy": lambda c: trivmas_homotopy(q, c),
+        "lambda_flip_homotopy": lambda c: lambda_flip_homotopy(c, 2, F5),
+    }
+    for name, make in entry_points.items():
+        assert make(3) == make(-2) == make(FieldElement(8, 5)), name
+        for bad in (0.5, 3.0, True, False, "3", None):
+            with pytest.raises(DomainError):
+                make(bad)
+        with pytest.raises(RingMismatch):
+            make(FieldElement(3, 7))
+    # exponents and variable indices are ints, not scalars
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(DomainError):
+            RingDescriptor(5, 2).x(bad)
+    for bad in (0.5, 1.0, True, "1", FieldElement(1, 5)):
+        for make in (lambda e: L5.x(0, e), lambda e: L5T.T(e), lambda e: L5.monomial((e,))):
+            with pytest.raises(DomainError):
+                make(bad)
+
+
+def test_equality_with_any_value_is_a_bool():
+    values = (0.5, 1.0, True, False, "1", None, FieldElement(1, 7), [1], F5)
+    for value in values:
+        for x in (L5.one(), F5.one(), FieldElement(1, 5)):
+            assert (x == value) is False and (x != value) is True
+            assert (value == x) is False
+    assert F5.one() == FieldElement(6, 5) and FieldElement(1, 5) == 6
+    assert L5.constant(2) == -3 and FieldElement(2, 5) == FieldElement(7, 5)

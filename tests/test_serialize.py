@@ -4,11 +4,14 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maslovkit import (
     DomainError,
     FormError,
     HermitianForm,
+    LaurentPolynomial,
     RingDescriptor,
     RingMatrix,
     ShapeError,
@@ -56,6 +59,55 @@ def test_poly_schema_shape():
         "T": True,
         "terms": [{"e": [0, 1], "c": 2}, {"e": [1, 0], "c": 1}],
     }
+
+
+_RINGS = [RingDescriptor(5), RingDescriptor(3, 1), L5T, RingDescriptor(5, 2)]
+_SPOILS = {
+    "wide": lambda e, c, bad: (e + [0], c),
+    "narrow": lambda e, c, bad: (e[1:], c),
+    "exponent": lambda e, c, bad: ([bad] + e[1:], c),
+    "coefficient": lambda e, c, bad: (e, bad),
+}
+
+
+@st.composite
+def _term_lists(draw):
+    """A ring and its terms; few exponent values make repeats, some cancelling
+    mod p.  Half the lists get one term spoiled by a value no term may hold."""
+    ring = draw(st.sampled_from(_RINGS))
+    width = ring.nexponents
+    exps = st.lists(st.integers(-1, 2), min_size=width, max_size=width)
+    terms = draw(st.lists(st.tuples(exps, st.integers(-12, 12)), max_size=6))
+    if terms and draw(st.booleans()):
+        i = draw(st.integers(0, len(terms) - 1))
+        spoil = _SPOILS[draw(st.sampled_from(sorted(_SPOILS)))]
+        terms[i] = spoil(*terms[i], draw(st.sampled_from([True, False, 1.0, 0.5, "1"])))
+    return ring, terms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_term_lists())
+@example((RingDescriptor(5), [([], 2), ([], 3)]))
+@example((L5T, [([0, 1], 1), ([0, True], 1)]))
+@example((L5T, [([0, -1], 5)]))
+def test_decode_poly_agrees_with_the_constructor(case):
+    # decode_poly sums repeated exponents; the sum of the one-term polynomials
+    # is the same polynomial, and each term meets the constructor's checks
+    ring, terms = case
+    blob = {**serialize.encode_ring(ring), "terms": [{"e": e, "c": c} for e, c in terms]}
+    outcomes = []
+    for build in (
+        lambda: serialize.decode_poly(blob),
+        lambda: sum((LaurentPolynomial(ring, {tuple(e): c}) for e, c in terms), ring.zero()),
+    ):
+        try:
+            outcomes.append(build())
+        except DomainError:
+            outcomes.append(None)
+    decoded, built = outcomes
+    assert (decoded is None) == (built is None)
+    if decoded is not None:
+        assert decoded.ring == ring and decoded.terms == built.terms
 
 
 def test_matrix_and_form_round_trip():

@@ -47,6 +47,7 @@ from helpers import (
     rand_matrix,
     rand_symmetric_nondeg,
     rand_unit_matrix,
+    time_limit,
     unipotent,
 )
 
@@ -224,6 +225,20 @@ def test_transversal_witness_base_case():
     image = word.matrix.submatrix(range(2), range(1))
     stacked = RingMatrix.from_blocks([[witness.generators, image]])
     assert _modp_rank(stacked, 5) == 2
+
+
+def test_transversal_constructions_take_t_free_type_0_2n_sequences():
+    # one gate for both: evaluated at a parameter value, start 0, odd length
+    zero = scalar_form(F5, 0)
+    bad = (
+        SturmSequence(F5T, 1, (scalar_form(F5T, 0),) * 3),
+        SturmSequence(F5, 1, (zero,) * 3, start=1),
+        SturmSequence(F5, 1, (zero,) * 2),
+    )
+    for seq in bad:
+        for construction in (stabilized_image, transversal_witness):
+            with pytest.raises(DomainError):
+                construction(seq)
 
 
 def test_transversal_witness_zero_forms():
@@ -438,6 +453,21 @@ def test_maslov_index_eliminates_at_most_N_rows(monkeypatch):
 def test_validate_loop_requires_T():
     with pytest.raises(Exception):
         validate_loop(SturmSequence(F5, 1, (scalar_form(F5, 0),)))
+
+
+def test_validate_loop_rejects_an_empty_sequence():
+    # a type (0, 2n) sequence has at least one form; the empty one is refused
+    # before any padding, whatever its N
+    for N in (0, 1, 10**9):
+        with time_limit(1), pytest.raises(DomainError, match="at least one form"):
+            validate_loop(SturmSequence(F5T, N, ()))
+
+
+def test_constant_loop_needs_a_non_negative_pair_count():
+    for pairs in (-1, 0.5, True):
+        with pytest.raises(DomainError, match="pairs >= 0"):
+            constant_loop(F5, 2, pairs)
+    assert [len(constant_loop(F5, 2, k).seq) for k in (0, 1)] == [1, 3]
 
 
 def test_loop_from_pair_examples():
