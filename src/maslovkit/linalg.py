@@ -8,10 +8,16 @@ Only this module decides how entries are stored while they are computed on:
 its private rows (_rows and the helpers after it) hold int residues over F_p
 and polynomials elsewhere.  _wrap turns rows back into a matrix, and
 _interpolate turns the rows of two T-free matrices A and B into the matrix
-A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.  Eliminations run mod p over F_p and fraction-free
-(Bareiss) elsewhere; a Bareiss step touches only the rows with a nonzero entry
-in the pivot column, the others keep the level of their last update and are
-caught up lazily.  A division by a single-term pivot is an exponent shift.
+A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.
+On polynomial rows no method runs on a zero entry: _dagger_rows (and so
+RingMatrix.dagger), _sub_rows and the negation of _scalars pass it through,
+and _rows at T = t gives it as the one shared immutable zero of the ring
+without T, the zero _scalars gives and _matmul_rows puts in every entry no
+term reaches.  Eliminations run mod p over F_p and fraction-free (Bareiss)
+elsewhere; a Bareiss step touches only the rows with a nonzero entry in the
+pivot column, the others keep the level of their last update and are caught
+up lazily.  A division by a single-term pivot is an exponent shift, by a
+constant a scaling.
 
 Products have one kernel, _matmul_rows, in row form: it takes the rows of A
 and of B and returns the rows C[i] = sum_k A[i][k] B[k].  Matrix products,
@@ -40,6 +46,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 
@@ -210,26 +217,17 @@ class RingMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def _columns(self):
-        """The columns as tuples; a matrix with no rows has cols empty ones."""
-        return zip(*self.entries) if self.entries else [()] * self.cols
-
     def dagger(self) -> "RingMatrix":
-        """Transpose with entrywise involution (the dual map).
-
-        Without spatial variables the involution is trivial, and entries are
-        immutable, so the dagger is the transpose.
-        """
-        if not self.ring.spatial_vars:
+        """Transpose with entrywise involution (the dual map), by _dagger_rows."""
+        if not self.entries:
             return self.transpose()
-        return RingMatrix._unchecked(
-            self.ring,
-            [tuple(e.involute() for e in col) for col in self._columns()],
-            self.rows,
-        )
+        rows = _dagger_rows(self.ring, self.entries)
+        return RingMatrix._unchecked(self.ring, map(tuple, rows), self.rows)
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix._unchecked(self.ring, list(self._columns()), self.rows)
+        """The columns as rows; a matrix with no rows gives cols empty ones."""
+        columns = list(zip(*self.entries)) if self.entries else [()] * self.cols
+        return RingMatrix._unchecked(self.ring, columns, self.rows)
 
     def eval_T(self, t) -> "RingMatrix":
         return RingMatrix._unchecked(
@@ -477,6 +475,12 @@ def spans_equal(G1: RingMatrix, G2: RingMatrix) -> bool:
 # -- the rows linalg computes on; determinants and inverses ----------------
 
 
+@cache
+def _zero(ring: RingDescriptor) -> LaurentPolynomial:
+    """The zero over ring that the row helpers share; it is never changed."""
+    return LaurentPolynomial._unchecked(ring, {})
+
+
 def _rows(A: RingMatrix, t: int | None = None) -> list:
     """Fresh rows of A's entries: int residues over F_p, polynomials elsewhere.
 
@@ -487,7 +491,8 @@ def _rows(A: RingMatrix, t: int | None = None) -> list:
     if ring.spatial_vars or (ring.has_T and t is None):
         if t is None:
             return [list(row) for row in A.entries]
-        return [[e.eval_T(t) for e in row] for row in A.entries]
+        zero = _zero(ring.drop_T())
+        return [[e.eval_T(t) if e.terms else zero for e in row] for row in A.entries]
     if t == 1:  # the value at T = 1 is the sum of the coefficients
         p = ring.p
         return [[sum(e.terms.values()) % p for e in row] for row in A.entries]
@@ -541,7 +546,7 @@ def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatri
 def _sub_rows(ring: RingDescriptor, A: list, B: list) -> list:
     """The rows of A - B from the rows of A and of B, as _rows gives them."""
     if ring.nexponents:
-        return [list(map(sub, a, b)) for a, b in zip(A, B)]
+        return [[x - y if y.terms else x for x, y in zip(a, b)] for a, b in zip(A, B)]
     p = ring.p
     return [[(x - y) % p for x, y in zip(a, b)] for a, b in zip(A, B)]
 
@@ -549,7 +554,7 @@ def _sub_rows(ring: RingDescriptor, A: list, B: list) -> list:
 def _scalars(ring: RingDescriptor) -> tuple:
     """(zero, one, neg) for _rows over ring; neg negates an entry."""
     if ring.nexponents:
-        return ring.zero(), ring.one(), neg
+        return _zero(ring), ring.one(), lambda v: -v if v.terms else v
     p = ring.p
     return 0, 1, lambda v: -v % p
 
@@ -561,9 +566,13 @@ def _identity_rows(ring: RingDescriptor, n: int) -> list:
 
 
 def _dagger_rows(ring: RingDescriptor, rows: list) -> list:
-    """The rows of the dagger of the matrix with these rows; no rows give none."""
-    if ring.nexponents:
-        return [[e.involute() for e in col] for col in zip(*rows)]
+    """The rows of the dagger of the matrix with these rows; no rows give none.
+
+    Without spatial variables the involution is trivial and the dagger is the
+    transpose.
+    """
+    if ring.spatial_vars:
+        return [[e.involute() if e.terms else e for e in col] for col in zip(*rows)]
     return [list(col) for col in zip(*rows)]
 
 
@@ -599,8 +608,7 @@ def _matmul_rows(ring: RingDescriptor, A: list, B: list, cols: int = 0) -> list:
         ]
     # each entry of a row of C sums all its term products in one dict and
     # reduces once; an entry no term reaches is the shared zero, with no dict
-    wrap = LaurentPolynomial._unchecked
-    zero = wrap(ring, {})
+    wrap, zero = LaurentPolynomial._unchecked, _zero(ring)
     B = [[(j, b.terms) for j, b in enumerate(row) if b.terms] for row in B]
     out = []
     for row in A:
@@ -680,9 +688,13 @@ def _exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolyno
     p = f.ring.p
     if len(g.terms) == 1:  # a monomial: shift the exponents, scale once
         ((lead, c),) = g.terms.items()
-        if c == 1 and not any(lead):
+        constant = not any(lead)
+        if constant and c == 1:
             return f
         inv = pow(c, -1, p)
+        if constant:  # scale the coefficients, the exponents stay
+            q = {e: v * inv % p for e, v in f.terms.items()}
+            return LaurentPolynomial._unchecked(f.ring, q)
         q = {tuple(map(sub, e, lead)): v * inv % p for e, v in f.terms.items()}
         if f.ring.has_T and any(e[-1] < 0 for e in q):
             raise InternalInvariantViolation(f"{g} does not divide {f}")

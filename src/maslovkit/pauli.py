@@ -42,8 +42,8 @@ class PauliModule:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise DomainError("qudit species count must be >= 1")
+        if type(self.N) is not int or self.N < 1:
+            raise DomainError(f"qudit species count must be an int >= 1, got {self.N!r}")
 
     @property
     def rank(self) -> int:

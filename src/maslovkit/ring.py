@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add, sub
+from operator import add, neg, sub
 
 from .errors import DivisionByZero, DomainError, RingMismatch
 
@@ -69,6 +69,8 @@ def _residue(c, p: int) -> int:
     A scalar is an int that is not a bool, or a FieldElement mod p: any other
     value is a DomainError, a FieldElement of another modulus a RingMismatch.
     """
+    if type(c) is int:
+        return c % p
     if isinstance(c, FieldElement):
         if c.p != p:
             raise RingMismatch(f"scalar mod {c.p} used mod {p}")
@@ -265,7 +267,8 @@ class LaurentPolynomial:
     # -- ring plumbing -------------------------------------------------
 
     def _check(self, other: "LaurentPolynomial"):
-        if self.ring != other.ring:
+        # descriptors are interned, so the identity test settles most calls
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"rings differ: {self.ring} vs {other.ring}")
 
     def _coerce(self, other):
@@ -323,6 +326,8 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if type(n) is not int:
+            raise DomainError(f"exponents are ints, got {n!r}")
         if n < 0:
             raise DomainError("negative powers only exist for units; invert first")
         result = self.ring.one()
@@ -341,7 +346,8 @@ class LaurentPolynomial:
                 other = self.ring.constant(other)
             except (DomainError, RingMismatch):
                 return False
-        return self.ring == other.ring and self.terms == other.terms
+        ring = self.ring
+        return (ring is other.ring or ring == other.ring) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -371,11 +377,9 @@ class LaurentPolynomial:
     def involute(self) -> "LaurentPolynomial":
         """Invert every spatial exponent; T and coefficients stay fixed."""
         d = self.ring.spatial_vars
-        out = {}
-        for exps, c in self.terms.items():
-            flipped = tuple(-e for e in exps[:d]) + exps[d:]
-            out[flipped] = c
-        return LaurentPolynomial._unchecked(self.ring, out)
+        return LaurentPolynomial._unchecked(
+            self.ring, {tuple(map(neg, e[:d])) + e[d:]: c for e, c in self.terms.items()}
+        )
 
     def augment(self) -> FieldElement:
         """Coefficient of the zero exponent tuple (the degree-zero part)."""
@@ -385,16 +389,25 @@ class LaurentPolynomial:
         return FieldElement(self.terms.get(zero, 0), self.ring.p)
 
     def eval_T(self, t: int | FieldElement) -> "LaurentPolynomial":
-        """Substitute a scalar for T; the result lives in the ring without T."""
+        """Substitute a scalar for T; the result lives in the ring without T.
+
+        At t = 0 only the T^0 terms are left, and they stay distinct and
+        nonzero; at t = 1 the coefficients of each spatial monomial add up.
+        """
         if not self.ring.has_T:
             raise DomainError("ring has no T variable to evaluate")
         p = self.ring.p
         t = _residue(t, p)
+        ring = self.ring.drop_T()
+        if not t:
+            return LaurentPolynomial._unchecked(
+                ring, {e[:-1]: c for e, c in self.terms.items() if not e[-1]}
+            )
         out: dict = {}
         for exps, c in self.terms.items():
-            e, k = exps[:-1], exps[-1]
-            out[e] = out.get(e, 0) + c * pow(t, k, p)
-        return LaurentPolynomial._unchecked(self.ring.drop_T(), _reduced(out, p))
+            e = exps[:-1]
+            out[e] = out.get(e, 0) + (c if t == 1 else c * pow(t, exps[-1], p))
+        return LaurentPolynomial._unchecked(ring, _reduced(out, p))
 
     def lift_T(self) -> "LaurentPolynomial":
         """View a T-free polynomial inside the ring extended by T."""

@@ -65,7 +65,26 @@ def decode_poly(obj) -> LaurentPolynomial:
 
     Exponents must be JSON integers here, so that true never merges with 1.
     """
-    ring = decode_ring(obj)
+    return _decode_terms(obj, decode_ring(obj))
+
+
+def _in_ring(obj, ring: RingDescriptor) -> bool:
+    """True when the ring fields of obj are exactly those encode_ring gives ring.
+
+    Exact JSON types: "p": 5.0 or "T": 0 do not match.
+    """
+    try:
+        p, variables, has_T = obj["p"], obj["vars"], obj["T"]
+    except (KeyError, TypeError):
+        return False
+    return (
+        type(p) is int and p == ring.p and type(variables) is list
+        and len(variables) == ring.spatial_vars and has_T is ring.has_T
+    )
+
+
+def _decode_terms(obj, ring: RingDescriptor) -> LaurentPolynomial:
+    """The polynomial over ring of the terms of obj, as decode_poly reads them."""
     terms = {}
     for item in _expect(obj, "terms", list, "polynomial"):
         exps = _expect(item, "e", list, "polynomial term")
@@ -100,7 +119,12 @@ def decode_matrix(obj) -> RingMatrix:
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DomainError("matrix: entry grid does not match rows x cols")
-    entries = [tuple(decode_poly(e) for e in row) for row in raw]
+    # an entry whose ring fields match is not decoded as a ring again; any
+    # other goes through decode_poly, which raises what its fields deserve
+    entries = [
+        tuple(_decode_terms(e, ring) if _in_ring(e, ring) else decode_poly(e) for e in row)
+        for row in raw
+    ]
     if any(e.ring is not ring for row in entries for e in row):
         raise DomainError("matrix: entry ring differs from matrix ring")
     return RingMatrix._unchecked(ring, entries, cols)

@@ -53,8 +53,8 @@ class SturmSequence:
     start: int = 0
 
     def __post_init__(self):
-        if self.N < 0:
-            raise DomainError(f"Sturm sequences need N >= 0, got {self.N}")
+        if type(self.N) is not int or self.N < 0:
+            raise DomainError(f"Sturm sequences need an int N >= 0, got {self.N!r}")
         for q in self.forms:
             if not isinstance(q, HermitianForm):
                 raise FormError("Sturm sequences consist of HermitianForm entries")

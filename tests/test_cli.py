@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from maslovkit import HermitianForm, RingDescriptor, RingMatrix, serialize
+from maslovkit import (
+    DomainError,
+    HermitianForm,
+    PauliModule,
+    RingDescriptor,
+    RingMatrix,
+    SturmSequence,
+    serialize,
+)
 from maslovkit.cli import main
 from maslovkit.fixtures import write_all
 
@@ -250,10 +258,18 @@ def test_maslov_compute_rejects_negative_N(capsys):
     ring_t = RingDescriptor(5, 0, True)
     zero = serialize.encode_form(HermitianForm(RingMatrix.zeros(ring_t, 1, 1), 1))
     for sturm in ([], [zero]):
-        blob = {"N": -1, "ring": serialize.encode_ring(ring_t), "sturm": sturm}
-        code, out = run_cli(capsys, ["maslov", "compute", "--loop", json.dumps(blob)])
-        assert code == 2
-        assert json.loads(out)["error"] == "domain-error"
+        for n in (-1, 1.5, True):
+            blob = {"N": n, "ring": serialize.encode_ring(ring_t), "sturm": sturm}
+            code, out = run_cli(capsys, ["maslov", "compute", "--loop", json.dumps(blob)])
+            assert code == 2
+            assert json.loads(out)["error"] == "domain-error"
+    # the constructors behind the decoders take N as an int, not a float or bool
+    for n in (-1, 1.5, True):
+        with pytest.raises(DomainError, match="int N >= 0"):
+            SturmSequence(ring_t, n, ())
+    for n in (0, 1.5, True):
+        with pytest.raises(DomainError, match="int >= 1"):
+            PauliModule(ring_t, n)
 
 
 def test_maslov_compute_rejects_an_empty_loop_at_once(capsys):

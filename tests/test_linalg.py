@@ -26,7 +26,8 @@ from maslovkit import (
     spans_equal,
 )
 from maslovkit import linalg
-from maslovkit.linalg import _interpolate, _matmul_rows, _rows, _wrap, laurent_divmod, spread
+from maslovkit.linalg import _dagger_rows, _interpolate, _matmul_rows, _rows, _scalars, _sub_rows
+from maslovkit.linalg import _wrap, laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix, time_limit
 
@@ -499,3 +500,49 @@ def test_matmul_rows_int_rows_match_dense_product():
             got = _matmul_rows(ring, A, B, n)
             want = [[v % p for v in row] for row in _dense_product(A, B, n, 0)]
             assert got == want and all(len(row) == n for row in got)
+
+
+@st.composite
+def half_zero_matrix(draw, ring, m, n):
+    """An m x n matrix over ring (with T) of which at least half the entries are zero."""
+    spatial = st.lists(st.integers(-2, 2), min_size=ring.spatial_vars, max_size=ring.spatial_vars)
+    term = st.tuples(spatial, st.integers(0, 2), st.integers(1, ring.p - 1))
+    nonzero = draw(st.permutations(range(m * n)))[: draw(st.integers(0, m * n // 2))]
+    grid = [[ring.zero()] * n for _ in range(m)]
+    for k in nonzero:
+        terms = {tuple(e) + (t,): c for e, t, c in draw(st.lists(term, min_size=1, max_size=3))}
+        grid[k // n][k % n] = LaurentPolynomial(ring, terms)
+    return RingMatrix(ring, grid)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_row_helpers_match_entrywise_operations(data):
+    # the row helpers against the polynomial operations entry by entry, on
+    # mostly zero matrices; a zero entry is passed through as a zero that no
+    # method ran on, and no input entry's terms change
+    ring = data.draw(st.sampled_from((RingDescriptor(5, 0, True), RingDescriptor(5, 1, True),
+                                      RingDescriptor(5, 2, True))))
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A, B = data.draw(half_zero_matrix(ring, m, n)), data.draw(half_zero_matrix(ring, m, n))
+    before = [[dict(e.terms) for e in row] for M in (A, B) for row in M.entries]
+    zero = _scalars(ring)[0]
+    for t in (0, 1):
+        got = _rows(A, t)
+        assert got == [[e.eval_T(t) for e in row] for row in A.entries]
+        if ring.spatial_vars:  # over F_p[T] the rows hold ints
+            passed = {id(g) for row, r in zip(got, A.entries) for g, e in zip(row, r) if not e}
+            assert len(passed) <= 1
+    want = [[e.involute() for e in col] for col in zip(*A.entries)]
+    for got in (_dagger_rows(ring, _rows(A)), A.dagger().entries):
+        assert [list(row) for row in got] == want
+        pairs = zip((e for row in got for e in row), (f for col in zip(*A.entries) for f in col))
+        assert all(e is f for e, f in pairs if not f)
+    assert A.dagger().shape == (n, m)
+    diff = _sub_rows(ring, _rows(A), _rows(B))
+    assert diff == [[x - y for x, y in zip(a, b)] for a, b in zip(A.entries, B.entries)]
+    neg = _scalars(ring)[2]
+    assert [[neg(e) for e in row] for row in A.entries] == [[-e for e in row] for row in A.entries]
+    assert all(neg(e) is e for row in A.entries for e in row if not e)
+    assert [[dict(e.terms) for e in row] for M in (A, B) for row in M.entries] == before
+    assert not zero.terms and zero is _scalars(ring)[0]

@@ -233,7 +233,12 @@ def test_one_scalar_rule_at_every_entry_point():
         with pytest.raises(DomainError):
             RingDescriptor(5, 2).x(bad)
     for bad in (0.5, 1.0, True, "1", FieldElement(1, 5)):
-        for make in (lambda e: L5.x(0, e), lambda e: L5T.T(e), lambda e: L5.monomial((e,))):
+        for make in (
+            lambda e: L5.x(0, e),
+            lambda e: L5T.T(e),
+            lambda e: L5.monomial((e,)),
+            lambda e: (L5.x(0) + 1) ** e,
+        ):
             with pytest.raises(DomainError):
                 make(bad)
 

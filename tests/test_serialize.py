@@ -205,12 +205,29 @@ def test_malformed_inputs_raise_domain_error():
         ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[x_entry]]}, serialize.decode_matrix),
         ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[{**x_entry, "p": 7, "vars": []}]]},
          serialize.decode_matrix),
+        # the ring fields of an entry keep their exact JSON types
+        ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[{**x_entry, "p": 5.0, "vars": []}]]},
+         serialize.decode_matrix),
+        ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[{**x_entry, "T": 0, "vars": []}]]},
+         serialize.decode_matrix),
         ("nope", serialize.decode_circuit),
         ([{"kind": "E9", "payload": {}}], serialize.decode_circuit),
     ]
     for blob, decoder in bad_cases:
         with pytest.raises(DomainError):
             decoder(blob)
+    # a matrix raises for a faulty entry what decode_poly raises for it
+    for blob, decoder in bad_cases:
+        if decoder is serialize.decode_matrix and len(blob["entries"]) == 1:
+            (entry,) = blob["entries"][0]
+            with pytest.raises(DomainError) as whole:
+                serialize.decode_matrix(blob)
+            try:
+                serialize.decode_poly(entry)
+            except DomainError as single:
+                assert str(whole.value) == str(single)
+            else:
+                assert "entry ring differs" in str(whole.value)
 
 
 def test_decode_poly_sums_duplicate_terms_mod_p():
