@@ -1,18 +1,17 @@
 """Hermitian forms and the Witt group of F_p.
 
 A +hermitian form on a free module is a square matrix F with dagger(F) = F;
-the -hermitian case flips the sign.  Over F_p (trivial involution) these are
-symmetric bilinear forms, which are classified up to congruence by dimension
-and discriminant square class.  A nondegenerate F is therefore congruent to
-the diagonal form <1, ..., 1, det F>, and every invariant here comes from
-one determinant.  The Witt group of nondegenerate +hermitian forms modulo
-hyperbolic ones has order four, with a group law depending on p mod 4:
+the -hermitian case flips the sign, the int 1 or -1.  Over F_p (trivial
+involution) these are symmetric bilinear forms, classified up to congruence
+by dimension and discriminant square class.  A nondegenerate F is therefore
+congruent to the diagonal form <1, ..., 1, det F>, and every invariant here
+comes from one determinant.  The Witt group of nondegenerate +hermitian
+forms modulo hyperbolic ones has order four.  WittClass decides its law on
+the code z = 2 * disc_class + rank_parity, where disc_class is the square
+class of the signed discriminant (-1)^(n(n-1)/2) det(F):
 
-    p = 1 mod 4:  Z/2 + Z/2  (rank parity, signed discriminant class)
-    p = 3 mod 4:  Z/4        (generated by the class of <1>)
-
-The canonical Z/4 encoding maps <1> -> 1, <theta> -> 3, <1,1> -> 2 and
-<1,theta> -> 0; the signed discriminant (-1)^(n(n-1)/2) det(F) realizes it.
+    p = 1 mod 4:  Z/2 + Z/2  (z xor w; each class is its own negative)
+    p = 3 mod 4:  Z/4        (z + w mod 4; <1> -> 1, <theta> -> 3)
 """
 
 from __future__ import annotations
@@ -40,8 +39,9 @@ class HermitianForm:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise FormError(f"sign must be +1 or -1, got {self.sign}")
+        # bool subclasses int and 1.0 == 1: neither is a sign
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise DomainError(f"sign must be the int 1 or -1, got {self.sign!r}")
         if not self.matrix.is_square():
             raise ShapeError("hermitian forms live on square matrices")
 
@@ -123,13 +123,18 @@ def diagonalize(F: HermitianForm) -> list[FieldElement]:
     return [FieldElement(1, F.ring.p)] * (F.dim - 1) + [d]
 
 
+def _class_names(p: int) -> tuple:
+    """The class names for p mod 4, indexed by the code z."""
+    return ("0", "<1>", "<1>+<t>", "<t>") if p % 4 == 1 else ("0", "1", "2", "3")
+
+
 @dataclass(frozen=True)
 class WittClass:
     """Canonical Witt-group element: rank parity and signed-disc class.
 
     disc_class is the square class of (-1)^(n(n-1)/2) det(F): 0 for squares,
-    1 for the non-residue class.  The group law is Z/2 + Z/2 for p = 1 mod 4
-    and Z/4 for p = 3 mod 4 under z = 2*disc_class + rank_parity.
+    1 for the non-residue class; both are int bits.  The group law acts on
+    z = 2*disc_class + rank_parity: xor for p = 1 mod 4, + mod 4 otherwise.
     """
 
     p: int
@@ -138,22 +143,24 @@ class WittClass:
 
     def __post_init__(self):
         _check_odd_prime(self.p)
-        if self.rank_parity not in (0, 1) or self.disc_class not in (0, 1):
-            raise DomainError("rank parity and disc class are bits")
+        bits = (self.rank_parity, self.disc_class)
+        if not all(type(b) is int and b in (0, 1) for b in bits):
+            raise DomainError(f"rank parity and disc class are int bits, got {bits!r}")
+
+    @classmethod
+    def _from_code(cls, p: int, z: int) -> "WittClass":
+        return cls(p, z & 1, z >> 1)
+
+    @property
+    def _code(self) -> int:
+        return 2 * self.disc_class + self.rank_parity
 
     def is_zero(self) -> bool:
         return self.rank_parity == 0 and self.disc_class == 0
 
     @property
     def class_name(self) -> str:
-        if self.p % 4 == 1:
-            return {
-                (0, 0): "0",
-                (1, 0): "<1>",
-                (1, 1): "<t>",
-                (0, 1): "<1>+<t>",
-            }[(self.rank_parity, self.disc_class)]
-        return str(2 * self.disc_class + self.rank_parity)
+        return _class_names(self.p)[self._code]
 
     @classmethod
     def zero(cls, p: int) -> "WittClass":
@@ -173,26 +180,26 @@ class WittClass:
 
     @classmethod
     def from_name(cls, p: int, name: str) -> "WittClass":
-        if p % 4 == 1:
-            table = {"0": (0, 0), "<1>": (1, 0), "<t>": (1, 1), "<1>+<t>": (0, 1)}
-            if name not in table:
-                raise DomainError(f"unknown class {name!r} for p = 1 mod 4")
-            rp, dc = table[name]
-        else:
-            if name not in {"0", "1", "2", "3"}:
-                raise DomainError(f"unknown class {name!r} for p = 3 mod 4")
-            z = int(name)
-            rp, dc = z & 1, z >> 1
-        return cls(p, rp, dc)
+        names = _class_names(p)
+        if name not in names:
+            raise DomainError(f"unknown class {name!r} for p = {1 if p % 4 == 1 else 3} mod 4")
+        return cls._from_code(p, names.index(name))
 
     def __add__(self, other: "WittClass") -> "WittClass":
-        return witt_add(self, other)
+        if self.p != other.p:
+            raise RingMismatch(f"Witt classes over different primes: {self.p}, {other.p}")
+        z, w = self._code, other._code
+        return self._from_code(self.p, z ^ w if self.p % 4 == 1 else (z + w) % 4)
 
     def __neg__(self) -> "WittClass":
-        return witt_neg(self)
+        return self if self.p % 4 == 1 else self._from_code(self.p, -self._code % 4)
 
     def __sub__(self, other: "WittClass") -> "WittClass":
-        return witt_add(self, witt_neg(other))
+        return self + -other
+
+
+witt_add = WittClass.__add__
+witt_neg = WittClass.__neg__
 
 
 def witt_class(F: HermitianForm) -> WittClass:
@@ -200,22 +207,6 @@ def witt_class(F: HermitianForm) -> WittClass:
     _require_field(F, "Witt classification")
     _require_plus_hermitian(F, "Witt classification expects a +hermitian form")
     return WittClass.from_determinant(F.dim, det(F.matrix))
-
-
-def witt_add(a: WittClass, b: WittClass) -> WittClass:
-    if a.p != b.p:
-        raise RingMismatch(f"Witt classes over different primes: {a.p}, {b.p}")
-    if a.p % 4 == 1:
-        return WittClass(a.p, a.rank_parity ^ b.rank_parity, a.disc_class ^ b.disc_class)
-    z = (2 * a.disc_class + a.rank_parity + 2 * b.disc_class + b.rank_parity) % 4
-    return WittClass(a.p, z & 1, z >> 1)
-
-
-def witt_neg(a: WittClass) -> WittClass:
-    if a.p % 4 == 1:
-        return a
-    z = (-(2 * a.disc_class + a.rank_parity)) % 4
-    return WittClass(a.p, z & 1, z >> 1)
 
 
 def in_fundamental_ideal(c: WittClass) -> bool:

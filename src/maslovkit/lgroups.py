@@ -42,8 +42,8 @@ def _canonical_factors(orders) -> tuple:
     """Invariant-factor form (each divides the next) of a cyclic-order list."""
     per_prime: dict = {}
     for n in orders:
-        if n < 2:
-            raise DomainError(f"cyclic order must be >= 2, got {n}")
+        if type(n) is not int or n < 2:
+            raise DomainError(f"cyclic order must be an int >= 2, got {n!r}")
         for q, e in _prime_factorization(n).items():
             per_prime.setdefault(q, []).append(e)
     for exps in per_prime.values():
@@ -107,6 +107,8 @@ def witt_group_structure(p: int) -> FiniteAbelianGroup:
 def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
     """L_n over d Laurent variables: W(F_p)^m, m = sum of C(d, k), k = n mod 4."""
     _check_odd_prime(p)
+    if type(n) is not int or type(d) is not int:
+        raise DomainError(f"n and d must be ints, got n = {n!r}, d = {d!r}")
     if d < 0:
         raise DomainError("d must be >= 0")
     if d > VALIDATED_DIMENSIONS:
@@ -119,11 +121,18 @@ def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.from_orders(witt_group_structure(p).cyclic_orders * m)
 
 
+def _check_validated(d: int, p: int, what: str):
+    """An odd prime p and an int d (not a bool) in the validated range."""
+    _check_odd_prime(p)
+    if type(d) is not int:
+        raise DomainError(f"d must be an int, got {d!r}")
+    if d < 0 or d > VALIDATED_DIMENSIONS:
+        raise UnsupportedRing(f"{what} validated only for 0 <= d <= {VALIDATED_DIMENSIONS}")
+
+
 def fundamental_ideal_group(d: int, p: int) -> FiniteAbelianGroup:
     """Even-rank ideal of the Witt group: Z/2 for d <= 3, Z/2 + W for d = 4."""
-    _check_odd_prime(p)
-    if d < 0 or d > VALIDATED_DIMENSIONS:
-        raise UnsupportedRing("fundamental ideal validated only for 0 <= d <= 4")
+    _check_validated(d, p, "fundamental ideal")
     if d <= 3:
         return FiniteAbelianGroup.from_orders((2,))
     return FiniteAbelianGroup.from_orders((2,)).direct_sum(witt_group_structure(p))
@@ -135,9 +144,7 @@ def classify_loops(d: int, p: int) -> FiniteAbelianGroup:
     The quotient of the fundamental ideal by its constant Z/2: trivial up to
     three dimensions, the Witt group of F_p in four.
     """
-    _check_odd_prime(p)
-    if d < 0 or d > VALIDATED_DIMENSIONS:
-        raise UnsupportedRing("loop classification validated only for 0 <= d <= 4")
+    _check_validated(d, p, "loop classification")
     if d <= 3:
         return FiniteAbelianGroup.trivial()
     return witt_group_structure(p)

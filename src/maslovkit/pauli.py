@@ -114,8 +114,8 @@ class CliffordUnitary:
     """An invertible matrix preserving the anti-hermitian pairing.
 
     The public constructor verifies dagger(M) @ lambda^- @ M = lambda^-
-    exactly.  Products, inverses and elementary unitaries are unitary by
-    construction and are not checked again.
+    exactly.  Products, inverses, elementary and hyperbolic unitaries are
+    unitary by construction and are not checked again.
     """
 
     __slots__ = ("ambient", "matrix")
@@ -176,11 +176,14 @@ def commutation_phase(v: RingMatrix, w: RingMatrix) -> FieldElement:
     return pairing(v, w).augment()
 
 
+def _pairing_rows(S: StabilizerModule) -> RingMatrix:
+    """dagger(G) lambda^- for the generators G: row i pairs generator i."""
+    return S.generators.dagger() @ S.ambient.lambda_minus()
+
+
 def is_isotropic(S: StabilizerModule) -> bool:
     """All pairings between generators vanish (any d)."""
-    G = S.generators
-    lam = S.ambient.lambda_minus()
-    return (G.dagger() @ lam @ G).is_zero()
+    return (_pairing_rows(S) @ S.generators).is_zero()
 
 
 def lagrangian_report(S: StabilizerModule) -> dict:
@@ -191,14 +194,12 @@ def lagrangian_report(S: StabilizerModule) -> dict:
     span-membership problem for the pairing kernel with that same Smith form.
     """
     G = S.generators
-    ambient = S.ambient
-    lam = ambient.lambda_minus()
-    isotropic = is_isotropic(S)
+    pairings = _pairing_rows(S)
+    isotropic = (pairings @ G).is_zero()
     snf = smith_normal_form(G)
     summand = all(f.is_unit() for f in snf.invariant_factors)
-    perp = kernel_basis(G.dagger() @ lam)
-    coisotropic = _solve(snf, perp) is not None
-    lagrangian = isotropic and coisotropic and summand and snf.rank == ambient.N
+    coisotropic = _solve(snf, kernel_basis(pairings)) is not None
+    lagrangian = isotropic and coisotropic and summand and snf.rank == S.ambient.N
     return {
         "isotropic": isotropic,
         "coisotropic": coisotropic,
@@ -247,7 +248,8 @@ def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
 
 
 def hyperbolic_unitary(a: RingMatrix) -> CliffordUnitary:
-    """The generalized translation diag(a, dagger(a)^-1)."""
+    """The generalized translation diag(a, dagger(a)^-1), unitary for every
+    invertible a and so not checked again."""
     if not a.is_square():
         raise ShapeError("hyperbolic unitaries come from square matrices")
     try:
@@ -258,7 +260,7 @@ def hyperbolic_unitary(a: RingMatrix) -> CliffordUnitary:
     n = a.rows
     zero = RingMatrix.zeros(ring, n, n)
     blocks = [[a, zero], [zero, inv]]
-    return CliffordUnitary(PauliModule(ring, n), RingMatrix.from_blocks(blocks))
+    return CliffordUnitary._unchecked(PauliModule(ring, n), RingMatrix.from_blocks(blocks))
 
 
 def apply(u: CliffordUnitary, S: StabilizerModule) -> StabilizerModule:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .errors import DivisionByZero, DomainError, RingMismatch
 
@@ -95,30 +95,22 @@ class FieldElement:
         self.p = p
         self.value = _residue(value, p)
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, (int, FieldElement)):
-            return FieldElement(other, self.p)
-        return NotImplemented
+    def _arith(self, other, op):
+        """self op other for op in (add, sub, mul); _residue checks the scalar."""
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
+        return FieldElement(op(self.value, _residue(other, self.p)), self.p)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + other.value, self.p)
+        return self._arith(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - other.value, self.p)
+        return self._arith(other, sub)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * other.value, self.p)
+        return self._arith(other, mul)
 
     __rmul__ = __mul__
 
@@ -236,19 +228,24 @@ class LaurentPolynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: RingDescriptor, terms: dict):
-        """The one check of terms from outside: ring.nexponents ints (not bools)
-        per exponent tuple, the T exponent >= 0, and scalar coefficients."""
+    def __init__(self, ring: RingDescriptor, terms):
+        """The one check of terms from outside, given as a dict or an iterable
+        of (exponents, coefficient) pairs: ring.nexponents ints (not bools) per
+        exponent tuple, the T exponent >= 0, and scalar coefficients.  Repeated
+        exponents add up after each term's own check, so True never merges
+        with 1."""
         cleaned = {}
         width, p = ring.nexponents, ring.p
-        for exps, c in terms.items():
+        for exps, c in terms.items() if isinstance(terms, dict) else terms:
             exps = tuple(exps)
             if len(exps) != width or not all(type(e) is int for e in exps):
                 raise DomainError(f"exponent tuple {exps!r} must hold {width} ints")
             if ring.has_T and exps[-1] < 0:
                 raise DomainError("T exponent must be non-negative")
-            if c := _residue(c, p):
+            if c := (cleaned.get(exps, 0) + _residue(c, p)) % p:
                 cleaned[exps] = c
+            else:
+                cleaned.pop(exps, None)
         self.ring = ring
         self.terms = cleaned
 

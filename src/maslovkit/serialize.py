@@ -61,10 +61,8 @@ def encode_poly(f: LaurentPolynomial) -> dict:
 
 
 def decode_poly(obj) -> LaurentPolynomial:
-    """Sum the terms per exponent tuple; the constructor checks and reduces them.
-
-    Exponents must be JSON integers here, so that true never merges with 1.
-    """
+    """The polynomial of obj's ring and terms; the constructor checks each term
+    and adds repeated exponents."""
     return _decode_terms(obj, decode_ring(obj))
 
 
@@ -83,17 +81,14 @@ def _in_ring(obj, ring: RingDescriptor) -> bool:
     )
 
 
+def _term(item) -> tuple:
+    """The (exponents, coefficient) pair of a JSON term, its key types checked."""
+    return _expect(item, "e", list, "polynomial term"), _expect(item, "c", int, "polynomial term")
+
+
 def _decode_terms(obj, ring: RingDescriptor) -> LaurentPolynomial:
     """The polynomial over ring of the terms of obj, as decode_poly reads them."""
-    terms = {}
-    for item in _expect(obj, "terms", list, "polynomial"):
-        exps = _expect(item, "e", list, "polynomial term")
-        c = _expect(item, "c", int, "polynomial term")
-        if not all(type(e) is int for e in exps):
-            raise DomainError("polynomial term: exponents must be integers")
-        exps = tuple(exps)
-        terms[exps] = terms.get(exps, 0) + c
-    return LaurentPolynomial(ring, terms)
+    return LaurentPolynomial(ring, map(_term, _expect(obj, "terms", list, "polynomial")))
 
 
 # -- matrices and forms ------------------------------------------------------
@@ -137,9 +132,7 @@ def encode_form(F: HermitianForm) -> dict:
 
 
 def decode_form(obj) -> HermitianForm:
-    sign = _expect(obj, "sign", int, "form")
-    if sign not in (1, -1):
-        raise DomainError("form: sign must be 1 or -1")
+    sign = _expect(obj, "sign", int, "form")  # HermitianForm checks its value
     return HermitianForm(decode_matrix(obj), sign)
 
 

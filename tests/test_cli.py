@@ -105,6 +105,9 @@ def test_maslov_real_poly_flag(capsys):
         err = json.loads(out)
         assert err["error"] == "domain-error", poly
         assert "not a finite real number" in err["detail"], poly
+    for poly in ("abc", ","):
+        code, out = run_cli(capsys, ["maslov", "real", f"--poly={poly}"])
+        assert code == 2 and json.loads(out)["error"] == "domain-error", poly
 
 
 def test_no_command_loads_numpy():

@@ -7,6 +7,7 @@ from sympy import Matrix
 
 from maslovkit import (
     DegenerateForm,
+    DomainError,
     FormError,
     FormTriple,
     HermitianForm,
@@ -48,6 +49,8 @@ def test_check_hermitian_examples():
     assert not HermitianForm(RingMatrix(L5, [[L5.x(0)]]), 1).is_hermitian()
     herm = HermitianForm(RingMatrix(L5, [[L5.x(0) + L5.x(0, -1)]]), 1)
     assert herm.is_hermitian()
+    lifted = herm.lift_T()
+    assert lifted.ring == L5.with_T() and lifted.is_hermitian() and lifted.eval_T(0) == herm
 
 
 def test_hyperbolic_form_examples():
@@ -160,6 +163,7 @@ def test_group_tables_exact():
                 assert summed.rank_parity == a.rank_parity ^ b.rank_parity
                 assert summed.disc_class == a.disc_class ^ b.disc_class
                 assert witt_add(a, witt_neg(a)).is_zero()
+                assert a + b == summed and -a == a and (a - b) == summed
     for p in (3, 7, 11):
         to_z4 = {}
         for cls in _all_classes(p):
@@ -169,6 +173,9 @@ def test_group_tables_exact():
             for zb in range(4):
                 summed = witt_add(to_z4[za], to_z4[zb])
                 assert summed == to_z4[(za + zb) % 4]
+                assert to_z4[za] + to_z4[zb] == summed
+                assert to_z4[za] - to_z4[zb] == to_z4[(za - zb) % 4]
+            assert -to_z4[za] == witt_neg(to_z4[za]) == to_z4[-za % 4]
         gen = WittClass.from_name(p, "1")
         acc = WittClass.zero(p)
         orders = []
@@ -205,6 +212,12 @@ def test_witt_errors():
         witt_class(diag_form(F5, [1, 0]))
     with pytest.raises(UnsupportedRing):
         witt_class(HermitianForm(RingMatrix.identity(L5, 1), 1))
+    # the two bits are the ints 0 and 1: a float or a bool is refused
+    for rp, dc in ((1.0, 0), (True, 0), (0, False), (2, 0), (0, -1)):
+        with pytest.raises(DomainError):
+            WittClass(7, rp, dc)
+        with pytest.raises(DomainError):
+            WittClass(5, rp, dc)
 
 
 def test_in_fundamental_ideal_examples():

@@ -38,7 +38,7 @@ def test_constructor_is_canonical():
     assert FiniteAbelianGroup((6, 4)).name == "Z/2 + Z/12"
     assert FiniteAbelianGroup((2, 3, 2)).cyclic_orders == (2, 6)
     assert FiniteAbelianGroup(()) == FiniteAbelianGroup.trivial()
-    for orders in ((1,), (0,), (4, 1), (-3,)):
+    for orders in ((1,), (0,), (4, 1), (-3,), (6.0,), (True, 4)):
         with pytest.raises(DomainError):
             FiniteAbelianGroup(orders)
         with pytest.raises(DomainError):
@@ -51,8 +51,10 @@ def test_lgroup_base_examples():
     assert lgroup(0, 0, 7) == FiniteAbelianGroup.from_orders((4,))
     assert lgroup(2, 0, 5).is_trivial()
     assert lgroup(1, 0, 11).is_trivial()
-    with pytest.raises(DomainError):
-        lgroup(0, 0, 9)
+    # n and d are ints: a bool or a float is refused, not read as a number
+    for args in ((0, 0, 9), (True, 2, 5), (0, True, 5), (0, 1.5, 5), (2.0, 0, 5)):
+        with pytest.raises(DomainError):
+            lgroup(*args)
 
 
 def test_lgroup_recursion_examples():
@@ -100,6 +102,9 @@ def test_fundamental_ideal_examples():
     assert fundamental_ideal_group(4, 7) == FiniteAbelianGroup.from_orders((2, 4))
     with pytest.raises(UnsupportedRing):
         fundamental_ideal_group(5, 5)
+    for d in (2.0, True):
+        with pytest.raises(DomainError):
+            fundamental_ideal_group(d, 5)
 
 
 def test_classify_loops_examples():
@@ -110,6 +115,9 @@ def test_classify_loops_examples():
     assert classify_loops(4, 7) == FiniteAbelianGroup.from_orders((4,))
     with pytest.raises(UnsupportedRing):
         classify_loops(5, 7)
+    for d in (True, 4.0):
+        with pytest.raises(DomainError):
+            classify_loops(d, 5)
 
 
 def test_classification_is_ideal_mod_constant_part():

@@ -54,6 +54,10 @@ def test_linear_polynomial():
     assert seq.size == 1
     assert seq.residues[-1].degree() == 0
     assert real_maslov(poly) == 0
+    # leading coefficients at most REL_TOL times the largest are dropped
+    assert RealPolynomial([-2.0, 1.0, 1e-12]).degree() == 1
+    assert not poly.is_zero()
+    assert RealPolynomial([0.0, 0.0]).is_zero() and RealPolynomial([]).is_zero()
 
 
 def test_repeated_root_rejected():

@@ -1,6 +1,7 @@
 """Field and Laurent polynomial arithmetic."""
 
 import random
+from operator import add, mul, sub
 
 import pytest
 
@@ -33,6 +34,14 @@ def test_field_arith_examples():
     # oracle: enumerate b with 3b = 1 mod 7
     expected = next(b for b in range(7) if 3 * b % 7 == 1)
     assert FieldElement(3, 7).inverse() == expected == 5
+    a, b = FieldElement(3, 7), FieldElement(5, 7)
+    assert (a + b, a - b, -a, a + 2, 2 + a, a - 10, 2 * a) == (1, 5, 4, 5, 5, 0, 6)
+    # +, - and * share one scalar rule: another modulus or a bool is refused
+    for op in (add, sub, mul):
+        with pytest.raises(RingMismatch):
+            op(a, FieldElement(1, 5))
+        with pytest.raises(DomainError):
+            op(a, True)
 
 
 def test_field_arith_errors():

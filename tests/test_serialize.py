@@ -12,11 +12,13 @@ from maslovkit import (
     FormError,
     HermitianForm,
     LaurentPolynomial,
+    PauliModule,
     RingDescriptor,
     RingMatrix,
     ShapeError,
     WittClass,
     apply,
+    hyperbolic_form,
     hyperbolic_unitary,
     modules_equal,
 )
@@ -89,25 +91,28 @@ def _term_lists(draw):
 @given(_term_lists())
 @example((RingDescriptor(5), [([], 2), ([], 3)]))
 @example((L5T, [([0, 1], 1), ([0, True], 1)]))
+@example((L5T, [([0, True], 1), ([0, 1], 1)]))
 @example((L5T, [([0, -1], 5)]))
 def test_decode_poly_agrees_with_the_constructor(case):
-    # decode_poly sums repeated exponents; the sum of the one-term polynomials
-    # is the same polynomial, and each term meets the constructor's checks
+    # the constructor adds repeated exponents, given the terms as pairs; the
+    # sum of the one-term polynomials is the same polynomial, and each term
+    # meets the constructor's checks before it is added
     ring, terms = case
     blob = {**serialize.encode_ring(ring), "terms": [{"e": e, "c": c} for e, c in terms]}
     outcomes = []
     for build in (
         lambda: serialize.decode_poly(blob),
         lambda: sum((LaurentPolynomial(ring, {tuple(e): c}) for e, c in terms), ring.zero()),
+        lambda: LaurentPolynomial(ring, terms),
     ):
         try:
             outcomes.append(build())
         except DomainError:
             outcomes.append(None)
-    decoded, built = outcomes
-    assert (decoded is None) == (built is None)
+    decoded, built, paired = outcomes
+    assert (decoded is None) == (built is None) == (paired is None)
     if decoded is not None:
-        assert decoded.ring == ring and decoded.terms == built.terms
+        assert decoded.ring == ring and decoded.terms == built.terms == paired.terms
 
 
 def test_matrix_and_form_round_trip():
@@ -303,6 +308,15 @@ def test_form_sign_validation():
     blob["sign"] = 2
     with pytest.raises(DomainError):
         serialize.decode_form(blob)
+    # HermitianForm holds the one sign rule, so every form it builds decodes
+    # from its own encoding; a bool or a float is no sign
+    for ring in (RingDescriptor(5), L5, L5T):
+        for sign in (1, -1):
+            form = hyperbolic_form(1, sign, ring)
+            assert serialize.decode_form(json.loads(json.dumps(serialize.encode_form(form)))) == form
+        for sign in (True, False, 1.0, -1.0, 2, 0):
+            with pytest.raises(DomainError):
+                HermitianForm(RingMatrix.identity(ring, 1), sign)
 
 
 def test_circuit_hyperbolic_step_round_trip():
@@ -312,5 +326,8 @@ def test_circuit_hyperbolic_step_round_trip():
     (u,) = serialize.decode_circuit(json.loads(json.dumps(blob)))
     assert u.matrix == hyperbolic_unitary(a).matrix
     assert u.matrix.submatrix(range(2), range(2)) == a
+    # unitary by construction, so the constructor does not check it: check here
+    lam = PauliModule(L5, 2).lambda_minus()
+    assert u.matrix.dagger() @ lam @ u.matrix == lam
     with pytest.raises(DomainError, match="unknown kind"):
         serialize.encode_circuit([("X", a)])
