@@ -36,8 +36,6 @@ from .linalg import (
     kernel_basis,
     smith_normal_form,
     solve_in_span,
-    span_contains,
-    spans_equal,
 )
 from .forms import (
     FormTriple,
@@ -47,9 +45,7 @@ from .forms import (
     hyperbolic_form,
     in_fundamental_ideal,
     triple_delta,
-    witt_add,
     witt_class,
-    witt_neg,
 )
 from .pauli import (
     CliffordUnitary,
@@ -61,7 +57,6 @@ from .pauli import (
     elementary_unitary,
     hyperbolic_unitary,
     is_isotropic,
-    is_lagrangian,
     is_transversal,
     lagrangian_report,
     modules_equal,

@@ -186,6 +186,8 @@ class WittClass:
         return cls._from_code(p, names.index(name))
 
     def __add__(self, other: "WittClass") -> "WittClass":
+        if not isinstance(other, WittClass):
+            return NotImplemented
         if self.p != other.p:
             raise RingMismatch(f"Witt classes over different primes: {self.p}, {other.p}")
         z, w = self._code, other._code
@@ -195,11 +197,9 @@ class WittClass:
         return self if self.p % 4 == 1 else self._from_code(self.p, -self._code % 4)
 
     def __sub__(self, other: "WittClass") -> "WittClass":
+        if not isinstance(other, WittClass):
+            return NotImplemented
         return self + -other
-
-
-witt_add = WittClass.__add__
-witt_neg = WittClass.__neg__
 
 
 def witt_class(F: HermitianForm) -> WittClass:

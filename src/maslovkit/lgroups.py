@@ -69,14 +69,6 @@ class FiniteAbelianGroup:
         factors = _canonical_factors(self.cyclic_orders)
         object.__setattr__(self, "cyclic_orders", factors)
 
-    @classmethod
-    def from_orders(cls, orders) -> "FiniteAbelianGroup":
-        return cls(tuple(orders))
-
-    @classmethod
-    def trivial(cls) -> "FiniteAbelianGroup":
-        return cls(())
-
     def is_trivial(self) -> bool:
         return not self.cyclic_orders
 
@@ -84,7 +76,7 @@ class FiniteAbelianGroup:
         return math.prod(self.cyclic_orders)
 
     def direct_sum(self, other: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
-        return FiniteAbelianGroup.from_orders(self.cyclic_orders + other.cyclic_orders)
+        return FiniteAbelianGroup(self.cyclic_orders + other.cyclic_orders)
 
     @property
     def name(self) -> str:
@@ -100,8 +92,8 @@ def witt_group_structure(p: int) -> FiniteAbelianGroup:
     """The order-four Witt group of F_p: Z/2 + Z/2 or Z/4 by p mod 4."""
     _check_odd_prime(p)
     if p % 4 == 1:
-        return FiniteAbelianGroup.from_orders((2, 2))
-    return FiniteAbelianGroup.from_orders((4,))
+        return FiniteAbelianGroup((2, 2))
+    return FiniteAbelianGroup((4,))
 
 
 def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
@@ -118,7 +110,7 @@ def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
             stacklevel=2,
         )
     m = sum(math.comb(d, k) for k in range(n % 4, d + 1, 4))
-    return FiniteAbelianGroup.from_orders(witt_group_structure(p).cyclic_orders * m)
+    return FiniteAbelianGroup(witt_group_structure(p).cyclic_orders * m)
 
 
 def _check_validated(d: int, p: int, what: str):
@@ -134,8 +126,8 @@ def fundamental_ideal_group(d: int, p: int) -> FiniteAbelianGroup:
     """Even-rank ideal of the Witt group: Z/2 for d <= 3, Z/2 + W for d = 4."""
     _check_validated(d, p, "fundamental ideal")
     if d <= 3:
-        return FiniteAbelianGroup.from_orders((2,))
-    return FiniteAbelianGroup.from_orders((2,)).direct_sum(witt_group_structure(p))
+        return FiniteAbelianGroup((2,))
+    return FiniteAbelianGroup((2,)).direct_sum(witt_group_structure(p))
 
 
 def classify_loops(d: int, p: int) -> FiniteAbelianGroup:
@@ -146,5 +138,5 @@ def classify_loops(d: int, p: int) -> FiniteAbelianGroup:
     """
     _check_validated(d, p, "loop classification")
     if d <= 3:
-        return FiniteAbelianGroup.trivial()
+        return FiniteAbelianGroup(())
     return witt_group_structure(p)

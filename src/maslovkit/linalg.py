@@ -11,9 +11,9 @@ _interpolate turns the rows of two T-free matrices A and B into the matrix
 A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.
 On polynomial rows no method runs on a zero entry: _dagger_rows (and so
 RingMatrix.dagger), _sub_rows and the negation of _scalars pass it through,
-and _rows at T = t gives it as the one shared immutable zero of the ring
-without T, the zero _scalars gives and _matmul_rows puts in every entry no
-term reaches.  Eliminations run mod p over F_p and fraction-free (Bareiss)
+and _rows at T = t gives it as RingDescriptor.zero() of the ring without T,
+the one shared zero that _scalars gives and _matmul_rows puts in every entry
+no term reaches.  Eliminations run mod p over F_p and fraction-free (Bareiss)
 elsewhere; a Bareiss step touches only the rows with a nonzero entry in the
 pivot column, the others keep the level of their last update and are caught
 up lazily.  A division by a single-term pivot is an exponent shift, by a
@@ -46,7 +46,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 
@@ -463,22 +462,7 @@ def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
     return snf.V @ RingMatrix._unchecked(ring, map(tuple, Y), B.cols)
 
 
-def span_contains(G: RingMatrix, B: RingMatrix) -> bool:
-    """True when every column of B lies in the column span of G."""
-    return solve_in_span(G, B) is not None
-
-
-def spans_equal(G1: RingMatrix, G2: RingMatrix) -> bool:
-    return span_contains(G1, G2) and span_contains(G2, G1)
-
-
 # -- the rows linalg computes on; determinants and inverses ----------------
-
-
-@cache
-def _zero(ring: RingDescriptor) -> LaurentPolynomial:
-    """The zero over ring that the row helpers share; it is never changed."""
-    return LaurentPolynomial._unchecked(ring, {})
 
 
 def _rows(A: RingMatrix, t: int | None = None) -> list:
@@ -491,7 +475,7 @@ def _rows(A: RingMatrix, t: int | None = None) -> list:
     if ring.spatial_vars or (ring.has_T and t is None):
         if t is None:
             return [list(row) for row in A.entries]
-        zero = _zero(ring.drop_T())
+        zero = ring.drop_T().zero()
         return [[e.eval_T(t) if e.terms else zero for e in row] for row in A.entries]
     if t == 1:  # the value at T = 1 is the sum of the coefficients
         p = ring.p
@@ -554,7 +538,7 @@ def _sub_rows(ring: RingDescriptor, A: list, B: list) -> list:
 def _scalars(ring: RingDescriptor) -> tuple:
     """(zero, one, neg) for _rows over ring; neg negates an entry."""
     if ring.nexponents:
-        return _zero(ring), ring.one(), lambda v: -v if v.terms else v
+        return ring.zero(), ring.one(), lambda v: -v if v.terms else v
     p = ring.p
     return 0, 1, lambda v: -v % p
 
@@ -608,7 +592,7 @@ def _matmul_rows(ring: RingDescriptor, A: list, B: list, cols: int = 0) -> list:
         ]
     # each entry of a row of C sums all its term products in one dict and
     # reduces once; an entry no term reaches is the shared zero, with no dict
-    wrap, zero = LaurentPolynomial._unchecked, _zero(ring)
+    wrap, zero = LaurentPolynomial._unchecked, ring.zero()
     B = [[(j, b.terms) for j, b in enumerate(row) if b.terms] for row in B]
     out = []
     for row in A:

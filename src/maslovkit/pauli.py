@@ -29,7 +29,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     smith_normal_form,
-    spans_equal,
+    solve_in_span,
 )
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
@@ -208,10 +208,6 @@ def lagrangian_report(S: StabilizerModule) -> dict:
     }
 
 
-def is_lagrangian(S: StabilizerModule) -> bool:
-    return lagrangian_report(S)["lagrangian"]
-
-
 def is_transversal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
     """The two submodules together span the whole Pauli module."""
     if S1.ambient != S2.ambient:
@@ -227,7 +223,8 @@ def modules_equal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
     """Span equality of two stabilizer modules (d <= 1, no T)."""
     if S1.ambient != S2.ambient:
         raise RingMismatch("modules live in different Pauli modules")
-    return spans_equal(S1.generators, S2.generators)
+    G1, G2 = S1.generators, S2.generators
+    return solve_in_span(G1, G2) is not None and solve_in_span(G2, G1) is not None
 
 
 def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:

@@ -81,9 +81,6 @@ class RealPolynomial:
         c = self.coefficients
         return RealPolynomial([i * c[i] for i in range(1, len(c))])
 
-    def scaled(self, factor) -> "RealPolynomial":
-        return RealPolynomial([c * Fraction(factor) for c in self.coefficients])
-
     def __repr__(self):
         return f"RealPolynomial([{', '.join(map(str, self.coefficients))}])"
 

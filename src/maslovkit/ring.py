@@ -96,7 +96,8 @@ class FieldElement:
         self.value = _residue(value, p)
 
     def _arith(self, other, op):
-        """self op other for op in (add, sub, mul); _residue checks the scalar."""
+        """op(self, other) on residues: add, sub, mul or reversed sub; _residue
+        checks the scalar."""
         if not isinstance(other, (int, FieldElement)):
             return NotImplemented
         return FieldElement(op(self.value, _residue(other, self.p)), self.p)
@@ -108,6 +109,9 @@ class FieldElement:
 
     def __sub__(self, other):
         return self._arith(other, sub)
+
+    def __rsub__(self, other):
+        return self._arith(other, lambda x, y: y - x)
 
     def __mul__(self, other):
         return self._arith(other, mul)
@@ -182,11 +186,16 @@ class RingDescriptor:
     def drop_T(self) -> "RingDescriptor":
         return _interned(self.p, self.spatial_vars, False)
 
+    @cache
     def zero(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self, {})
+        """The ring's zero, one object per ring shared by every caller; it is
+        never changed."""
+        return LaurentPolynomial._unchecked(self, {})
 
+    @cache
     def one(self) -> "LaurentPolynomial":
-        return self.constant(1)
+        """The ring's constant 1, shared like zero()."""
+        return LaurentPolynomial._unchecked(self, {(0,) * self.nexponents: 1})
 
     def constant(self, c: int | FieldElement) -> "LaurentPolynomial":
         return LaurentPolynomial(self, {(0,) * self.nexponents: c})
@@ -233,19 +242,22 @@ class LaurentPolynomial:
         of (exponents, coefficient) pairs: ring.nexponents ints (not bools) per
         exponent tuple, the T exponent >= 0, and scalar coefficients.  Repeated
         exponents add up after each term's own check, so True never merges
-        with 1."""
+        with 1.  Any other container is a DomainError."""
         cleaned = {}
         width, p = ring.nexponents, ring.p
-        for exps, c in terms.items() if isinstance(terms, dict) else terms:
-            exps = tuple(exps)
-            if len(exps) != width or not all(type(e) is int for e in exps):
-                raise DomainError(f"exponent tuple {exps!r} must hold {width} ints")
-            if ring.has_T and exps[-1] < 0:
-                raise DomainError("T exponent must be non-negative")
-            if c := (cleaned.get(exps, 0) + _residue(c, p)) % p:
-                cleaned[exps] = c
-            else:
-                cleaned.pop(exps, None)
+        try:
+            for exps, c in terms.items() if isinstance(terms, dict) else terms:
+                exps = tuple(exps)
+                if len(exps) != width or not all(type(e) is int for e in exps):
+                    raise DomainError(f"exponent tuple {exps!r} must hold {width} ints")
+                if ring.has_T and exps[-1] < 0:
+                    raise DomainError("T exponent must be non-negative")
+                if c := (cleaned.get(exps, 0) + _residue(c, p)) % p:
+                    cleaned[exps] = c
+                else:
+                    cleaned.pop(exps, None)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"terms are a dict or (exponent, coefficient) pairs: {exc}") from None
         self.ring = ring
         self.terms = cleaned
 

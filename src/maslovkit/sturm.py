@@ -114,17 +114,21 @@ def _three_term(ring: RingDescriptor, steps, x: list, y: list) -> list:
     return out
 
 
-def _apply_word(seq: SturmSequence, a: list, c: list, t: int | None = None):
+def _apply_word(seq: SturmSequence, a: list | None = None, c: list | None = None,
+                t: int | None = None):
     """(A; C) = E_m(q_m) ... E_n(q_n) (a; c) for N-row blocks a and c.
 
     The factors act right to left: E0(q) = (1 0; q 1) adds q a to c and
     E1(q) = (1 q; 0 1) adds q c to a, so each factor sends the pair (x, y)
     of the last block updated and the other one to (y + q x, x), one step
     [q | I] of _three_term.  The blocks are rows as linalg._rows gives them,
-    over the sequence's ring, or at T = t when t is given.
+    over the sequence's ring, or at T = t when t is given.  Given no blocks,
+    the word is applied to the N columns (I; 0) of L.
     """
     ring = seq.ring if t is None else seq.ring.drop_T()
     ident = _identity_rows(ring, seq.N)
+    if a is None:
+        a, c = ident, [[_scalars(ring)[0]] * seq.N] * seq.N
     steps = [
         [row + e for row, e in zip(_rows(q.matrix, t), ident)]
         for q in reversed(seq.forms)
@@ -196,8 +200,7 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
     ring = seq.ring
     N = seq.N
     rest = (blocks - 1) * N
-    a0, c0 = _identity_rows(ring, N), [[_scalars(ring)[0]] * N] * N
-    a, c = (_wrap(ring, x, N) for x in _apply_word(seq, a0, c0))
+    a, c = (_wrap(ring, x, N) for x in _apply_word(seq))
     zero = RingMatrix.zeros(ring, N, rest)
     # columns: the word applied to slot 0 of L, then L_{1,2n-1} on the X side
     gens = RingMatrix.from_blocks(
@@ -277,10 +280,8 @@ def validate_loop(seq: SturmSequence) -> LagrangianLoop:
         raise DomainError("a loop sequence of type (0, 2n) has at least one form")
     if len(seq.forms) % 2 == 0:
         seq = seq.padded(1)
-    ring0, N = seq.ring.drop_T(), seq.N
-    a0, c0 = _identity_rows(ring0, N), [[_scalars(ring0)[0]] * N] * N
     for t in (0, 1):
-        if any(map(any, _apply_word(seq, a0, c0, t)[1])):
+        if any(map(any, _apply_word(seq, t=t)[1])):
             raise NotALoop(f"the word does not fix the base Lagrangian at T = {t}")
     return LagrangianLoop(seq)
 

@@ -13,6 +13,8 @@ from maslovkit import (
     HermitianForm,
     RingDescriptor,
     RingMatrix,
+    RingMismatch,
+    ShapeError,
     UnsupportedRing,
     WittClass,
     diagonalize,
@@ -21,9 +23,7 @@ from maslovkit import (
     is_square,
     least_non_residue,
     triple_delta,
-    witt_add,
     witt_class,
-    witt_neg,
 )
 from maslovkit.ring import FieldElement
 
@@ -139,13 +139,19 @@ def test_witt_class_examples():
 
 def test_witt_add_examples():
     x = WittClass.from_name(5, "<t>")
-    assert witt_add(x, WittClass.zero(5)) == x
+    assert x + WittClass.zero(5) == x
     one_f7 = WittClass.from_name(7, "1")
     theta_f7 = witt_class(diag_form(F7, [least_non_residue(7).value]))
     assert theta_f7.class_name == "3"
-    assert witt_add(one_f7, theta_f7).is_zero()
+    assert (one_f7 + theta_f7).is_zero()
     one_f5 = WittClass.from_name(5, "<1>")
-    assert witt_add(one_f5, one_f5).is_zero()
+    assert (one_f5 + one_f5).is_zero()
+    # the law takes Witt classes only: anything else is Python's TypeError
+    for other in (1, 0, None, "<1>"):
+        with pytest.raises(TypeError):
+            WittClass.zero(5) + other
+        with pytest.raises(TypeError):
+            WittClass.zero(5) - other
 
 
 def _all_classes(p):
@@ -159,11 +165,11 @@ def test_group_tables_exact():
     for p in (5, 13):
         for a in _all_classes(p):
             for b in _all_classes(p):
-                summed = witt_add(a, b)
+                summed = a + b
                 assert summed.rank_parity == a.rank_parity ^ b.rank_parity
                 assert summed.disc_class == a.disc_class ^ b.disc_class
-                assert witt_add(a, witt_neg(a)).is_zero()
-                assert a + b == summed and -a == a and (a - b) == summed
+                assert (a + -a).is_zero()
+                assert -a == a and (a - b) == summed
     for p in (3, 7, 11):
         to_z4 = {}
         for cls in _all_classes(p):
@@ -171,16 +177,14 @@ def test_group_tables_exact():
         assert sorted(to_z4) == [0, 1, 2, 3]
         for za in range(4):
             for zb in range(4):
-                summed = witt_add(to_z4[za], to_z4[zb])
-                assert summed == to_z4[(za + zb) % 4]
-                assert to_z4[za] + to_z4[zb] == summed
+                assert to_z4[za] + to_z4[zb] == to_z4[(za + zb) % 4]
                 assert to_z4[za] - to_z4[zb] == to_z4[(za - zb) % 4]
-            assert -to_z4[za] == witt_neg(to_z4[za]) == to_z4[-za % 4]
+            assert -to_z4[za] == to_z4[-za % 4]
         gen = WittClass.from_name(p, "1")
         acc = WittClass.zero(p)
         orders = []
         for k in range(1, 5):
-            acc = witt_add(acc, gen)
+            acc = acc + gen
             orders.append(acc.is_zero())
         assert orders == [False, False, False, True], "generator has order 4"
 
@@ -191,7 +195,7 @@ def test_group_law_matches_direct_sums():
         for _ in range(40):
             f = rand_symmetric_nondeg(p, rng.randrange(1, 4), rng)
             g = rand_symmetric_nondeg(p, rng.randrange(1, 4), rng)
-            assert witt_class(f.direct_sum(g)) == witt_add(witt_class(f), witt_class(g))
+            assert witt_class(f.direct_sum(g)) == witt_class(f) + witt_class(g)
 
 
 def test_witt_invariances():
@@ -218,6 +222,27 @@ def test_witt_errors():
             WittClass(7, rp, dc)
         with pytest.raises(DomainError):
             WittClass(5, rp, dc)
+    with pytest.raises(RingMismatch):
+        WittClass.zero(5) + WittClass.zero(7)
+    for p, name in ((5, "1"), (7, "<1>"), (7, "4"), (5, "")):
+        with pytest.raises(DomainError):
+            WittClass.from_name(p, name)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: hyperbolic_form(1, 1, F5).direct_sum(hyperbolic_form(1, -1, F5)), FormError),
+        (lambda: diag_form(F5, [1]).direct_sum(diag_form(F7, [1])), RingMismatch),
+        (lambda: FormTriple(diag_form(F5, [1]), diag_form(F7, [1])), RingMismatch),
+        (lambda: FormTriple(diag_form(F5, [1]), diag_form(F5, [1, 1])), ShapeError),
+        (lambda: FormTriple(hyperbolic_form(1, -1, F5), hyperbolic_form(1, -1, F5)), FormError),
+    ],
+    ids=["direct-sum-signs", "direct-sum-rings", "triple-rings", "triple-dims", "triple-sign"],
+)
+def test_form_pairs_are_checked(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_in_fundamental_ideal_examples():
@@ -236,7 +261,7 @@ def test_triple_delta_examples():
     assert in_fundamental_ideal(delta)
     forward = triple_delta(FormTriple(one, theta))
     backward = triple_delta(FormTriple(theta, one))
-    assert witt_add(forward, backward).is_zero()
+    assert (forward + backward).is_zero()
 
 
 def test_witt_json_names_round_trip():

@@ -22,8 +22,6 @@ from maslovkit import (
     kernel_basis,
     smith_normal_form,
     solve_in_span,
-    span_contains,
-    spans_equal,
 )
 from maslovkit import linalg
 from maslovkit.linalg import _dagger_rows, _interpolate, _matmul_rows, _rows, _scalars, _sub_rows
@@ -192,7 +190,7 @@ def test_kernel_examples():
     assert (G @ K).is_zero()
     assert K.cols == 1
     expected = RingMatrix(L5, [[x], [-1]])
-    assert spans_equal(K, expected)
+    assert solve_in_span(K, expected) is not None and solve_in_span(expected, K) is not None
     invertible = rand_unit_matrix(L5, random.Random(5), 2)
     assert kernel_basis(invertible).cols == 0
     zero = RingMatrix.zeros(L5, 1, 2)
@@ -249,7 +247,6 @@ def test_solve_in_span():
     assert X is not None and G @ X == B
     outside = RingMatrix(L5, [[0], [1]])
     assert solve_in_span(RingMatrix(L5, [[1], [x]]), outside) is None
-    assert span_contains(G, B)
 
 
 def test_spread_and_divmod():

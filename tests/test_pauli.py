@@ -13,6 +13,8 @@ from maslovkit import (
     PauliModule,
     RingDescriptor,
     RingMatrix,
+    RingMismatch,
+    ShapeError,
     StabilizerModule,
     UnsupportedRing,
     apply,
@@ -22,7 +24,6 @@ from maslovkit import (
     hyperbolic_unitary,
     inverse,
     is_isotropic,
-    is_lagrangian,
     is_transversal,
     lagrangian_report,
     modules_equal,
@@ -76,8 +77,8 @@ def test_is_isotropic_examples():
 
 def test_is_lagrangian_examples():
     module = PauliModule(L5, 1)
-    assert is_lagrangian(module.standard_lagrangian())
-    assert is_lagrangian(cluster_module())
+    assert lagrangian_report(module.standard_lagrangian())["lagrangian"]
+    assert lagrangian_report(cluster_module())["lagrangian"]
     bad = StabilizerModule(module, col(L5, [L5.x(0) - 1, 0]))
     report = lagrangian_report(bad)
     assert report["isotropic"] and not report["summand"] and not report["lagrangian"]
@@ -87,7 +88,7 @@ def test_is_lagrangian_unsupported_ring():
     ring = RingDescriptor(5, 2)
     module = PauliModule(ring, 1)
     with pytest.raises(UnsupportedRing):
-        is_lagrangian(module.standard_lagrangian())
+        lagrangian_report(module.standard_lagrangian())["lagrangian"]
     # isotropy alone stays available for every d
     assert is_isotropic(module.standard_lagrangian())
 
@@ -144,7 +145,7 @@ def test_cluster_circuit_fixture():
     for gate in disentangling_circuit():
         state = apply(gate, state)
     assert modules_equal(state, cluster_module())
-    assert is_lagrangian(cluster_module())
+    assert lagrangian_report(cluster_module())["lagrangian"]
 
 
 def test_is_transversal_examples():
@@ -179,7 +180,7 @@ def test_apply_preserves_structure():
             u = rand_clifford_word(ring, rng, 2, length=3)
             image = apply(u, base)
             assert is_isotropic(image)
-            assert is_lagrangian(image)
+            assert lagrangian_report(image)["lagrangian"]
 
 
 def test_diag_identity_examples():
@@ -239,3 +240,43 @@ def test_zero_module_keeps_its_shape():
         assert not is_transversal(zero, L)
         assert modules_equal(zero, zero)
         assert not modules_equal(zero, L) and not modules_equal(L, zero)
+
+
+F5_1, F5_2, L5_1 = PauliModule(F5, 1), PauliModule(F5, 2), PauliModule(L5, 1)
+F5_L, F5_2L = F5_1.standard_lagrangian(), F5_2.standard_lagrangian()
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: StabilizerModule(F5_1, col(L5, [1, 0])), RingMismatch),
+        (lambda: CliffordUnitary(F5_1, RingMatrix.identity(L5, 2)), RingMismatch),
+        (lambda: CliffordUnitary(F5_1, RingMatrix.identity(F5, 4)), ShapeError),
+        (
+            lambda: CliffordUnitary(F5_1, RingMatrix.identity(F5, 2))
+            @ CliffordUnitary(F5_2, RingMatrix.identity(F5, 4)),
+            RingMismatch,
+        ),
+        (lambda: pairing(col(F5, [1, 0]), col(L5, [1, 0])), RingMismatch),
+        (lambda: pairing(col(F5, [1, 0, 0]), col(F5, [1, 0, 0])), ShapeError),
+        (lambda: pairing(col(F5, [1, 0]), col(F5, [1, 0, 0, 0])), ShapeError),
+        (lambda: is_transversal(F5_L, L5_1.dual_lagrangian()), RingMismatch),
+        (lambda: modules_equal(F5_L, F5_2L), RingMismatch),
+        (lambda: hyperbolic_unitary(RingMatrix.zeros(F5, 1, 2)), ShapeError),
+        (
+            lambda: apply(
+                CliffordUnitary(F5_1, RingMatrix.identity(F5, 2)), L5_1.standard_lagrangian()
+            ),
+            RingMismatch,
+        ),
+        (lambda: diag_identity_decomposition(RingMatrix.zeros(L5, 2, 1)), ShapeError),
+    ],
+    ids=[
+        "module-ring", "unitary-ring", "unitary-shape", "product-ambient", "pairing-rings",
+        "pairing-odd-rows", "pairing-row-counts", "transversal-ambient", "equal-ambient",
+        "hyperbolic-square", "apply-ambient", "decomposition-square",
+    ],
+)
+def test_ring_and_shape_checks(build, error):
+    with pytest.raises(error):
+        build()

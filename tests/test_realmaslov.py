@@ -3,6 +3,7 @@
 import itertools
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,17 +97,21 @@ def test_scale_invariance():
     rng = random.Random(4)
     poly = paper_example_polynomial()
     base = real_maslov(poly)
+
+    def scaled(c):
+        return RealPolynomial([a * Fraction(c) for a in poly.coefficients])
+
     for _ in range(10):
         c = 0.0
         while abs(c) < 0.1:
             c = rng.uniform(-5, 5)
-        assert real_maslov(poly.scaled(c)) == base
-    assert real_maslov(poly.scaled(-1.0)) == base
+        assert real_maslov(scaled(c)) == base
+    assert real_maslov(scaled(-1.0)) == base
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c in (1e-12, 1e300, 1e308):
-            assert real_maslov(poly.scaled(c)) == base
-            assert real_maslov(poly.scaled(-c)) == base
+            assert real_maslov(scaled(c)) == base
+            assert real_maslov(scaled(-c)) == base
         # T^2 - 3T + 1/2 has one root in (0, 1) at every scale
         for c in (1e-12, 1.0, 1e12):
             assert real_maslov(RealPolynomial([0.5 * c, -3 * c, c])) == 1

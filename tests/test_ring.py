@@ -35,13 +35,17 @@ def test_field_arith_examples():
     expected = next(b for b in range(7) if 3 * b % 7 == 1)
     assert FieldElement(3, 7).inverse() == expected == 5
     a, b = FieldElement(3, 7), FieldElement(5, 7)
-    assert (a + b, a - b, -a, a + 2, 2 + a, a - 10, 2 * a) == (1, 5, 4, 5, 5, 0, 6)
-    # +, - and * share one scalar rule: another modulus or a bool is refused
+    assert (a + b, a - b, -a, a + 2, 2 + a, a - 10, 2 - a, 2 * a) == (1, 5, 4, 5, 5, 0, 6, 6)
+    assert 3 - FieldElement(1, 5) == FieldElement(2, 5)
+    # +, - and * share one scalar rule, on either side: another modulus or a
+    # bool is refused
     for op in (add, sub, mul):
         with pytest.raises(RingMismatch):
             op(a, FieldElement(1, 5))
         with pytest.raises(DomainError):
             op(a, True)
+        with pytest.raises(DomainError):
+            op(True, a)
 
 
 def test_field_arith_errors():
@@ -155,8 +159,10 @@ def test_ring_descriptor_validation():
 
 
 def test_T_exponent_restrictions():
-    with pytest.raises(DomainError):
-        LaurentPolynomial(L5T, {(0, -1): 1})
+    # the constructor refuses a negative T exponent and any malformed container
+    for ring, terms in ((L5T, {(0, -1): 1}), (F5, [((),)]), (F5, 5), (F5, [((), 1, 2)])):
+        with pytest.raises(DomainError):
+            LaurentPolynomial(ring, terms)
     with pytest.raises(DomainError):
         L5.T()
 
@@ -202,6 +208,9 @@ def test_T_twins_are_interned():
     assert base.drop_T() == base and base.with_T() != base
     f = L5T.x(0) * L5T.T() + 3
     assert f.eval_T(2).ring is (L5.x(0) + 1).lift_T().eval_T(0).ring
+    # each ring has one zero and one constant 1, shared by equal descriptors
+    assert base.zero() is L5.zero() and base.one() is L5T.drop_T().one()
+    assert L5T.zero() is not L5.zero() and L5T.one() == L5T.constant(1)
 
 
 def test_descriptor_fields_are_checked():

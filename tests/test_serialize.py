@@ -189,7 +189,7 @@ def test_maslov_result_encoding():
 
 
 def test_group_encoding():
-    g = FiniteAbelianGroup.from_orders((2, 4))
+    g = FiniteAbelianGroup((2, 4))
     assert serialize.encode_group(g) == {"invariant_factors": [2, 4], "name": "Z/2 + Z/4"}
 
 

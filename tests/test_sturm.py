@@ -17,6 +17,7 @@ from maslovkit import (
     RingDescriptor,
     RingMatrix,
     RingMismatch,
+    ShapeError,
     StabilizerModule,
     SturmSequence,
     WittClass,
@@ -35,7 +36,6 @@ from maslovkit import (
     transversal_witness,
     trivmas_homotopy,
     validate_loop,
-    witt_add,
     witt_class,
 )
 from maslovkit import sturm
@@ -200,6 +200,9 @@ def test_sturm_unitary_examples():
     double = SturmSequence(F5, 1, (q0, q1))
     expected = elementary_unitary("E0", q0) @ elementary_unitary("E1", q1)
     assert sturm_unitary(double).matrix == expected.matrix
+    # entries are HermitianForms, not bare matrices
+    with pytest.raises(FormError):
+        SturmSequence(F5, 1, (RingMatrix.identity(F5, 1),))
 
 
 def test_sturm_tridiagonal_examples():
@@ -239,6 +242,9 @@ def test_transversal_constructions_take_t_free_type_0_2n_sequences():
         for construction in (stabilized_image, transversal_witness):
             with pytest.raises(DomainError):
                 construction(seq)
+    # the type (0, 0) base case has a witness but no stabilized image
+    with pytest.raises(DomainError, match="no stabilized image"):
+        stabilized_image(SturmSequence(F5, 1, (zero,)))
 
 
 def test_transversal_witness_zero_forms():
@@ -451,8 +457,11 @@ def test_maslov_index_eliminates_at_most_N_rows(monkeypatch):
 
 
 def test_validate_loop_requires_T():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="ring with T"):
         validate_loop(SturmSequence(F5, 1, (scalar_form(F5, 0),)))
+    # and a sequence that starts at index 0
+    with pytest.raises(DomainError, match="index 0"):
+        validate_loop(SturmSequence(F5T, 1, (scalar_form(F5T, 0),), start=2))
 
 
 def test_validate_loop_rejects_an_empty_sequence():
@@ -523,7 +532,10 @@ def test_maslov_additivity():
             rand_symmetric_nondeg(5, 2, rng), rand_symmetric_nondeg(5, 2, rng)
         )
         combined = maslov_index(l1.direct_sum(l2)).witt
-        assert combined == witt_add(maslov_index(l1).witt, maslov_index(l2).witt)
+        assert combined == maslov_index(l1).witt + maslov_index(l2).witt
+    # summands live over one ring
+    with pytest.raises(RingMismatch):
+        constant_loop(F5, 1).direct_sum(constant_loop(F7, 1))
 
 
 def test_loop_from_pair_builds_loops():
@@ -594,6 +606,10 @@ def test_loop_from_pair_matches_entrywise_construction():
         loop_from_pair(one, scalar_form(RingDescriptor(7, 1), 1))
     with pytest.raises(RingMismatch):
         loop_from_pair(scalar_form(F5, 1), one)
+    with pytest.raises(ShapeError):
+        loop_from_pair(scalar_form(F5, 1), scalar_form(F5, 1, 2))
+    with pytest.raises(DomainError, match="T-free"):
+        loop_from_pair(scalar_form(F5T, 1), scalar_form(F5T, 1))
 
 
 def test_maslov_laurent_ring_invariants():
@@ -749,8 +765,6 @@ def test_maslov_reversal_negates_the_class():
     # tridiagonal form is evaluated at swapped endpoints, an independent
     # exercise of the sign conventions
     rng = random.Random(90)
-    from maslovkit import witt_neg
-
     for p in (5, 7):
         for _ in range(10):
             n = rng.randrange(1, 3)
@@ -758,7 +772,7 @@ def test_maslov_reversal_negates_the_class():
                 rand_symmetric_nondeg(p, n, rng), rand_symmetric_nondeg(p, n, rng)
             )
             backwards = _reversed_loop(loop)
-            assert maslov_index(backwards).witt == witt_neg(maslov_index(loop).witt)
+            assert maslov_index(backwards).witt == -maslov_index(loop).witt
 
 
 def test_maslov_well_defined_across_different_words():
