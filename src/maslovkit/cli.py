@@ -26,7 +26,8 @@ import sys
 from . import serialize
 from .errors import DomainError, MaslovkitError, UnsupportedRing
 from .forms import witt_class
-from .lgroups import classify_loops, fundamental_ideal_group, lgroup
+from .lgroups import VALIDATED_DIMENSIONS, _check_validated, classify_loops
+from .lgroups import fundamental_ideal_group, lgroup
 from .pauli import apply as pauli_apply
 from .pauli import lagrangian_report
 from .realmaslov import RealPolynomial, preset_polynomial, real_maslov
@@ -115,9 +116,8 @@ def _cmd_qca_apply(args):
 
 def _cmd_lgroup_table(args):
     p = args.p
-    d_max = args.d if args.d is not None else 4
-    if d_max < 0 or d_max > 4:
-        raise UnsupportedRing("the table is validated for 0 <= d <= 4")
+    d_max = args.d if args.d is not None else VALIDATED_DIMENSIONS
+    _check_validated(d_max, p, "L-group table")
     dims = list(range(d_max + 1))
     lrows = [
         {"n": n, "groups": [serialize.encode_group(lgroup(n, d, p)) for d in dims]}

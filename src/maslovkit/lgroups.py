@@ -98,11 +98,9 @@ def witt_group_structure(p: int) -> FiniteAbelianGroup:
 
 def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
     """L_n over d Laurent variables: W(F_p)^m, m = sum of C(d, k), k = n mod 4."""
-    _check_odd_prime(p)
-    if type(n) is not int or type(d) is not int:
-        raise DomainError(f"n and d must be ints, got n = {n!r}, d = {d!r}")
-    if d < 0:
-        raise DomainError("d must be >= 0")
+    _check_dimension(d, p)
+    if type(n) is not int:
+        raise DomainError(f"n must be an int, got {n!r}")
     if d > VALIDATED_DIMENSIONS:
         warnings.warn(
             f"L-groups for d = {d} > {VALIDATED_DIMENSIONS} are extrapolated "
@@ -113,12 +111,19 @@ def lgroup(n: int, d: int, p: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(witt_group_structure(p).cyclic_orders * m)
 
 
-def _check_validated(d: int, p: int, what: str):
-    """An odd prime p and an int d (not a bool) in the validated range."""
+def _check_dimension(d: int, p: int):
+    """An odd prime p and an int d >= 0 (not a bool); DomainError otherwise."""
     _check_odd_prime(p)
     if type(d) is not int:
         raise DomainError(f"d must be an int, got {d!r}")
-    if d < 0 or d > VALIDATED_DIMENSIONS:
+    if d < 0:
+        raise DomainError(f"d must be >= 0, got {d}")
+
+
+def _check_validated(d: int, p: int, what: str):
+    """_check_dimension, and UnsupportedRing for d beyond the validated range."""
+    _check_dimension(d, p)
+    if d > VALIDATED_DIMENSIONS:
         raise UnsupportedRing(f"{what} validated only for 0 <= d <= {VALIDATED_DIMENSIONS}")
 
 

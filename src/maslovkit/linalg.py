@@ -32,6 +32,19 @@ C is one big-int multiply-add of those ints, unpacked once and reduced mod p.
 Any other product takes the plain sums; the output is the same either way,
 and nothing but the input selects the path.
 
+F_p eliminations run on packed rows too, with delayed reduction (as in
+FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008).  Each of the n rows is one int
+with a byte-aligned slot per entry, the narrowest slot that holds
+p^2 (n + 1).  A row update adds (p - f) T, T the packed and reduced pivot
+row, as one big-int multiply-add; the pivot column is read from the slots and
+reduced.  An update adds at most (p - 1)^2 to a slot, and a row takes at most
+n - 1 updates between two reductions: when it becomes the pivot row it is
+unpacked, reduced (over [A | B] also scaled to 1) and repacked, and every row
+is unpacked and reduced at the end.  An elimination of fewer than
+_PACK_ELIMINATE_MIN entries (n x width) keeps the plain update, which is
+faster there, as does one whose p^2 (n + 1) fits no slot (p near 10^9 and
+n >= 18); the rows and the det are the same either way.
+
 Smith normal form runs for d <= 1 on the same sparse terms.  Its Euclidean
 size is the exponent spread (max degree - min degree, 0 for a monomial):
 long division walks f's exponents from the top down and leaves a remainder of
@@ -567,6 +580,26 @@ _PACK_MIN = 256
 _SLOTS = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
 
+def _slot(bound: int) -> tuple | None:
+    """The narrowest (itemsize, typecode) of _SLOTS that holds bound, or None."""
+    return next((s for s in _SLOTS if not bound >> 8 * s[0]), None)
+
+
+def _pack(slot: tuple, row) -> int:
+    """The residues row as one int, one slot per entry; slot is one of _SLOTS.
+
+    Array bytes are in the machine's order, so entry 0 is the lowest slot on
+    a little-endian machine and the highest on a big-endian one.
+    """
+    return int.from_bytes(array(slot[1], row).tobytes(), sys.byteorder)
+
+
+def _unpack(slot: tuple, v: int, width: int) -> memoryview:
+    """The width slots of the packed row v, unreduced."""
+    size, code = slot
+    return memoryview(v.to_bytes(width * size, sys.byteorder)).cast(code)
+
+
 def _matmul_rows(ring: RingDescriptor, A: list, B: list, cols: int = 0) -> list:
     """The rows C[i] = sum_k A[i][k] B[k] of A B from the rows of A and of B.
 
@@ -577,19 +610,11 @@ def _matmul_rows(ring: RingDescriptor, A: list, B: list, cols: int = 0) -> list:
     p, width = ring.p, len(B[0]) if B else cols
     if not ring.nexponents:
         K = len(B)
-        bound = K * (p - 1) ** 2
-        if len(A) * width * K < _PACK_MIN or bound >> 8 * _SLOTS[-1][0]:
+        if len(A) * width * K < _PACK_MIN or not (slot := _slot(K * (p - 1) ** 2)):
             columns = list(zip(*B)) if B else [()] * width
             return [[sum(map(mul, row, col)) % p for col in columns] for row in A]
-        size, code = next(s for s in _SLOTS if not bound >> 8 * s[0])
-        order = sys.byteorder  # array bytes are in the machine's order
-        packed = [int.from_bytes(array(code, b).tobytes(), order) for b in B]
-        return [
-            [v % p for v in memoryview(
-                sum(map(mul, row, packed)).to_bytes(width * size, order)
-            ).cast(code)]
-            for row in A
-        ]
+        packed = [_pack(slot, b) for b in B]
+        return [[v % p for v in _unpack(slot, sum(map(mul, row, packed)), width)] for row in A]
     # each entry of a row of C sums all its term products in one dict and
     # reduces once; an entry no term reaches is the shared zero, with no dict
     wrap, zero = LaurentPolynomial._unchecked, ring.zero()
@@ -626,6 +651,14 @@ def _eliminate_rows(ring: RingDescriptor, M: list) -> LaurentPolynomial:
     return ring.constant(_eliminate_modp(M, ring.p))
 
 
+# Eliminations of at least this many entries (rows x width) run on packed
+# rows.  Measured on random draws at p = 7 (x86-64, CPython 3.11), packed
+# rows ran at 0.74x the plain update's speed for a det at n = 8 (64
+# entries), 0.99x at n = 10 (100) and 1.31x at n = 12 (144); for an [A | I]
+# at 0.85x at n = 4 (32), 1.17x at n = 6 (72) and 1.46x at n = 8 (128).
+_PACK_ELIMINATE_MIN = 100
+
+
 def _eliminate_modp(M: list, p: int) -> int:
     """Row-reduce the n int rows M in place mod p; det of their n x n part.
 
@@ -633,9 +666,17 @@ def _eliminate_modp(M: list, p: int) -> int:
     pivot are cleared, which is all the determinant needs.  With augmented
     columns [A | B] each pivot row is scaled to 1 and every other row is
     cleared, so a nonsingular A leaves [I | A^-1 B].  A singular A gives 0.
+
+    At least _PACK_ELIMINATE_MIN entries (n x width; below it the plain
+    update measured faster) run on packed rows when p^2 (n + 1) fits a slot
+    of _SLOTS: each row one int, each update one multiply-add, a row reduced
+    when it becomes the pivot row and at the end (see the module text).
+    The rows M is left with are the same on either path.
     """
-    n = len(M)
-    augmented = len(M[0]) > n
+    n, width = len(M), len(M[0])
+    if n * width >= _PACK_ELIMINATE_MIN and (slot := _slot(p * p * (n + 1))):
+        return _eliminate_packed(M, p, slot)
+    augmented = width > n
     d = 1
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c]), None)
@@ -657,6 +698,45 @@ def _eliminate_modp(M: list, p: int) -> int:
             factor = M[r][c] * inv % p
             if factor:
                 M[r][c:] = [(a - factor * b) % p for a, b in zip(M[r][c:], top)]
+    return d
+
+
+def _eliminate_packed(M: list, p: int, slot: tuple) -> int:
+    """_eliminate_modp on rows packed into slot, an (itemsize, typecode) of _SLOTS.
+
+    A slot starts as a residue and takes at most n - 1 updates of at most
+    (p - 1)^2 before its row is reduced, so it stays below p^2 (n + 1).
+    """
+    n, width = len(M), len(M[0])
+    bits, mask = 8 * slot[0], (1 << 8 * slot[0]) - 1
+    little = sys.byteorder == "little"  # where _pack puts entry 0
+    R = [_pack(slot, row) for row in M]
+    augmented = width > n
+    d = 1
+    for c in range(n):
+        shift = bits * (c if little else width - 1 - c)  # of column c's slot
+        piv = next((r for r in range(c, n) if (R[r] >> shift & mask) % p), None)
+        if piv is None:
+            d = 0
+            break
+        if piv != c:
+            R[c], R[piv] = R[piv], R[c]
+            d = -d
+        top = _unpack(slot, R[c], width)
+        a = top[c] % p
+        d = d * a % p
+        inv = pow(a, -1, p)
+        if augmented:  # scale the pivot row to 1 as it is reduced
+            R[c] = T = _pack(slot, [v * inv % p for v in top])
+            targets = [r for r in range(n) if r != c]
+            inv = 1
+        else:
+            R[c] = T = _pack(slot, [v % p for v in top])
+            targets = range(c + 1, n)
+        for r in targets:
+            if f := (R[r] >> shift & mask) * inv % p:
+                R[r] += (p - f) * T
+    M[:] = ([v % p for v in _unpack(slot, row, width)] for row in R)
     return d
 
 

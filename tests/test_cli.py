@@ -62,6 +62,10 @@ def test_lgroup_table_unsupported_dimension(capsys):
     code, out = run_cli(capsys, ["lgroup", "table", "--p", "5", "--d", "9"])
     assert code == 3
     assert json.loads(out)["error"] == "unsupported-ring"
+    # d < 0 is a validation error, not an unsupported ring
+    code, out = run_cli(capsys, ["lgroup", "table", "--p", "7", "--d", "-1"])
+    assert code == 2
+    assert json.loads(out)["error"] == "domain-error"
 
 
 def test_lgroup_table_rejects_modulus_beyond_primality_range():

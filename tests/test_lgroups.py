@@ -102,7 +102,7 @@ def test_fundamental_ideal_examples():
     assert fundamental_ideal_group(4, 7) == FiniteAbelianGroup((2, 4))
     with pytest.raises(UnsupportedRing):
         fundamental_ideal_group(5, 5)
-    for d in (2.0, True):
+    for d in (2.0, True, -1):  # a negative d is out of the domain, not unsupported
         with pytest.raises(DomainError):
             fundamental_ideal_group(d, 5)
 
@@ -115,7 +115,7 @@ def test_classify_loops_examples():
     assert classify_loops(4, 7) == FiniteAbelianGroup((4,))
     with pytest.raises(UnsupportedRing):
         classify_loops(5, 7)
-    for d in (True, 4.0):
+    for d in (True, 4.0, -1):
         with pytest.raises(DomainError):
             classify_loops(d, 5)
 

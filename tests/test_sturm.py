@@ -829,3 +829,25 @@ def test_maslov_matches_pair_formula_at_large_p(p):
             assert (got.p, got.rank_parity, got.disc_class) == (p, 0, expected)
             seen.add(expected)
     assert seen == {0, 1}, "both square classes occur among the draws"
+
+
+@pytest.mark.parametrize("p", (5, 10**9 + 7))
+def test_pair_op_past_the_packing_gate(p):
+    # loop_from_pair and maslov_index at N = 12 and 20, where the mod-p
+    # eliminations run on packed rows (at p = 10^9 + 7 and N = 20 no slot
+    # fits, and they take the plain update): the inverses against sympy's
+    # inv_mod, the class against the pair formula
+    from sympy import Matrix
+
+    rng = random.Random(p % 1000 + 22)
+    ring = RingDescriptor(p)
+    for N in (12, 20):
+        q0 = rand_symmetric_nondeg(p, N, rng)
+        q1 = rand_symmetric_nondeg(p, N, rng)
+        for q in (q0, q1):
+            rows = [[e.augment().value for e in row] for row in q.matrix.entries]
+            want = Matrix(rows).inv_mod(p).tolist()
+            assert inverse(q.matrix) == RingMatrix(ring, [[int(v) for v in r] for r in want])
+        got = maslov_index(loop_from_pair(q0, q1)).witt
+        expected = _pair_formula_disc_class(q0, q1, p)
+        assert (got.p, got.rank_parity, got.disc_class) == (p, 0, expected)
