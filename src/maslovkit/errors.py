@@ -2,7 +2,10 @@
 
 Every error raised on a bad input derives from :class:`MaslovkitError`, so
 callers (notably the CLI) can map failures to structured error objects.
+It also holds _Value, the base of the library's immutable value classes.
 """
+
+from operator import attrgetter
 
 
 class MaslovkitError(Exception):
@@ -81,3 +84,45 @@ class InternalInvariantViolation(MaslovkitError):
     """An internal consistency check failed; indicates invalid upstream data."""
 
     code = "internal-invariant-violation"
+
+
+class _Value:
+    """Base of the immutable value classes: the fields are the subclass's
+    __slots__, set once by its __init__ through object.__setattr__.
+
+    Two values are equal when they are of one class with equal fields, and
+    they hash as the tuple of their fields.  Assigning or deleting a field
+    raises AttributeError; copy and pickle rebuild through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._fields
+        return get(self) == get(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)

@@ -16,8 +16,6 @@ class of the signed discriminant (-1)^(n(n-1)/2) det(F):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegenerateForm,
     DomainError,
@@ -25,25 +23,28 @@ from .errors import (
     RingMismatch,
     ShapeError,
     UnsupportedRing,
+    _Value,
 )
 from .linalg import RingMatrix, det
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor, is_square
 from .ring import _check_odd_prime
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(_Value):
     """A square matrix flagged as +hermitian or -hermitian."""
 
-    matrix: RingMatrix
-    sign: int = 1
+    __slots__ = ("matrix", "sign")
 
-    def __post_init__(self):
+    def __init__(self, matrix: RingMatrix, sign: int = 1):
         # bool subclasses int and 1.0 == 1: neither is a sign
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise DomainError(f"sign must be the int 1 or -1, got {self.sign!r}")
-        if not self.matrix.is_square():
+        if type(sign) is not int or sign not in (1, -1):
+            raise DomainError(f"sign must be the int 1 or -1, got {sign!r}")
+        if not isinstance(matrix, RingMatrix):
+            raise DomainError(f"a hermitian form needs a RingMatrix, got {type(matrix).__name__}")
+        if not matrix.is_square():
             raise ShapeError("hermitian forms live on square matrices")
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def ring(self) -> RingDescriptor:
@@ -128,8 +129,7 @@ def _class_names(p: int) -> tuple:
     return ("0", "<1>", "<1>+<t>", "<t>") if p % 4 == 1 else ("0", "1", "2", "3")
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(_Value):
     """Canonical Witt-group element: rank parity and signed-disc class.
 
     disc_class is the square class of (-1)^(n(n-1)/2) det(F): 0 for squares,
@@ -137,15 +137,16 @@ class WittClass:
     z = 2*disc_class + rank_parity: xor for p = 1 mod 4, + mod 4 otherwise.
     """
 
-    p: int
-    rank_parity: int
-    disc_class: int
+    __slots__ = ("p", "rank_parity", "disc_class")
 
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        bits = (self.rank_parity, self.disc_class)
+    def __init__(self, p: int, rank_parity: int, disc_class: int):
+        _check_odd_prime(p)
+        bits = (rank_parity, disc_class)
         if not all(type(b) is int and b in (0, 1) for b in bits):
             raise DomainError(f"rank parity and disc class are int bits, got {bits!r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rank_parity", rank_parity)
+        object.__setattr__(self, "disc_class", disc_class)
 
     @classmethod
     def _from_code(cls, p: int, z: int) -> "WittClass":
@@ -214,20 +215,22 @@ def in_fundamental_ideal(c: WittClass) -> bool:
     return c.rank_parity == 0
 
 
-@dataclass(frozen=True)
-class FormTriple:
+class FormTriple(_Value):
     """A pair of nondegenerate +hermitian forms on the same free module."""
 
-    q0: HermitianForm
-    q1: HermitianForm
+    __slots__ = ("q0", "q1")
 
-    def __post_init__(self):
-        if self.q0.ring != self.q1.ring:
+    def __init__(self, q0: HermitianForm, q1: HermitianForm):
+        if not (isinstance(q0, HermitianForm) and isinstance(q1, HermitianForm)):
+            raise FormError("triples are built from HermitianForm entries")
+        if q0.ring != q1.ring:
             raise RingMismatch("triple forms live over different rings")
-        if self.q0.dim != self.q1.dim:
+        if q0.dim != q1.dim:
             raise ShapeError("triple forms have different dimensions")
-        if self.q0.sign != 1 or self.q1.sign != 1:
+        if q0.sign != 1 or q1.sign != 1:
             raise FormError("triples are built from +hermitian forms")
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "q1", q1)
 
 
 def triple_delta(t: FormTriple) -> WittClass:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedRing
+from .errors import DomainError, UnsupportedRing, _Value
 from .ring import _check_odd_prime
 
 VALIDATED_DIMENSIONS = 4
@@ -40,6 +39,8 @@ def _prime_factorization(n: int) -> dict:
 
 def _canonical_factors(orders) -> tuple:
     """Invariant-factor form (each divides the next) of a cyclic-order list."""
+    if not isinstance(orders, (tuple, list)):
+        raise DomainError(f"cyclic orders come as a tuple or list, got {type(orders).__name__}")
     per_prime: dict = {}
     for n in orders:
         if type(n) is not int or n < 2:
@@ -56,18 +57,16 @@ def _canonical_factors(orders) -> tuple:
     return tuple(sorted(factors))
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_Value):
     """Finite abelian group, stored in canonical invariant-factor form.
 
     Any cyclic orders >= 2 are accepted: FiniteAbelianGroup((6, 4)) is Z/2 + Z/12.
     """
 
-    cyclic_orders: tuple
+    __slots__ = ("cyclic_orders",)
 
-    def __post_init__(self):
-        factors = _canonical_factors(self.cyclic_orders)
-        object.__setattr__(self, "cyclic_orders", factors)
+    def __init__(self, cyclic_orders: tuple):
+        object.__setattr__(self, "cyclic_orders", _canonical_factors(cyclic_orders))
 
     def is_trivial(self) -> bool:
         return not self.cyclic_orders

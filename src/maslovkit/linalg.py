@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 
@@ -70,6 +69,7 @@ from .errors import (
     RingMismatch,
     ShapeError,
     UnsupportedRing,
+    _Value,
 )
 from .ring import LaurentPolynomial, RingDescriptor, _reduced
 
@@ -338,8 +338,7 @@ def _canonical_unit(f: LaurentPolynomial) -> LaurentPolynomial:
 # -- Smith normal form ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Value):
     """U @ G @ V = D with U, V invertible and D a canonical diagonal.
 
     Nonzero diagonal entries come first, satisfy the divisibility chain
@@ -347,9 +346,12 @@ class SmithDecomposition:
     coefficient 1.
     """
 
-    U: RingMatrix
-    D: RingMatrix
-    V: RingMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: RingMatrix, D: RingMatrix, V: RingMatrix):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "V", V)
 
     @property
     def invariant_factors(self) -> list:

@@ -13,14 +13,13 @@ d <= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DomainError,
     FormError,
     NotAUnit,
     RingMismatch,
     ShapeError,
+    _Value,
 )
 from .forms import HermitianForm, _require_plus_hermitian, hyperbolic_form
 from .linalg import (
@@ -34,16 +33,18 @@ from .linalg import (
 from .ring import FieldElement, LaurentPolynomial, RingDescriptor
 
 
-@dataclass(frozen=True)
-class PauliModule:
+class PauliModule(_Value):
     """Ambient free module L + L* of rank 2N over the given ring."""
 
-    ring: RingDescriptor
-    N: int
+    __slots__ = ("ring", "N")
 
-    def __post_init__(self):
-        if type(self.N) is not int or self.N < 1:
-            raise DomainError(f"qudit species count must be an int >= 1, got {self.N!r}")
+    def __init__(self, ring: RingDescriptor, N: int):
+        if not isinstance(ring, RingDescriptor):
+            raise DomainError(f"a Pauli module needs a RingDescriptor, got {type(ring).__name__}")
+        if type(N) is not int or N < 1:
+            raise DomainError(f"qudit species count must be an int >= 1, got {N!r}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "N", N)
 
     @property
     def rank(self) -> int:

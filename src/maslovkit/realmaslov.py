@@ -23,7 +23,6 @@ the Euclidean remainder and has its signs.  REL_TOL only decides degeneracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     DomainError,
     EndpointRoot,
     InternalInvariantViolation,
+    _Value,
 )
 
 REL_TOL = 1e-9
@@ -85,8 +85,7 @@ class RealPolynomial:
         return f"RealPolynomial([{', '.join(map(str, self.coefficients))}])"
 
 
-@dataclass(frozen=True)
-class ResidueSequence:
+class ResidueSequence(_Value):
     """Euclidean chain data: m linear quotients plus the final constant.
 
     residues[:-1] are the quotients (each degree <= 1) and residues[-1] is
@@ -94,7 +93,10 @@ class ResidueSequence:
     product of the quotients applied to (constant, 0) reconstructs (P, P').
     """
 
-    residues: tuple
+    __slots__ = ("residues",)
+
+    def __init__(self, residues: tuple):
+        object.__setattr__(self, "residues", residues)
 
     @property
     def size(self) -> int:

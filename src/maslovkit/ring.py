@@ -12,11 +12,10 @@ normalized so that equality is map equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import add, mul, neg, sub
 
-from .errors import DivisionByZero, DomainError, RingMismatch
+from .errors import DivisionByZero, DomainError, RingMismatch, _Value
 
 
 # Sorenson and Webster, "Strong pseudoprimes to twelve prime bases" (Math.
@@ -156,19 +155,24 @@ def least_non_residue(p: int) -> FieldElement:
     raise DomainError(f"no non-residue mod {p}; is {p} prime?")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(_Value):
     """F_p[x1^+-,...,xd^+-], optionally extended by the loop variable T.
 
     The involution inverts every x_i and fixes T.  p = 2 is rejected: the
     machinery built on top requires 2 to be invertible.
     """
 
-    p: int
-    spatial_vars: int = 0
-    has_T: bool = False
+    __slots__ = ("p", "spatial_vars", "has_T")
+
+    def __init__(self, p: int, spatial_vars: int = 0, has_T: bool = False):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "spatial_vars", spatial_vars)
+        object.__setattr__(self, "has_T", has_T)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The checks of the fields; a method of its own so that descriptor
+        construction can be counted by patching it."""
         _check_odd_prime(self.p)
         d = self.spatial_vars
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:

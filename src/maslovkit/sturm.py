@@ -24,8 +24,6 @@ each T-form is the interpolation of its rows at T = 0 and T = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegenerateForm,
     DomainError,
@@ -35,6 +33,7 @@ from .errors import (
     NotAUnit,
     RingMismatch,
     ShapeError,
+    _Value,
 )
 from .forms import HermitianForm, WittClass, _require_plus_hermitian
 from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
@@ -43,26 +42,35 @@ from .pauli import CliffordUnitary, PauliModule, StabilizerModule
 from .ring import LaurentPolynomial, RingDescriptor, _residue
 
 
-@dataclass(frozen=True)
-class SturmSequence:
-    """Alternating +hermitian forms q_start..q_{start+len-1} of rank N."""
+class SturmSequence(_Value):
+    """Alternating +hermitian forms q_start..q_{start+len-1} of rank N.
 
-    ring: RingDescriptor
-    N: int
-    forms: tuple
-    start: int = 0
+    forms may be given as a tuple or a list; it is stored as a tuple.
+    """
 
-    def __post_init__(self):
-        if type(self.N) is not int or self.N < 0:
-            raise DomainError(f"Sturm sequences need an int N >= 0, got {self.N!r}")
-        for q in self.forms:
+    __slots__ = ("ring", "N", "forms", "start")
+
+    def __init__(self, ring: RingDescriptor, N: int, forms: tuple, start: int = 0):
+        if not isinstance(ring, RingDescriptor):
+            raise DomainError(f"a Sturm sequence needs a RingDescriptor, got {type(ring).__name__}")
+        if type(N) is not int or N < 0:
+            raise DomainError(f"Sturm sequences need an int N >= 0, got {N!r}")
+        if not isinstance(forms, (tuple, list)):
+            raise DomainError(f"Sturm sequence forms come as a tuple or list, got {type(forms).__name__}")
+        if type(start) is not int:
+            raise DomainError(f"a Sturm sequence starts at an int index, got {start!r}")
+        for q in forms:
             if not isinstance(q, HermitianForm):
                 raise FormError("Sturm sequences consist of HermitianForm entries")
-            if q.ring != self.ring:
+            if q.ring != ring:
                 raise RingMismatch("sequence entry over the wrong ring")
-            if q.dim != self.N:
-                raise ShapeError(f"sequence entry of rank {q.dim}, expected {self.N}")
+            if q.dim != N:
+                raise ShapeError(f"sequence entry of rank {q.dim}, expected {N}")
             _require_plus_hermitian(q, "sequence entries must be +hermitian")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "forms", tuple(forms))
+        object.__setattr__(self, "start", start)
 
     @classmethod
     def _unchecked(cls, ring, N, forms, start) -> "SturmSequence":
@@ -234,11 +242,15 @@ def transversal_witness(seq: SturmSequence):
     return StabilizerModule(big, gens), sprime
 
 
-@dataclass(frozen=True)
-class LagrangianLoop:
+class LagrangianLoop(_Value):
     """A Sturm sequence over R[T] whose word fixes L at T = 0 and T = 1."""
 
-    seq: SturmSequence
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: SturmSequence):
+        if not isinstance(seq, SturmSequence):
+            raise DomainError(f"a loop is a SturmSequence, got {type(seq).__name__}")
+        object.__setattr__(self, "seq", seq)
 
     @property
     def ring(self) -> RingDescriptor:
@@ -337,8 +349,7 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
     return LagrangianLoop(SturmSequence._unchecked(ring_T, N, forms, 0))
 
 
-@dataclass(frozen=True)
-class MaslovResult:
+class MaslovResult(_Value):
     """Representative form S(1) + (-S(0)^-1) with its computable invariants.
 
     The block -S(0)^-1 comes from the three-term recurrence of S(0) (see
@@ -347,10 +358,14 @@ class MaslovResult:
     parity and determinant are still exact invariants of the class.
     """
 
-    form: HermitianForm
-    witt: WittClass | None
-    rank_parity: int
-    determinant: LaurentPolynomial
+    __slots__ = ("form", "witt", "rank_parity", "determinant")
+
+    def __init__(self, form: HermitianForm, witt: WittClass | None, rank_parity: int,
+                 determinant: LaurentPolynomial):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "witt", witt)
+        object.__setattr__(self, "rank_parity", rank_parity)
+        object.__setattr__(self, "determinant", determinant)
 
 
 def maslov_index(loop: LagrangianLoop) -> MaslovResult:

@@ -115,7 +115,8 @@ def test_maslov_real_poly_flag(capsys):
 
 
 def test_no_command_loads_numpy():
-    # numpy is a test-only oracle: no subcommand may import it at run time
+    # numpy is a test-only oracle: no subcommand may import it at run time;
+    # dataclasses and the inspect it pulls in would only slow start-up
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     script = f"""
 import json, sys
@@ -141,6 +142,8 @@ argvs = [
 for argv in argvs:
     assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "dataclasses" not in sys.modules, "dataclasses was imported"
+assert "inspect" not in sys.modules, "inspect was imported"
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],

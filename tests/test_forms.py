@@ -237,8 +237,13 @@ def test_witt_errors():
         (lambda: FormTriple(diag_form(F5, [1]), diag_form(F7, [1])), RingMismatch),
         (lambda: FormTriple(diag_form(F5, [1]), diag_form(F5, [1, 1])), ShapeError),
         (lambda: FormTriple(hyperbolic_form(1, -1, F5), hyperbolic_form(1, -1, F5)), FormError),
+        (lambda: FormTriple(diag_form(F5, [1]), 1), FormError),
+        (lambda: FormTriple(RingMatrix.identity(F5, 1), diag_form(F5, [1])), FormError),
+        (lambda: HermitianForm([[1]]), DomainError),
+        (lambda: HermitianForm([[1]], 1), DomainError),
     ],
-    ids=["direct-sum-signs", "direct-sum-rings", "triple-rings", "triple-dims", "triple-sign"],
+    ids=["direct-sum-signs", "direct-sum-rings", "triple-rings", "triple-dims", "triple-sign",
+         "triple-entry", "triple-matrix-entry", "form-list-matrix", "form-list-matrix-signed"],
 )
 def test_form_pairs_are_checked(build, error):
     with pytest.raises(error):

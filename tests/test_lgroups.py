@@ -43,6 +43,10 @@ def test_constructor_is_canonical():
             FiniteAbelianGroup(orders)
         with pytest.raises(DomainError):
             FiniteAbelianGroup(list(orders))
+    # the orders come as a tuple or a list, never a bare int, string or set
+    for orders in (4, "24", {2, 4}, None):
+        with pytest.raises(DomainError):
+            FiniteAbelianGroup(orders)
 
 
 def test_lgroup_base_examples():

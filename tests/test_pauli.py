@@ -270,11 +270,14 @@ F5_L, F5_2L = F5_1.standard_lagrangian(), F5_2.standard_lagrangian()
             RingMismatch,
         ),
         (lambda: diag_identity_decomposition(RingMatrix.zeros(L5, 2, 1)), ShapeError),
+        (lambda: PauliModule(5, 1), DomainError),
+        (lambda: PauliModule(None, 1), DomainError),
     ],
     ids=[
         "module-ring", "unitary-ring", "unitary-shape", "product-ambient", "pairing-rings",
         "pairing-odd-rows", "pairing-row-counts", "transversal-ambient", "equal-ambient",
-        "hyperbolic-square", "apply-ambient", "decomposition-square",
+        "hyperbolic-square", "apply-ambient", "decomposition-square", "module-int-ring",
+        "module-no-ring",
     ],
 )
 def test_ring_and_shape_checks(build, error):

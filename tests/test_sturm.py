@@ -205,6 +205,33 @@ def test_sturm_unitary_examples():
         SturmSequence(F5, 1, (RingMatrix.identity(F5, 1),))
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SturmSequence(5, 1, ()), DomainError),
+        (lambda: SturmSequence(F5, 1, scalar_form(F5, 2)), DomainError),
+        (lambda: SturmSequence(F5, 1, None), DomainError),
+        (lambda: SturmSequence(F5, 1, (scalar_form(F5, 2),), start=1.5), DomainError),
+        (lambda: SturmSequence(F5, 1, (scalar_form(F5, 2),), start=True), DomainError),
+        (lambda: SturmSequence(F5, 1, [RingMatrix.identity(F5, 1)]), FormError),
+        (lambda: LagrangianLoop(5), DomainError),
+        (lambda: LagrangianLoop((scalar_form(F5T, 1),)), DomainError),
+    ],
+    ids=["int-ring", "bare-form", "no-forms", "float-start", "bool-start", "list-of-matrices",
+         "int-loop", "loop-of-forms"],
+)
+def test_sturm_sequence_and_loop_fields_are_checked(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_sturm_sequence_stores_forms_as_a_tuple():
+    q = scalar_form(F5, 2)
+    seq = SturmSequence(F5, 1, [q])
+    assert seq.forms == (q,)
+    assert seq == SturmSequence(F5, 1, (q,)) and hash(seq) == hash(SturmSequence(F5, 1, (q,)))
+
+
 def test_sturm_tridiagonal_examples():
     q0 = scalar_form(F5, 2)
     assert sturm_tridiagonal(SturmSequence(F5, 1, (q0,))).matrix == RingMatrix(

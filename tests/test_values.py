@@ -1,0 +1,115 @@
+"""The contract of the immutable value classes: equality, hashing, repr,
+frozen fields, keyword construction, copy and pickle."""
+
+import copy
+import pickle
+
+import pytest
+
+from maslovkit import (
+    FiniteAbelianGroup,
+    FormTriple,
+    HermitianForm,
+    LagrangianLoop,
+    MaslovResult,
+    PauliModule,
+    RealPolynomial,
+    ResidueSequence,
+    RingDescriptor,
+    RingMatrix,
+    SmithDecomposition,
+    SturmSequence,
+    WittClass,
+)
+
+F5 = RingDescriptor(5)
+F5T = RingDescriptor(5, 0, True)
+L5 = RingDescriptor(5, 1)
+M = RingMatrix(F5, [[1, 2], [2, 3]])
+Q = HermitianForm(M)
+QT = HermitianForm(RingMatrix(F5T, [[F5T.T() + 1]]))
+ONE = RingMatrix.identity(L5, 1)
+RESIDUES = (RealPolynomial([1, 2]), RealPolynomial([3]))
+
+# class, constructor arguments, stored fields, repr; the reprs are the ones
+# the classes printed when they were generated by dataclasses
+CASES = [
+    (RingDescriptor, (5, 0, False), (5, 0, False),
+     "RingDescriptor(p=5, spatial_vars=0, has_T=False)"),
+    (HermitianForm, (M, 1), (M, 1),
+     "HermitianForm(matrix=RingMatrix[2x2: 1, 2; 2, 3], sign=1)"),
+    (WittClass, (5, 1, 0), (5, 1, 0),
+     "WittClass(p=5, rank_parity=1, disc_class=0)"),
+    (FormTriple, (Q, Q), (Q, Q),
+     "FormTriple(q0=HermitianForm(matrix=RingMatrix[2x2: 1, 2; 2, 3], sign=1), "
+     "q1=HermitianForm(matrix=RingMatrix[2x2: 1, 2; 2, 3], sign=1))"),
+    (FiniteAbelianGroup, ((6, 4),), ((2, 12),),
+     "FiniteAbelianGroup(Z/2 + Z/12)"),
+    (SmithDecomposition, (ONE, RingMatrix(L5, [[L5.x(0) + 1]]), ONE),
+     (ONE, RingMatrix(L5, [[L5.x(0) + 1]]), ONE),
+     "SmithDecomposition(U=RingMatrix[1x1: 1], D=RingMatrix[1x1: 1 + x], V=RingMatrix[1x1: 1])"),
+    (PauliModule, (F5, 1), (F5, 1),
+     "PauliModule(ring=RingDescriptor(p=5, spatial_vars=0, has_T=False), N=1)"),
+    (ResidueSequence, (RESIDUES,), (RESIDUES,),
+     "ResidueSequence(residues=(RealPolynomial([1, 2]), RealPolynomial([3])))"),
+    (SturmSequence, (F5T, 1, (QT,), 1), (F5T, 1, (QT,), 1),
+     "SturmSequence(ring=RingDescriptor(p=5, spatial_vars=0, has_T=True), N=1, "
+     "forms=(HermitianForm(matrix=RingMatrix[1x1: 1 + T], sign=1),), start=1)"),
+    (LagrangianLoop, (SturmSequence(F5T, 1, (QT,)),), (SturmSequence(F5T, 1, (QT,)),),
+     "LagrangianLoop(seq=SturmSequence(ring=RingDescriptor(p=5, spatial_vars=0, has_T=True), "
+     "N=1, forms=(HermitianForm(matrix=RingMatrix[1x1: 1 + T], sign=1),), start=0))"),
+    (MaslovResult, (Q, WittClass(5, 0, 1), 0, F5.constant(4)),
+     (Q, WittClass(5, 0, 1), 0, F5.constant(4)),
+     "MaslovResult(form=HermitianForm(matrix=RingMatrix[2x2: 1, 2; 2, 3], sign=1), "
+     "witt=WittClass(p=5, rank_parity=0, disc_class=1), rank_parity=0, determinant=4)"),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_equality_hash_and_repr(cls, args, fields, text):
+    a, b = cls(*args), cls(*args)
+    assert a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert hash(a) == hash(fields)
+    assert tuple(getattr(a, name) for name in cls.__slots__) == fields
+    assert a != fields and a != fields[0]
+    assert all(a != other(*other_args) for other, other_args, _, _ in CASES if other is not cls)
+    assert repr(a) == text
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_fields_are_frozen(cls, args, fields, text):
+    a = cls(*args)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert not hasattr(a, "__dict__")
+    assert repr(a) == text
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_keyword_construction(cls, args, fields, text):
+    assert cls(**dict(zip(cls.__slots__, args))) == cls(*args)
+
+
+@pytest.mark.parametrize("cls, args, fields, text", CASES, ids=IDS)
+def test_copy_and_pickle(cls, args, fields, text):
+    a = cls(*args)
+    rebuilt = [copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+    assert copy.copy(a) == a
+    for b in rebuilt:
+        assert type(b) is cls and repr(b) == text
+        # RealPolynomial compares by identity, so only shared residues compare equal
+        if cls is not ResidueSequence:
+            assert b == a and hash(b) == hash(a)
+
+
+def test_defaults():
+    assert RingDescriptor(p=5) == RingDescriptor(5, 0, False)
+    assert HermitianForm(M).sign == 1 and HermitianForm(M) == HermitianForm(M, 1)
+    assert SturmSequence(F5T, 1, (QT,)).start == 0
