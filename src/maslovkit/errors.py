@@ -87,11 +87,16 @@ class InternalInvariantViolation(MaslovkitError):
 
 
 class _Value:
-    """Base of the immutable value classes: the fields are the subclass's
-    __slots__, set once by its __init__ through object.__setattr__.
+    """Base of the immutable value classes.
+
+    The fields are the subclass's __slots__.  Its __init__ checks the
+    arguments and stores the fields with one call to _set, in __slots__
+    order; _unchecked builds a value the library made correct by
+    construction, without running __init__.
 
     Two values are equal when they are of one class with equal fields, and
-    they hash as the tuple of their fields.  Assigning or deleting a field
+    they hash as the tuple of their fields; FieldElement keeps an __eq__ of
+    its own, which also matches scalars.  Assigning or deleting a field
     raises AttributeError; copy and pickle rebuild through the constructor.
     """
 
@@ -102,6 +107,16 @@ class _Value:
         get = attrgetter(*cls.__slots__)
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._fields = get if len(cls.__slots__) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def _set(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        value = object.__new__(cls)
+        value._set(*fields)
+        return value
 
     def __eq__(self, other):
         if other is self:

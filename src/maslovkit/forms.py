@@ -43,8 +43,7 @@ class HermitianForm(_Value):
             raise DomainError(f"a hermitian form needs a RingMatrix, got {type(matrix).__name__}")
         if not matrix.is_square():
             raise ShapeError("hermitian forms live on square matrices")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "sign", sign)
+        self._set(matrix, sign)
 
     @property
     def ring(self) -> RingDescriptor:
@@ -144,9 +143,7 @@ class WittClass(_Value):
         bits = (rank_parity, disc_class)
         if not all(type(b) is int and b in (0, 1) for b in bits):
             raise DomainError(f"rank parity and disc class are int bits, got {bits!r}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rank_parity", rank_parity)
-        object.__setattr__(self, "disc_class", disc_class)
+        self._set(p, rank_parity, disc_class)
 
     @classmethod
     def _from_code(cls, p: int, z: int) -> "WittClass":
@@ -229,8 +226,7 @@ class FormTriple(_Value):
             raise ShapeError("triple forms have different dimensions")
         if q0.sign != 1 or q1.sign != 1:
             raise FormError("triples are built from +hermitian forms")
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "q1", q1)
+        self._set(q0, q1)
 
 
 def triple_delta(t: FormTriple) -> WittClass:

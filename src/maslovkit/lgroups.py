@@ -66,7 +66,7 @@ class FiniteAbelianGroup(_Value):
     __slots__ = ("cyclic_orders",)
 
     def __init__(self, cyclic_orders: tuple):
-        object.__setattr__(self, "cyclic_orders", _canonical_factors(cyclic_orders))
+        self._set(_canonical_factors(cyclic_orders))
 
     def is_trivial(self) -> bool:
         return not self.cyclic_orders

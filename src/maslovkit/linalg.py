@@ -174,11 +174,13 @@ class RingMatrix:
         return (
             isinstance(other, RingMatrix)
             and self.ring == other.ring
+            and self.cols == other.cols
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        # cols tells apart the matrices with no rows
+        return hash((self.ring, self.cols, self.entries))
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):
@@ -349,9 +351,7 @@ class SmithDecomposition(_Value):
     __slots__ = ("U", "D", "V")
 
     def __init__(self, U: RingMatrix, D: RingMatrix, V: RingMatrix):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "V", V)
+        self._set(U, D, V)
 
     @property
     def invariant_factors(self) -> list:

@@ -43,8 +43,7 @@ class PauliModule(_Value):
             raise DomainError(f"a Pauli module needs a RingDescriptor, got {type(ring).__name__}")
         if type(N) is not int or N < 1:
             raise DomainError(f"qudit species count must be an int >= 1, got {N!r}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "N", N)
+        self._set(ring, N)
 
     @property
     def rank(self) -> int:
@@ -74,7 +73,16 @@ class PauliModule(_Value):
         return StabilizerModule(self, gens)
 
 
-class StabilizerModule:
+def _require_types(what: str, ambient, matrix):
+    """DomainError unless ambient is a PauliModule and matrix a RingMatrix."""
+    if not (isinstance(ambient, PauliModule) and isinstance(matrix, RingMatrix)):
+        raise DomainError(
+            f"{what} needs a PauliModule and a RingMatrix, got "
+            f"{type(ambient).__name__} and {type(matrix).__name__}"
+        )
+
+
+class StabilizerModule(_Value):
     """Column span of a generator matrix inside a Pauli module.
 
     Generating sets are highly non-unique, so no canonical form is imposed:
@@ -86,6 +94,7 @@ class StabilizerModule:
     __slots__ = ("ambient", "generators")
 
     def __init__(self, ambient: PauliModule, generators: RingMatrix):
+        _require_types("a stabilizer module", ambient, generators)
         if generators.ring != ambient.ring:
             raise RingMismatch("generator ring differs from ambient ring")
         if generators.rows != ambient.rank:
@@ -97,21 +106,10 @@ class StabilizerModule:
             for j in range(generators.cols)
             if any(not generators[i, j].is_zero() for i in range(generators.rows))
         ]
-        self.ambient = ambient
-        self.generators = generators.submatrix(range(generators.rows), keep)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StabilizerModule)
-            and self.ambient == other.ambient
-            and self.generators == other.generators
-        )
-
-    def __repr__(self):
-        return f"StabilizerModule(N={self.ambient.N}, generators={self.generators!r})"
+        self._set(ambient, generators.submatrix(range(generators.rows), keep))
 
 
-class CliffordUnitary:
+class CliffordUnitary(_Value):
     """An invertible matrix preserving the anti-hermitian pairing.
 
     The public constructor verifies dagger(M) @ lambda^- @ M = lambda^-
@@ -122,6 +120,7 @@ class CliffordUnitary:
     __slots__ = ("ambient", "matrix")
 
     def __init__(self, ambient: PauliModule, matrix: RingMatrix):
+        _require_types("a Clifford unitary", ambient, matrix)
         if matrix.ring != ambient.ring:
             raise RingMismatch("unitary ring differs from ambient ring")
         if matrix.shape != (ambient.rank, ambient.rank):
@@ -129,34 +128,17 @@ class CliffordUnitary:
         lam = ambient.lambda_minus()
         if matrix.dagger() @ lam @ matrix != lam:
             raise FormError("matrix does not preserve the anti-hermitian pairing")
-        self.ambient = ambient
-        self.matrix = matrix
-
-    @classmethod
-    def _unchecked(cls, ambient: PauliModule, matrix: RingMatrix) -> "CliffordUnitary":
-        """Wrap a matrix that is unitary by construction, without checking it."""
-        u = object.__new__(cls)
-        u.ambient = ambient
-        u.matrix = matrix
-        return u
+        self._set(ambient, matrix)
 
     def __matmul__(self, other: "CliffordUnitary") -> "CliffordUnitary":
+        if not isinstance(other, CliffordUnitary):
+            return NotImplemented
         if self.ambient != other.ambient:
             raise RingMismatch("unitaries act on different Pauli modules")
         return CliffordUnitary._unchecked(self.ambient, self.matrix @ other.matrix)
 
     def inverse(self) -> "CliffordUnitary":
         return CliffordUnitary._unchecked(self.ambient, inverse(self.matrix))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CliffordUnitary)
-            and self.ambient == other.ambient
-            and self.matrix == other.matrix
-        )
-
-    def __repr__(self):
-        return f"CliffordUnitary(N={self.ambient.N}, matrix={self.matrix!r})"
 
 
 def pairing(v: RingMatrix, w: RingMatrix) -> LaurentPolynomial:

@@ -37,11 +37,12 @@ REL_TOL = 1e-9
 _TOL = Fraction(REL_TOL)
 
 
-class RealPolynomial:
+class RealPolynomial(_Value):
     """Dense real polynomial with exact lowest-degree-first coefficients.
 
     coefficients is a tuple of Fractions; leading ones at most REL_TOL times
-    the largest are dropped.
+    the largest are dropped.  Exact results of the library are wrapped by
+    _unchecked, without trimming.
     """
 
     __slots__ = ("coefficients",)
@@ -56,14 +57,7 @@ class RealPolynomial:
         scale = max(map(abs, coeffs), default=0)
         while len(coeffs) > 1 and abs(coeffs[-1]) <= _TOL * scale:
             coeffs.pop()
-        self.coefficients = tuple(coeffs) if scale else (Fraction(0),)
-
-    @classmethod
-    def _unchecked(cls, coefficients) -> "RealPolynomial":
-        """Wrap exact coefficients computed by the library, without trimming."""
-        poly = object.__new__(cls)
-        poly.coefficients = tuple(coefficients)
-        return poly
+        self._set(tuple(coeffs) if scale else (Fraction(0),))
 
     def degree(self) -> int:
         return len(self.coefficients) - 1
@@ -96,7 +90,7 @@ class ResidueSequence(_Value):
     __slots__ = ("residues",)
 
     def __init__(self, residues: tuple):
-        object.__setattr__(self, "residues", residues)
+        self._set(residues)
 
     @property
     def size(self) -> int:

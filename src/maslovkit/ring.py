@@ -84,15 +84,14 @@ def _reduced(terms: dict, p: int) -> dict:
     return {e: r for e, c in terms.items() if (r := c % p)}
 
 
-class FieldElement:
+class FieldElement(_Value):
     """A residue in F_p for an odd prime p."""
 
     __slots__ = ("value", "p")
 
     def __init__(self, value: int | FieldElement, p: int):
         _check_odd_prime(p)
-        self.p = p
-        self.value = _residue(value, p)
+        self._set(_residue(value, p), p)
 
     def _arith(self, other, op):
         """op(self, other) on residues: add, sub, mul or reversed sub; _residue
@@ -132,8 +131,8 @@ class FieldElement:
         except (DomainError, RingMismatch):
             return False
 
-    def __hash__(self):
-        return hash((self.value, self.p))
+    # defining __eq__ unsets the inherited hash
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return f"FieldElement({self.value}, p={self.p})"
@@ -165,9 +164,7 @@ class RingDescriptor(_Value):
     __slots__ = ("p", "spatial_vars", "has_T")
 
     def __init__(self, p: int, spatial_vars: int = 0, has_T: bool = False):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "spatial_vars", spatial_vars)
-        object.__setattr__(self, "has_T", has_T)
+        self._set(p, spatial_vars, has_T)
         self.__post_init__()
 
     def __post_init__(self):

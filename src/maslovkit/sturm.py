@@ -67,19 +67,7 @@ class SturmSequence(_Value):
             if q.dim != N:
                 raise ShapeError(f"sequence entry of rank {q.dim}, expected {N}")
             _require_plus_hermitian(q, "sequence entries must be +hermitian")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "forms", tuple(forms))
-        object.__setattr__(self, "start", start)
-
-    @classmethod
-    def _unchecked(cls, ring, N, forms, start) -> "SturmSequence":
-        """A sequence of forms hermitian by construction; they are not checked again."""
-        seq = object.__new__(cls)
-        fields = {"ring": ring, "N": N, "forms": forms, "start": start}
-        for name, value in fields.items():
-            object.__setattr__(seq, name, value)
-        return seq
+        self._set(ring, N, tuple(forms), start)
 
     def __len__(self):
         return len(self.forms)
@@ -250,7 +238,7 @@ class LagrangianLoop(_Value):
     def __init__(self, seq: SturmSequence):
         if not isinstance(seq, SturmSequence):
             raise DomainError(f"a loop is a SturmSequence, got {type(seq).__name__}")
-        object.__setattr__(self, "seq", seq)
+        self._set(seq)
 
     @property
     def ring(self) -> RingDescriptor:
@@ -362,10 +350,7 @@ class MaslovResult(_Value):
 
     def __init__(self, form: HermitianForm, witt: WittClass | None, rank_parity: int,
                  determinant: LaurentPolynomial):
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "witt", witt)
-        object.__setattr__(self, "rank_parity", rank_parity)
-        object.__setattr__(self, "determinant", determinant)
+        self._set(form, witt, rank_parity, determinant)
 
 
 def maslov_index(loop: LagrangianLoop) -> MaslovResult:

@@ -42,11 +42,14 @@ def polys(draw, ring):
 
 @st.composite
 def matrices(draw, ring, rows, cols):
-    if not rows:  # the checked constructor reads the width from the first row
-        return RingMatrix.zeros(ring, 0, cols)
-    return RingMatrix(
-        ring, [[draw(polys(ring)) for _ in range(cols)] for _ in range(rows)]
-    )
+    rows = [[draw(polys(ring)) for _ in range(cols)] for _ in range(rows)]
+    return checked_matrix(ring, rows, cols)
+
+
+def checked_matrix(ring, rows, cols):
+    """rows through the checked constructor, which reads the width from the
+    first row; with no rows, the zero matrix of width cols."""
+    return RingMatrix(ring, rows) if rows else RingMatrix.zeros(ring, 0, cols)
 
 
 @st.composite
@@ -76,7 +79,7 @@ def assert_matrix_normalized(A: RingMatrix, ring: RingDescriptor, shape):
         assert isinstance(row, tuple) and len(row) == shape[1]
         for e in row:
             assert_normalized(e, ring)
-    rebuilt = RingMatrix(ring, [list(row) for row in A.entries])
+    rebuilt = checked_matrix(ring, [list(row) for row in A.entries], shape[1])
     assert A == rebuilt and hash(A) == hash(rebuilt)
 
 
@@ -118,7 +121,7 @@ def ref_matmul(A, B):
                 ref_mul_terms(A[i, k], B[k, j], acc)
             row.append(LaurentPolynomial(A.ring, acc))
         out.append(row)
-    return RingMatrix(A.ring, out)
+    return checked_matrix(A.ring, out, B.cols)
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -252,7 +255,7 @@ def test_matrix_operations_are_normalized(data):
     evaluated = D.eval_T(t)
     assert_matrix_normalized(evaluated, base, (m, n))
     want = [[e.eval_T(t) for e in row] for row in D.entries]
-    assert evaluated == RingMatrix(base, want)
+    assert evaluated == checked_matrix(base, want, n)
 
 
 # -- unitaries -----------------------------------------------------------------

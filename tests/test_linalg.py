@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import Poly, nextprime, prevprime, symbols
 
 from maslovkit import (
+    DivisionByZero,
     DomainError,
     LaurentPolynomial,
     RingDescriptor,
@@ -51,12 +52,35 @@ def test_mat_mul_examples():
 
 
 def test_mat_mul_errors():
+    A, B = RingMatrix.identity(F5, 2), RingMatrix.identity(F5, 3)
     with pytest.raises(ShapeError):
-        RingMatrix.identity(F5, 2) @ RingMatrix.identity(F5, 3)
+        A @ B
+    with pytest.raises(TypeError):
+        A @ 3
+    for combine in (RingMatrix.__matmul__, RingMatrix.__add__, RingMatrix.__sub__):
+        with pytest.raises(RingMismatch):
+            combine(A, RingMatrix.identity(F3, 2))
+    for combine in (RingMatrix.__add__, RingMatrix.__sub__):
+        with pytest.raises(ShapeError):
+            combine(A, B)
+    with pytest.raises(DivisionByZero):
+        spread(L5.zero())
+    with pytest.raises(DivisionByZero):
+        laurent_divmod(L5.x(0), L5.zero())
+    with pytest.raises(ShapeError):
+        solve_in_span(A, RingMatrix.zeros(F5, 3, 1))
+    with pytest.raises(ShapeError):
+        inverse(RingMatrix.zeros(F5, 2, 3))
 
 
 def test_block_assembly_checks_shapes_and_rings():
     A = RingMatrix.identity(F5, 2)
+    with pytest.raises(RingMismatch):
+        RingMatrix(F5, [[1, L5.x(0)]])
+    with pytest.raises(ShapeError):
+        RingMatrix(F5, [[1, 2], [3]])
+    with pytest.raises(ShapeError):
+        RingMatrix.block_diag([])
     with pytest.raises(ShapeError):
         RingMatrix.from_blocks([[A, A], [A]])
     with pytest.raises(ShapeError):
@@ -347,6 +371,12 @@ def test_matrices_without_rows_keep_their_width():
         assert solve_in_span(tall, RingMatrix.zeros(ring, 2, 2)).shape == (0, 2)
     lifted = RingMatrix.zeros(F5, 0, 3).lift_T()
     assert lifted.shape == lifted.eval_T(1).shape == (0, 3)
+    # equality and hashing see the width of a matrix with no rows
+    for a, b in [
+        (RingMatrix.zeros(F5, 0, 3), RingMatrix.zeros(F5, 0, 5)),
+        (RingMatrix.zeros(F5, 3, 0).transpose(), RingMatrix.zeros(F5, 0, 0)),
+    ]:
+        assert a != b and hash(a) != hash(b)
 
 
 def test_snf_divisibility_repair():

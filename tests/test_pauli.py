@@ -272,12 +272,18 @@ F5_L, F5_2L = F5_1.standard_lagrangian(), F5_2.standard_lagrangian()
         (lambda: diag_identity_decomposition(RingMatrix.zeros(L5, 2, 1)), ShapeError),
         (lambda: PauliModule(5, 1), DomainError),
         (lambda: PauliModule(None, 1), DomainError),
+        (lambda: CliffordUnitary(F5_1, RingMatrix.identity(F5, 2)) @ 3, TypeError),
+        (lambda: StabilizerModule(None, col(F5, [1, 0])), DomainError),
+        (lambda: StabilizerModule(F5_1, [[1], [0]]), DomainError),
+        (lambda: CliffordUnitary(None, RingMatrix.identity(F5, 2)), DomainError),
+        (lambda: CliffordUnitary(F5_1, [[1, 0], [0, 1]]), DomainError),
     ],
     ids=[
         "module-ring", "unitary-ring", "unitary-shape", "product-ambient", "pairing-rings",
         "pairing-odd-rows", "pairing-row-counts", "transversal-ambient", "equal-ambient",
         "hyperbolic-square", "apply-ambient", "decomposition-square", "module-int-ring",
-        "module-no-ring",
+        "module-no-ring", "product-by-int", "stabilizer-no-module", "stabilizer-list",
+        "unitary-no-module", "unitary-list",
     ],
 )
 def test_ring_and_shape_checks(build, error):

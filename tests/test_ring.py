@@ -57,6 +57,8 @@ def test_field_arith_errors():
         FieldElement(1, 4)
     with pytest.raises(DomainError):
         FieldElement(1, 2)
+    with pytest.raises(TypeError):
+        FieldElement(1, 5) + "a"
 
 
 def test_is_square_examples():
@@ -91,6 +93,15 @@ def test_poly_arith_examples():
 def test_poly_ring_mismatch():
     with pytest.raises(RingMismatch):
         L5.x(0) + RingDescriptor(7, 1).x(0)
+    for op in (add, sub, mul):
+        with pytest.raises(TypeError):
+            op(L5.x(0), "a")
+    with pytest.raises(DomainError):
+        L5.x(0) ** -1
+    with pytest.raises(DivisionByZero):
+        (L5.x(0) + 1).unit_inverse()
+    with pytest.raises(DomainError):
+        L5T.T().lift_T()
 
 
 def test_involute_examples():

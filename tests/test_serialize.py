@@ -215,6 +215,8 @@ def test_malformed_inputs_raise_domain_error():
          serialize.decode_matrix),
         ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[{**x_entry, "T": 0, "vars": []}]]},
          serialize.decode_matrix),
+        # an entry that is not a JSON object
+        ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[5]]}, serialize.decode_matrix),
         ("nope", serialize.decode_circuit),
         ([{"kind": "E9", "payload": {}}], serialize.decode_circuit),
     ]

@@ -3,10 +3,13 @@ frozen fields, keyword construction, copy and pickle."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
 from maslovkit import (
+    CliffordUnitary,
+    FieldElement,
     FiniteAbelianGroup,
     FormTriple,
     HermitianForm,
@@ -18,6 +21,7 @@ from maslovkit import (
     RingDescriptor,
     RingMatrix,
     SmithDecomposition,
+    StabilizerModule,
     SturmSequence,
     WittClass,
 )
@@ -30,10 +34,19 @@ Q = HermitianForm(M)
 QT = HermitianForm(RingMatrix(F5T, [[F5T.T() + 1]]))
 ONE = RingMatrix.identity(L5, 1)
 RESIDUES = (RealPolynomial([1, 2]), RealPolynomial([3]))
+P5 = PauliModule(F5, 1)
+P5_TEXT = "PauliModule(ring=RingDescriptor(p=5, spatial_vars=0, has_T=False), N=1)"
 
-# class, constructor arguments, stored fields, repr; the reprs are the ones
-# the classes printed when they were generated by dataclasses
+# class, constructor arguments, stored fields, repr; the reprs of the classes
+# once generated by dataclasses are the ones they printed then
 CASES = [
+    (FieldElement, (8, 5), (3, 5), "FieldElement(3, p=5)"),
+    (RealPolynomial, ([1, 2, 0],), ((Fraction(1), Fraction(2)),), "RealPolynomial([1, 2])"),
+    (CliffordUnitary, (P5, RingMatrix.identity(F5, 2)), (P5, RingMatrix.identity(F5, 2)),
+     f"CliffordUnitary(ambient={P5_TEXT}, matrix=RingMatrix[2x2: 1, 0; 0, 1])"),
+    # the zero column of the generators is dropped
+    (StabilizerModule, (P5, RingMatrix(F5, [[1, 0], [0, 0]])), (P5, RingMatrix(F5, [[1], [0]])),
+     f"StabilizerModule(ambient={P5_TEXT}, generators=RingMatrix[2x1: 1; 0])"),
     (RingDescriptor, (5, 0, False), (5, 0, False),
      "RingDescriptor(p=5, spatial_vars=0, has_T=False)"),
     (HermitianForm, (M, 1), (M, 1),
@@ -48,8 +61,7 @@ CASES = [
     (SmithDecomposition, (ONE, RingMatrix(L5, [[L5.x(0) + 1]]), ONE),
      (ONE, RingMatrix(L5, [[L5.x(0) + 1]]), ONE),
      "SmithDecomposition(U=RingMatrix[1x1: 1], D=RingMatrix[1x1: 1 + x], V=RingMatrix[1x1: 1])"),
-    (PauliModule, (F5, 1), (F5, 1),
-     "PauliModule(ring=RingDescriptor(p=5, spatial_vars=0, has_T=False), N=1)"),
+    (PauliModule, (F5, 1), (F5, 1), P5_TEXT),
     (ResidueSequence, (RESIDUES,), (RESIDUES,),
      "ResidueSequence(residues=(RealPolynomial([1, 2]), RealPolynomial([3])))"),
     (SturmSequence, (F5T, 1, (QT,), 1), (F5T, 1, (QT,), 1),
@@ -73,7 +85,10 @@ def test_equality_hash_and_repr(cls, args, fields, text):
     assert a == b and not a != b and hash(a) == hash(b)
     assert hash(a) == hash(fields)
     assert tuple(getattr(a, name) for name in cls.__slots__) == fields
-    assert a != fields and a != fields[0]
+    assert a != fields
+    # a residue equals the scalars of its class; any other value is unequal
+    # to its bare first field
+    assert (a == fields[0]) is (cls is FieldElement)
     assert all(a != other(*other_args) for other, other_args, _, _ in CASES if other is not cls)
     assert repr(a) == text
 
@@ -104,9 +119,7 @@ def test_copy_and_pickle(cls, args, fields, text):
     assert copy.copy(a) == a
     for b in rebuilt:
         assert type(b) is cls and repr(b) == text
-        # RealPolynomial compares by identity, so only shared residues compare equal
-        if cls is not ResidueSequence:
-            assert b == a and hash(b) == hash(a)
+        assert b == a and hash(b) == hash(a)
 
 
 def test_defaults():
