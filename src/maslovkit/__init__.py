@@ -77,15 +77,6 @@ from .sturm import (
     trivmas_homotopy,
     validate_loop,
 )
-from .realmaslov import (
-    RealPolynomial,
-    ResidueSequence,
-    linearization_residual,
-    paper_example_polynomial,
-    real_maslov,
-    residue_signature_form,
-    sturm_residues,
-)
 from .lgroups import (
     FiniteAbelianGroup,
     classify_loops,
@@ -95,3 +86,18 @@ from .lgroups import (
 )
 
 __version__ = "0.1.0"
+
+# the classical real Maslov index loads fractions, decimal and numbers, so its
+# names come from realmaslov on first use, not with every import of the package
+_REALMASLOV_NAMES = {
+    "RealPolynomial", "ResidueSequence", "linearization_residual", "paper_example_polynomial",
+    "real_maslov", "residue_signature_form", "sturm_residues",
+}
+
+
+def __getattr__(name: str):
+    if name in _REALMASLOV_NAMES:
+        from . import realmaslov
+
+        return getattr(realmaslov, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,6 @@ from .lgroups import VALIDATED_DIMENSIONS, _check_validated, classify_loops
 from .lgroups import fundamental_ideal_group, lgroup
 from .pauli import apply as pauli_apply
 from .pauli import lagrangian_report
-from .realmaslov import RealPolynomial, preset_polynomial, real_maslov
 from .sturm import loop_from_pair, maslov_index
 
 
@@ -79,6 +78,9 @@ def _cmd_maslov_pair(args):
 
 
 def _cmd_maslov_real(args):
+    # only this command loads realmaslov, and with it fractions and decimal
+    from .realmaslov import RealPolynomial, preset_polynomial, real_maslov
+
     if (args.poly is None) == (args.preset is None):
         raise DomainError("provide exactly one of --poly or --preset")
     if args.preset is not None:

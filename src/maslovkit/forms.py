@@ -86,11 +86,8 @@ class HermitianForm(_Value):
 
 def hyperbolic_form(n: int, sign: int, ring: RingDescriptor) -> HermitianForm:
     """The 2n x 2n block form (0 1; sign 1 0) with identity blocks."""
-    ident = RingMatrix.identity(ring, n)
-    zero = RingMatrix.zeros(ring, n, n)
-    off = ident if sign == 1 else -ident
-    matrix = RingMatrix.from_blocks([[zero, ident], [off, zero]])
-    return HermitianForm(matrix, sign)
+    off = 1 if sign == 1 else -1  # HermitianForm rejects any other sign
+    return HermitianForm(RingMatrix._grid(ring, n, [[0, 1], [off, 0]]), sign)
 
 
 def _require_plus_hermitian(F: HermitianForm, message: str):

@@ -138,6 +138,10 @@ class RingMatrix:
     @classmethod
     def from_blocks(cls, blocks) -> "RingMatrix":
         """Assemble a block matrix from a grid of RingMatrix pieces."""
+        if not blocks or not all(blocks):
+            raise ShapeError("from_blocks needs a nonempty grid of nonempty block rows")
+        if not all(isinstance(b, RingMatrix) for block_row in blocks for b in block_row):
+            raise DomainError("from_blocks takes RingMatrix blocks")
         ring = blocks[0][0].ring
         width = sum(b.cols for b in blocks[0])
         rows = []
@@ -152,6 +156,14 @@ class RingMatrix:
             for i in range(height):
                 rows.append(tuple(e for b in block_row for e in b.entries[i]))
         return cls._unchecked(ring, rows, width)
+
+    @classmethod
+    def _grid(cls, ring: RingDescriptor, n: int, cells) -> "RingMatrix":
+        """from_blocks of a grid of n x n cells over ring; an int c is c times I."""
+        blocks = [[cls.scalar(ring, n, c) if type(c) is int else c for c in row] for row in cells]
+        if any(isinstance(b, RingMatrix) and b.shape != (n, n) for row in blocks for b in row):
+            raise ShapeError(f"grid cells are {n} x {n} matrices")
+        return cls.from_blocks(blocks)
 
     @classmethod
     def block_diag(cls, blocks) -> "RingMatrix":

@@ -54,23 +54,11 @@ class PauliModule(_Value):
 
     def standard_lagrangian(self) -> "StabilizerModule":
         """The X-side summand L: columns (e_i, 0)."""
-        gens = RingMatrix.from_blocks(
-            [
-                [RingMatrix.identity(self.ring, self.N)],
-                [RingMatrix.zeros(self.ring, self.N, self.N)],
-            ]
-        )
-        return StabilizerModule(self, gens)
+        return StabilizerModule(self, RingMatrix._grid(self.ring, self.N, [[1], [0]]))
 
     def dual_lagrangian(self) -> "StabilizerModule":
         """The Z-side summand L*: columns (0, e_i)."""
-        gens = RingMatrix.from_blocks(
-            [
-                [RingMatrix.zeros(self.ring, self.N, self.N)],
-                [RingMatrix.identity(self.ring, self.N)],
-            ]
-        )
-        return StabilizerModule(self, gens)
+        return StabilizerModule(self, RingMatrix._grid(self.ring, self.N, [[0], [1]]))
 
 
 def _require_types(what: str, ambient, matrix):
@@ -213,18 +201,14 @@ def modules_equal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
 def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
     """E0(q) = (1 0; q 1) on L, or E1(q) = (1 q; 0 1) on L*."""
     _require_plus_hermitian(q, "elementary unitaries need a +hermitian form")
-    ring = q.ring
-    n = q.dim
-    ident = RingMatrix.identity(ring, n)
-    zero = RingMatrix.zeros(ring, n, n)
     if which == "E0":
-        blocks = [[ident, zero], [q.matrix, ident]]
+        cells = [[1, 0], [q.matrix, 1]]
     elif which == "E1":
-        blocks = [[ident, q.matrix], [zero, ident]]
+        cells = [[1, q.matrix], [0, 1]]
     else:
         raise DomainError(f"unknown elementary kind {which!r}")
-    matrix = RingMatrix.from_blocks(blocks)
-    return CliffordUnitary._unchecked(PauliModule(ring, n), matrix)
+    matrix = RingMatrix._grid(q.ring, q.dim, cells)
+    return CliffordUnitary._unchecked(PauliModule(q.ring, q.dim), matrix)
 
 
 def hyperbolic_unitary(a: RingMatrix) -> CliffordUnitary:
@@ -236,11 +220,8 @@ def hyperbolic_unitary(a: RingMatrix) -> CliffordUnitary:
         inv = inverse(a.dagger())
     except NotAUnit:
         raise NotAUnit("hyperbolic unitaries need an invertible matrix") from None
-    ring = a.ring
-    n = a.rows
-    zero = RingMatrix.zeros(ring, n, n)
-    blocks = [[a, zero], [zero, inv]]
-    return CliffordUnitary._unchecked(PauliModule(ring, n), RingMatrix.from_blocks(blocks))
+    matrix = RingMatrix._grid(a.ring, a.rows, [[a, 0], [0, inv]])
+    return CliffordUnitary._unchecked(PauliModule(a.ring, a.rows), matrix)
 
 
 def apply(u: CliffordUnitary, S: StabilizerModule) -> StabilizerModule:
@@ -263,15 +244,11 @@ def diag_identity_decomposition(a: RingMatrix) -> list[RingMatrix]:
         ainv = inverse(a)
     except NotAUnit:
         raise NotAUnit("diag(a, a^-1) needs an invertible a") from None
-    ring = a.ring
-    n = a.rows
-    ident = RingMatrix.identity(ring, n)
-    zero = RingMatrix.zeros(ring, n, n)
 
     def upper(b):
-        return RingMatrix.from_blocks([[ident, b], [zero, ident]])
+        return RingMatrix._grid(a.ring, a.rows, [[1, b], [0, 1]])
 
     def lower(b):
-        return RingMatrix.from_blocks([[ident, zero], [b, ident]])
+        return RingMatrix._grid(a.ring, a.rows, [[1, 0], [b, 1]])
 
-    return [upper(a), lower(-ainv), upper(a), lower(ident), upper(-ident), lower(ident)]
+    return [upper(a), lower(-ainv), upper(a), lower(1), upper(-1), lower(1)]

@@ -24,7 +24,9 @@ from .sturm import LagrangianLoop, MaslovResult, SturmSequence, validate_loop
 
 
 def _expect(obj, key, kind, what):
-    if not isinstance(obj, dict) or key not in obj:
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
         raise DomainError(f"{what}: missing key {key!r}")
     value = obj[key]
     # exact JSON types: bool subclasses int, but true and false are not integers
@@ -63,6 +65,8 @@ def encode_poly(f: LaurentPolynomial) -> dict:
 def decode_poly(obj) -> LaurentPolynomial:
     """The polynomial of obj's ring and terms; the constructor checks each term
     and adds repeated exponents."""
+    if not isinstance(obj, dict):  # before decode_ring reads its ring fields
+        raise DomainError(f"polynomial: expected a JSON object, got {type(obj).__name__}")
     return _decode_terms(obj, decode_ring(obj))
 
 

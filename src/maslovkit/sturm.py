@@ -195,19 +195,11 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
         raise DomainError("the type (0,0) base case has no stabilized image")
     ring = seq.ring
     N = seq.N
-    rest = (blocks - 1) * N
     a, c = (_wrap(ring, x, N) for x in _apply_word(seq))
-    zero = RingMatrix.zeros(ring, N, rest)
     # columns: the word applied to slot 0 of L, then L_{1,2n-1} on the X side
-    gens = RingMatrix.from_blocks(
-        [
-            [a, zero],
-            [RingMatrix.zeros(ring, rest, N), RingMatrix.identity(ring, rest)],
-            [c, zero],
-            [RingMatrix.zeros(ring, rest, N + rest)],
-        ]
-    )
-    return StabilizerModule(PauliModule(ring, blocks * N), gens)
+    cells = [[int(i == j) for j in range(blocks)] for i in range(2 * blocks)]
+    cells[0][0], cells[blocks][0] = a, c
+    return StabilizerModule(PauliModule(ring, blocks * N), RingMatrix._grid(ring, N, cells))
 
 
 def transversal_witness(seq: SturmSequence):
@@ -226,12 +218,16 @@ def transversal_witness(seq: SturmSequence):
     sprime = sturm_tridiagonal(seq.truncated())
     size = sprime.dim
     big = PauliModule(ring, size)
-    gens = RingMatrix.from_blocks([[RingMatrix.identity(ring, size)], [sprime.matrix]])
+    gens = RingMatrix._grid(ring, size, [[1], [sprime.matrix]])
     return StabilizerModule(big, gens), sprime
 
 
 class LagrangianLoop(_Value):
-    """A Sturm sequence over R[T] whose word fixes L at T = 0 and T = 1."""
+    """A Sturm sequence over R[T] whose word fixes L at T = 0 and T = 1.
+
+    The constructor checks only the type and trusts its caller, as
+    loop_from_pair and direct_sum do; validate_loop is the gate.
+    """
 
     __slots__ = ("seq",)
 
@@ -364,6 +360,9 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     dagger is block row 0, and S(0) H = -I gives the blocks above the
     diagonal row by row as H_{i+1,j} = -H_{i-1,j} - D_i H_ij; H is
     hermitian.  Only W and Q_{-1}(1) are eliminated, on N rows each.
+
+    The loop is trusted (validate_loop is the gate): one whose word does
+    not fix L gets a class all the same.
     """
     seq = loop.seq.truncated()
     ring0, N, k = seq.ring.drop_T(), seq.N, len(seq.forms)
@@ -439,9 +438,8 @@ def lambda_flip_homotopy(t, N: int, ring: RingDescriptor) -> RingMatrix:
     """
     t = _residue(t, ring.p)
     half = pow(2, -1, ring.p)
-    ident = RingMatrix.identity(ring, N)
     scalars = (t * half, -t, t, -t * half)
-    return _word_matrix(ring, N, 0, [ident.scale(c) for c in scalars])
+    return _word_matrix(ring, N, 0, [RingMatrix.scalar(ring, N, c) for c in scalars])
 
 
 def _word_matrix(ring: RingDescriptor, N: int, start: int, matrices) -> RingMatrix:

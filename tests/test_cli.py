@@ -116,7 +116,8 @@ def test_maslov_real_poly_flag(capsys):
 
 def test_no_command_loads_numpy():
     # numpy is a test-only oracle: no subcommand may import it at run time;
-    # dataclasses and the inspect it pulls in would only slow start-up
+    # dataclasses and the inspect it pulls in would only slow start-up, and
+    # realmaslov with fractions belongs to maslov real alone
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     script = f"""
 import json, sys
@@ -132,14 +133,17 @@ argvs = [
     ["witt", "classify", "--form", F + "/pair_q1.json"],
     ["maslov", "compute", "--loop", loop],
     ["maslov", "pair", "--q0", F + "/pair_q0.json", "--q1", F + "/pair_q1.json"],
-    ["maslov", "real", "--preset", "paper-example"],
-    ["maslov", "real", "--poly=0.5,-3,1"],
     ["lagrangian", "check", "--module", F + "/cluster_module.json"],
     ["qca", "apply", "--circuit", F + "/cluster_circuit.json",
      "--module", F + "/product_state_module.json"],
     ["lgroup", "table", "--p", "7"],
 ]
 for argv in argvs:
+    assert main(argv) == 0, argv
+# only maslov real loads the real Maslov index and the fractions it computes in
+assert "maslovkit.realmaslov" not in sys.modules, "realmaslov was imported"
+assert "fractions" not in sys.modules, "fractions was imported"
+for argv in (["maslov", "real", "--preset", "paper-example"], ["maslov", "real", "--poly=0.5,-3,1"]):
     assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy was imported"
 assert "dataclasses" not in sys.modules, "dataclasses was imported"

@@ -89,6 +89,16 @@ def test_block_assembly_checks_shapes_and_rings():
         RingMatrix.from_blocks([[A, RingMatrix.identity(F3, 2)]])
     with pytest.raises(RingMismatch):
         RingMatrix.block_diag([A, RingMatrix.identity(F3, 2)])
+    for grid in ([], [[]], [[A], []]):
+        with pytest.raises(ShapeError):
+            RingMatrix.from_blocks(grid)
+    for grid in ([[1]], [[A, 0]], [[0, A]]):
+        with pytest.raises(DomainError):
+            RingMatrix.from_blocks(grid)
+    with pytest.raises(ShapeError):
+        RingMatrix._grid(F5, 2, [[1, RingMatrix.identity(F5, 3)]])
+    with pytest.raises(RingMismatch):
+        RingMatrix._grid(F5, 2, [[1, RingMatrix.identity(F3, 2)]])
 
 
 def test_dagger_examples():

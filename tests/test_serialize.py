@@ -235,6 +235,16 @@ def test_malformed_inputs_raise_domain_error():
                 assert str(whole.value) == str(single)
             else:
                 assert "entry ring differs" in str(whole.value)
+    # a container that is not a JSON object is named with its type
+    entry_message = "polynomial: expected a JSON object, got int"
+    for blob, decoder, message in [
+        ({"rows": 1, "cols": 1, "ring": F5_json, "entries": [[5]]}, serialize.decode_matrix, entry_message),
+        (5, serialize.decode_poly, entry_message),
+        ([5], serialize.decode_form, "form: expected a JSON object, got list"),
+        (3, serialize.decode_loop, "loop: expected a JSON object, got int"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            decoder(blob)
 
 
 def test_decode_poly_sums_duplicate_terms_mod_p():
