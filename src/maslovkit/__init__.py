@@ -89,10 +89,31 @@ __version__ = "0.1.0"
 
 # the classical real Maslov index loads fractions, decimal and numbers, so its
 # names come from realmaslov on first use, not with every import of the package
-_REALMASLOV_NAMES = {
+_REALMASLOV_NAMES = (
     "RealPolynomial", "ResidueSequence", "linearization_residual", "paper_example_polynomial",
     "real_maslov", "residue_signature_form", "sturm_residues",
-}
+)
+
+# the public names, which a star import binds: the realmaslov ones through __getattr__
+__all__ = [
+    "DegenerateForm", "DegenerateInput", "DivisionByZero", "DomainError", "EndpointRoot",
+    "FormError", "InternalInvariantViolation", "MaslovkitError", "NotALoop", "NotAUnit",
+    "RingMismatch", "ShapeError", "UnsupportedRing",
+    "FieldElement", "LaurentPolynomial", "RingDescriptor", "is_square", "least_non_residue",
+    "RingMatrix", "SmithDecomposition", "det", "inverse", "kernel_basis", "smith_normal_form",
+    "solve_in_span",
+    "FormTriple", "HermitianForm", "WittClass", "diagonalize", "hyperbolic_form",
+    "in_fundamental_ideal", "triple_delta", "witt_class",
+    "CliffordUnitary", "PauliModule", "StabilizerModule", "apply", "commutation_phase",
+    "diag_identity_decomposition", "elementary_unitary", "hyperbolic_unitary", "is_isotropic",
+    "is_transversal", "lagrangian_report", "modules_equal", "pairing",
+    "LagrangianLoop", "MaslovResult", "SturmSequence", "constant_loop", "lambda_flip_homotopy",
+    "loop_from_pair", "maslov_index", "stabilized_image", "sturm_tridiagonal", "sturm_unitary",
+    "transversal_witness", "trivmas_homotopy", "validate_loop",
+    "FiniteAbelianGroup", "classify_loops", "fundamental_ideal_group", "lgroup",
+    "witt_group_structure",
+    *_REALMASLOV_NAMES,
+]
 
 
 def __getattr__(name: str):

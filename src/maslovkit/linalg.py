@@ -6,7 +6,10 @@ every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and span
 
 Only this module decides how entries are stored while they are computed on:
 its private rows (_rows and the helpers after it) hold int residues over F_p
-and polynomials elsewhere.  _wrap turns rows back into a matrix, and
+and polynomials elsewhere.  _wrap turns rows back into a matrix, over F_p
+with one polynomial per residue, built on first use; serialize.decode_matrix
+hands it the int rows of an F_p matrix document, read from its regular
+entries (any other entry goes to decode_poly).
 _interpolate turns the rows of two T-free matrices A and B into the matrix
 A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.
 On polynomial rows no method runs on a zero entry: _dagger_rows (and so
@@ -84,16 +87,21 @@ class RingMatrix:
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: RingDescriptor, entries):
+        if not isinstance(ring, RingDescriptor):
+            raise DomainError(f"a matrix's ring is a RingDescriptor, got {type(ring).__name__}")
         rows = []
-        for raw in entries:
-            row = []
-            for e in raw:
-                if not isinstance(e, LaurentPolynomial):
-                    e = ring.constant(e)
-                if e.ring != ring:
-                    raise RingMismatch("entry ring differs from matrix ring")
-                row.append(e)
-            rows.append(tuple(row))
+        try:
+            for raw in entries:
+                row = []
+                for e in raw:
+                    if not isinstance(e, LaurentPolynomial):
+                        e = ring.constant(e)
+                    if e.ring != ring:
+                        raise RingMismatch("entry ring differs from matrix ring")
+                    row.append(e)
+                rows.append(tuple(row))
+        except TypeError as exc:
+            raise DomainError(f"matrix entries are an iterable of rows: {exc}") from None
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeError("rows have inconsistent lengths")
@@ -137,25 +145,26 @@ class RingMatrix:
 
     @classmethod
     def from_blocks(cls, blocks) -> "RingMatrix":
-        """Assemble a block matrix from a grid of RingMatrix pieces."""
+        """Assemble a block matrix from a grid of RingMatrix pieces; the blocks
+        of one row have one height, and those of one column one width."""
         if not blocks or not all(blocks):
             raise ShapeError("from_blocks needs a nonempty grid of nonempty block rows")
         if not all(isinstance(b, RingMatrix) for block_row in blocks for b in block_row):
             raise DomainError("from_blocks takes RingMatrix blocks")
         ring = blocks[0][0].ring
-        width = sum(b.cols for b in blocks[0])
+        widths = [b.cols for b in blocks[0]]
         rows = []
         for block_row in blocks:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ShapeError("block row heights differ")
-            if sum(b.cols for b in block_row) != width:
-                raise ShapeError("block row widths differ")
+            if [b.cols for b in block_row] != widths:
+                raise ShapeError("block column widths differ")
             if any(b.ring != ring for b in block_row):
                 raise RingMismatch("block ring mismatch")
             for i in range(height):
                 rows.append(tuple(e for b in block_row for e in b.entries[i]))
-        return cls._unchecked(ring, rows, width)
+        return cls._unchecked(ring, rows, sum(widths))
 
     @classmethod
     def _grid(cls, ring: RingDescriptor, n: int, cells) -> "RingMatrix":
@@ -518,10 +527,17 @@ def _wrap(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
     """
     if ring.nexponents:
         return RingMatrix._unchecked(ring, map(tuple, rows), cols)
-    wrap = LaurentPolynomial._unchecked
-    shared = {v: wrap(ring, {(): v} if v else {}) for v in set().union(*rows)}
-    entries = [tuple(map(shared.__getitem__, row)) for row in rows]
-    return RingMatrix._unchecked(ring, entries, cols)
+    shared = _Shared()
+    shared.ring = ring
+    return RingMatrix._unchecked(ring, [tuple(map(shared.__getitem__, r)) for r in rows], cols)
+
+
+class _Shared(dict):
+    """The polynomials over an F_p ring by residue, each built on first use."""
+
+    def __missing__(self, v: int) -> LaurentPolynomial:
+        f = self[v] = LaurentPolynomial._unchecked(self.ring, {(): v} if v else {})
+        return f
 
 
 def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatrix:

@@ -243,7 +243,10 @@ class LaurentPolynomial:
         of (exponents, coefficient) pairs: ring.nexponents ints (not bools) per
         exponent tuple, the T exponent >= 0, and scalar coefficients.  Repeated
         exponents add up after each term's own check, so True never merges
-        with 1.  Any other container is a DomainError."""
+        with 1.  Any other container is a DomainError, as is a ring that is
+        not a RingDescriptor."""
+        if not isinstance(ring, RingDescriptor):
+            raise DomainError(f"a polynomial's ring is a RingDescriptor, got {type(ring).__name__}")
         cleaned = {}
         width, p = ring.nexponents, ring.p
         try:

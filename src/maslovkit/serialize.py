@@ -4,6 +4,12 @@ All encoders emit deterministic structures (terms sorted by exponent tuple,
 fixed key order) so identical inputs produce byte-identical output.
 Decoders raise DomainError on malformed data, which the CLI maps to a
 structured error object and exit code 2.
+
+An F_p matrix document decodes to int rows, which linalg._wrap turns into a
+matrix with one shared polynomial per residue: no entry is built or checked
+alone.  Only a regular entry is read so, one with the matrix's ring fields and
+a list of terms {"e": [], "c": c}, c a JSON integer; any other entry goes to
+decode_poly, which raises what it raises for that entry alone.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .forms import HermitianForm, WittClass
 from .lgroups import FiniteAbelianGroup
-from .linalg import RingMatrix
+from .linalg import RingMatrix, _wrap
 from .pauli import (
     CliffordUnitary,
     PauliModule,
@@ -118,6 +124,11 @@ def decode_matrix(obj) -> RingMatrix:
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DomainError("matrix: entry grid does not match rows x cols")
+    if not ring.nexponents:  # over F_p: int rows, one polynomial per residue
+        rows = [[_residue_entry(e, ring) for e in row] for row in raw]
+        if any(None in row for row in rows):
+            raise DomainError("matrix: entry ring differs from matrix ring")
+        return _wrap(ring, rows, cols)
     # an entry whose ring fields match is not decoded as a ring again; any
     # other goes through decode_poly, which raises what its fields deserve
     entries = [
@@ -127,6 +138,28 @@ def decode_matrix(obj) -> RingMatrix:
     if any(e.ring is not ring for row in entries for e in row):
         raise DomainError("matrix: entry ring differs from matrix ring")
     return RingMatrix._unchecked(ring, entries, cols)
+
+
+def _residue_entry(e, ring: RingDescriptor) -> int | None:
+    """The residue of an entry of a matrix over F_p, None for a polynomial
+    over another ring.  A regular entry (the ring fields of ring, and a list
+    of terms {"e": [], "c": c} with c an int) is the sum of its c mod p; any
+    other goes through decode_poly, the home of the term rule and its errors."""
+    try:
+        p, terms = e["p"], e["terms"]
+        if (type(p) is int and p == ring.p and e["vars"] == [] and e["T"] is False
+                and type(terms) is list):
+            c = 0
+            for term in terms:
+                if term["e"] != [] or type(term["c"]) is not int:
+                    break
+                c += term["c"]
+            else:
+                return c % p
+    except (KeyError, TypeError):
+        pass
+    f = decode_poly(e)
+    return f.terms.get((), 0) if f.ring is ring else None
 
 
 def encode_form(F: HermitianForm) -> dict:

@@ -390,7 +390,6 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     if not (det1 := _eliminate_rows(ring0, W1)).is_unit():
         raise InternalInvariantViolation(f"S(1) {invalid}")
     s1 = _tridiagonal(blocks1, seq.start, N, zero, one, neg)
-    rows = [row + [zero] * n for row in s1]
     # H's block column Q_j W^-1 for j = 0, ..., k - 1; upper[i] is block row i
     # of H from column i N on, and lower[i] its dagger
     winv = [row[N:] for row in M]
@@ -401,16 +400,22 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
         y = [row[2 * N :] for row in upper[i - 1]] if i else [[zero] * (n - N)] * N
         upper.append(_matmul_rows(ring0, left0[i], x + y))
     lower = [column] + [_dagger_rows(ring0, u) for u in upper[1:-1]]
-    for i, u in enumerate(upper):
-        for r, row in enumerate(u):
-            left = [e for h in range(i) for e in lower[h][(i - h) * N + r]]
-            rows.append([zero] * n + left + row)
+    H = [
+        [e for h in range(i) for e in lower[h][(i - h) * N + r]] + row
+        for i, u in enumerate(upper)
+        for r, row in enumerate(u)
+    ]
     # rep is hermitian by construction, and its Witt class over F_p follows
     # from det(rep) = det S(1) / det(-S(0)) = (-1)^(kN) det Q_{-1}(1) / det W
     determinant = det1 * det0.unit_inverse()
     if n % 2:
         determinant = -determinant
-    rep = HermitianForm(_wrap(ring0, rows, 2 * n), 1)
+    # rep is block diagonal, S(1) then H: each is wrapped alone, and one
+    # tuple of n zeros pads every row
+    pad = (ring0.zero(),) * n
+    s1, H = (_wrap(ring0, x, n).entries for x in (s1, H))
+    rows = [row + pad for row in s1] + [pad + row for row in H]
+    rep = HermitianForm(RingMatrix._unchecked(ring0, rows, 2 * n), 1)
     witt = None if ring0.spatial_vars else WittClass.from_determinant(2 * n, determinant)
     return MaslovResult(rep, witt, rep.dim % 2, determinant)
 

@@ -120,8 +120,10 @@ def test_no_command_loads_numpy():
     # realmaslov with fractions belongs to maslov real alone
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
     script = f"""
-import json, sys
+import json, sys, types
 import maslovkit
+# a plain import leaves the real Maslov index unloaded
+assert "maslovkit.realmaslov" not in sys.modules, "import maslovkit loaded realmaslov"
 from maslovkit import serialize
 from maslovkit.cli import main
 from maslovkit.fixtures import sample_pair
@@ -148,6 +150,17 @@ for argv in (["maslov", "real", "--preset", "paper-example"], ["maslov", "real",
 assert "numpy" not in sys.modules, "numpy was imported"
 assert "dataclasses" not in sys.modules, "dataclasses was imported"
 assert "inspect" not in sys.modules, "inspect was imported"
+# __all__ is every public name of the package, and a star import binds each,
+# the seven realmaslov names among them
+public = {{
+    name for name, value in vars(maslovkit).items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+}}
+assert set(maslovkit.__all__) == public | set(maslovkit._REALMASLOV_NAMES), maslovkit.__all__
+star = {{}}
+exec("from maslovkit import *", star)
+assert set(maslovkit.__all__) <= set(star), set(maslovkit.__all__) - set(star)
+assert len(maslovkit._REALMASLOV_NAMES) == 7 and star["real_maslov"] is maslovkit.real_maslov
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],

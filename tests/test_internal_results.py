@@ -7,6 +7,8 @@ constructors, and is checked to be normalized: no zero coefficients,
 residues in [0, p), exponent tuples of the ring's width.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,11 @@ from maslovkit import (
     RingDescriptor,
     RingMatrix,
     elementary_unitary,
+    inverse,
 )
+from maslovkit.sturm import loop_from_pair, maslov_index, sturm_tridiagonal
+
+from helpers import rand_symmetric_nondeg, rand_unit_matrix
 
 
 RINGS = st.builds(
@@ -281,3 +287,29 @@ def test_unchecked_unitary_results_pass_the_checked_constructor(data):
         assert_matrix_normalized(u.matrix, ring, (2 * n, 2 * n))
         assert CliffordUnitary(module, u.matrix) == u
     assert (word @ word.inverse()).matrix == RingMatrix.identity(ring, 2 * n)
+
+
+# -- the Maslov representative -------------------------------------------------
+
+
+def test_maslov_representative_matches_checked_reference():
+    # S(1) and H = -S(0)^-1 are wrapped on their own and padded by one
+    # shared tuple of zeros; the entries are those the checked constructor
+    # builds, and the blocks are those of S(1) + H
+    rng = random.Random(26)
+    for p, d, N in [(3, 0, 1), (5, 0, 2), (7, 0, 4), (10**9 + 7, 0, 3), (3, 1, 1), (5, 1, 2), (7, 1, 2)]:
+        ring = RingDescriptor(p, d)
+        if d:
+            forms = []
+            for _ in range(2):
+                c = rand_unit_matrix(ring, rng, N)
+                D = RingMatrix(ring, [[rng.randrange(1, p) if i == j else 0 for j in range(N)] for i in range(N)])
+                forms.append(HermitianForm(c.dagger() @ D @ c, 1))
+        else:
+            forms = [rand_symmetric_nondeg(p, N, rng) for _ in range(2)]
+        loop = loop_from_pair(*forms)
+        rep = maslov_index(loop).form.matrix
+        n = 4 * N  # loop_from_pair's sequence has five forms, four after truncation
+        assert_matrix_normalized(rep, ring, (2 * n, 2 * n))
+        S0, S1 = (sturm_tridiagonal(loop.seq.truncated().eval_T(t)).matrix for t in (0, 1))
+        assert rep == RingMatrix.block_diag([S1, -inverse(S0)])

@@ -85,6 +85,11 @@ def test_block_assembly_checks_shapes_and_rings():
         RingMatrix.from_blocks([[A, A], [A]])
     with pytest.raises(ShapeError):
         RingMatrix.from_blocks([[A, RingMatrix.zeros(F5, 1, 2)]])
+    # equal row widths, but the block columns do not line up
+    z = RingMatrix.zeros
+    with pytest.raises(ShapeError):
+        RingMatrix.from_blocks([[z(F5, 1, 3), z(F5, 1, 1)], [RingMatrix.identity(F5, 1), z(F5, 1, 3)]])
+    assert RingMatrix.from_blocks([[z(F5, 1, 3), z(F5, 1, 2)], [z(F5, 2, 3), A]]).shape == (3, 5)
     with pytest.raises(RingMismatch):
         RingMatrix.from_blocks([[A, RingMatrix.identity(F3, 2)]])
     with pytest.raises(RingMismatch):

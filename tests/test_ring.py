@@ -236,6 +236,26 @@ def test_descriptor_fields_are_checked():
     assert (ring.spatial_vars, ring.has_T, ring.nexponents) == (2, True, 3)
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: LaurentPolynomial("x", {}), "ring"),
+        (lambda: LaurentPolynomial(None, [((), 1)]), "ring"),
+        (lambda: RingMatrix("x", [[1]]), "ring"),
+        (lambda: RingMatrix(5, []), "ring"),
+        (lambda: RingMatrix(F5, 0), "entries"),
+        (lambda: RingMatrix(F5, [1, 2]), "entries"),
+    ],
+    ids=["poly-ring-str", "poly-ring-none", "matrix-ring-str", "matrix-ring-int",
+         "matrix-entries-int", "matrix-rows-int"],
+)
+def test_constructor_fields_of_the_wrong_type(make, field):
+    # a public constructor names the faulty field in a DomainError, not in a
+    # bare AttributeError or TypeError
+    with pytest.raises(DomainError, match=field):
+        make()
+
+
 def test_one_scalar_rule_at_every_entry_point():
     # a scalar is an int that is not a bool, or a FieldElement of the ring's p
     q = HermitianForm(RingMatrix(F5, [[2]]), 1)

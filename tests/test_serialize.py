@@ -115,6 +115,86 @@ def test_decode_poly_agrees_with_the_constructor(case):
         assert decoded.ring == ring and decoded.terms == built.terms == paired.terms
 
 
+_FP_PRIMES = [3, 5, 10**9 + 7]
+_BIG = [10**20, -(10**20), 10**21 + 3]
+# entries that are not regular: each leaves the F_p fast path of decode_matrix
+_IRREGULAR = {
+    "coefficient": lambda p, term: {**term, "c": True},
+    "float": lambda p, term: {**term, "c": 1.0},
+    "string": lambda p, term: {**term, "c": "1"},
+    "exponent": lambda p, term: {**term, "e": [0]},
+    "no-e": lambda p, term: {"c": term["c"]},
+    "term-int": lambda p, term: 5,
+}
+_ENTRY_SPOILS = {
+    "p-float": lambda p, entry: {**entry, "p": float(p)},
+    "p-bool": lambda p, entry: {**entry, "p": True},
+    "T-int": lambda p, entry: {**entry, "T": 0},
+    "T-missing": lambda p, entry: {k: v for k, v in entry.items() if k != "T"},
+    "vars-str": lambda p, entry: {**entry, "vars": ""},
+    "other-p": lambda p, entry: {**entry, "p": 7 if p != 7 else 5},
+    "other-ring": lambda p, entry: {"p": p, "vars": ["x1"], "T": False, "terms": [{"e": [1], "c": 1}]},
+    "terms-dict": lambda p, entry: {**entry, "terms": {}},
+    "terms-str": lambda p, entry: {**entry, "terms": "ec"},
+    "int": lambda p, entry: 5,
+    "list": lambda p, entry: [entry],
+    "none": lambda p, entry: None,
+}
+
+
+@st.composite
+def _fp_matrix_documents(draw):
+    """An F_p matrix document of regular entries, with repeated, cancelling,
+    negative and huge coefficients; half the documents get one to three
+    entries or terms spoiled."""
+    p = draw(st.sampled_from(_FP_PRIMES))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coefficient = st.integers(-12, 12) | st.sampled_from(_BIG)
+    grid = [
+        [
+            {**serialize.encode_ring(RingDescriptor(p)),
+             "terms": [{"e": [], "c": c} for c in draw(st.lists(coefficient, max_size=4))]}
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            entry = grid[i][j]
+            if isinstance(entry, dict) and entry.get("terms") and draw(st.booleans()):
+                terms = list(entry["terms"])
+                k = draw(st.integers(0, len(terms) - 1))
+                terms[k] = _IRREGULAR[draw(st.sampled_from(sorted(_IRREGULAR)))](p, terms[k])
+                grid[i][j] = {**entry, "terms": terms}
+            else:
+                grid[i][j] = _ENTRY_SPOILS[draw(st.sampled_from(sorted(_ENTRY_SPOILS)))](p, entry)
+    return {"rows": rows, "cols": cols, "ring": serialize.encode_ring(RingDescriptor(p)), "entries": grid}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_fp_matrix_documents())
+def test_decode_matrix_over_fp_agrees_with_decode_poly(blob):
+    # over F_p, decode_matrix reads regular entries as residues; it must give
+    # the matrix of the entries decode_poly builds one by one, or the
+    # DomainError message that the first faulty entry gives decode_poly
+    ring = serialize.decode_ring(blob["ring"])
+    try:
+        entries = [[serialize.decode_poly(e) for e in row] for row in blob["entries"]]
+    except DomainError as exc:
+        expected = str(exc)
+    else:
+        if any(f.ring != ring for row in entries for f in row):
+            expected = "matrix: entry ring differs from matrix ring"
+        else:
+            expected = RingMatrix(ring, entries)
+    try:
+        decoded = serialize.decode_matrix(blob)
+    except DomainError as exc:
+        decoded = str(exc)
+    assert decoded == expected
+
+
 def test_matrix_and_form_round_trip():
     rng = random.Random(41)
     m = rand_matrix(L5, rng, 2, 3)
