@@ -4,121 +4,67 @@ Laurent polynomial rings with the inversion involution, Pauli modules and
 their Lagrangian stabilizer submodules, Sturm sequences and the generalized
 Maslov index, Witt-group classification over F_p, the classical real Maslov
 index, and the L-group recursion with the resulting loop classification.
-"""
 
-from .errors import (
-    DegenerateForm,
-    DegenerateInput,
-    DivisionByZero,
-    DomainError,
-    EndpointRoot,
-    FormError,
-    InternalInvariantViolation,
-    MaslovkitError,
-    NotALoop,
-    NotAUnit,
-    RingMismatch,
-    ShapeError,
-    UnsupportedRing,
-)
-from .ring import (
-    FieldElement,
-    LaurentPolynomial,
-    RingDescriptor,
-    is_square,
-    least_non_residue,
-)
-from .linalg import (
-    RingMatrix,
-    SmithDecomposition,
-    det,
-    inverse,
-    kernel_basis,
-    smith_normal_form,
-    solve_in_span,
-)
-from .forms import (
-    FormTriple,
-    HermitianForm,
-    WittClass,
-    diagonalize,
-    hyperbolic_form,
-    in_fundamental_ideal,
-    triple_delta,
-    witt_class,
-)
-from .pauli import (
-    CliffordUnitary,
-    PauliModule,
-    StabilizerModule,
-    apply,
-    commutation_phase,
-    diag_identity_decomposition,
-    elementary_unitary,
-    hyperbolic_unitary,
-    is_isotropic,
-    is_transversal,
-    lagrangian_report,
-    modules_equal,
-    pairing,
-)
-from .sturm import (
-    LagrangianLoop,
-    MaslovResult,
-    SturmSequence,
-    constant_loop,
-    lambda_flip_homotopy,
-    loop_from_pair,
-    maslov_index,
-    stabilized_image,
-    sturm_tridiagonal,
-    sturm_unitary,
-    transversal_witness,
-    trivmas_homotopy,
-    validate_loop,
-)
-from .lgroups import (
-    FiniteAbelianGroup,
-    classify_loops,
-    fundamental_ideal_group,
-    lgroup,
-    witt_group_structure,
-)
+`import maslovkit` imports none of the submodules.  _PUBLIC lists each
+public name under its submodule; the first use of a name imports that
+submodule and binds the name here, so every later lookup is a plain dict
+hit.  A submodule name such as `maslovkit.sturm` imports that submodule.
+"""
 
 __version__ = "0.1.0"
 
-# the classical real Maslov index loads fractions, decimal and numbers, so its
-# names come from realmaslov on first use, not with every import of the package
-_REALMASLOV_NAMES = (
-    "RealPolynomial", "ResidueSequence", "linearization_residual", "paper_example_polynomial",
-    "real_maslov", "residue_signature_form", "sturm_residues",
-)
+# submodule -> the public names it defines
+_PUBLIC = {
+    "errors": (
+        "DegenerateForm", "DegenerateInput", "DivisionByZero", "DomainError", "EndpointRoot",
+        "FormError", "InternalInvariantViolation", "MaslovkitError", "NotALoop", "NotAUnit",
+        "RingMismatch", "ShapeError", "UnsupportedRing",
+    ),
+    "ring": ("FieldElement", "LaurentPolynomial", "RingDescriptor", "is_square", "least_non_residue"),
+    "linalg": (
+        "RingMatrix", "SmithDecomposition", "det", "inverse", "kernel_basis", "smith_normal_form",
+        "solve_in_span",
+    ),
+    "forms": (
+        "FormTriple", "HermitianForm", "WittClass", "diagonalize", "hyperbolic_form",
+        "in_fundamental_ideal", "triple_delta", "witt_class",
+    ),
+    "pauli": (
+        "CliffordUnitary", "PauliModule", "StabilizerModule", "apply", "commutation_phase",
+        "diag_identity_decomposition", "elementary_unitary", "hyperbolic_unitary", "is_isotropic",
+        "is_transversal", "lagrangian_report", "modules_equal", "pairing",
+    ),
+    "sturm": (
+        "LagrangianLoop", "MaslovResult", "SturmSequence", "constant_loop", "lambda_flip_homotopy",
+        "loop_from_pair", "maslov_index", "stabilized_image", "sturm_tridiagonal", "sturm_unitary",
+        "transversal_witness", "trivmas_homotopy", "validate_loop",
+    ),
+    "lgroups": (
+        "FiniteAbelianGroup", "classify_loops", "fundamental_ideal_group", "lgroup",
+        "witt_group_structure",
+    ),
+    "realmaslov": (
+        "RealPolynomial", "ResidueSequence", "linearization_residual", "paper_example_polynomial",
+        "real_maslov", "residue_signature_form", "sturm_residues",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-# the public names, which a star import binds: the realmaslov ones through __getattr__
-__all__ = [
-    "DegenerateForm", "DegenerateInput", "DivisionByZero", "DomainError", "EndpointRoot",
-    "FormError", "InternalInvariantViolation", "MaslovkitError", "NotALoop", "NotAUnit",
-    "RingMismatch", "ShapeError", "UnsupportedRing",
-    "FieldElement", "LaurentPolynomial", "RingDescriptor", "is_square", "least_non_residue",
-    "RingMatrix", "SmithDecomposition", "det", "inverse", "kernel_basis", "smith_normal_form",
-    "solve_in_span",
-    "FormTriple", "HermitianForm", "WittClass", "diagonalize", "hyperbolic_form",
-    "in_fundamental_ideal", "triple_delta", "witt_class",
-    "CliffordUnitary", "PauliModule", "StabilizerModule", "apply", "commutation_phase",
-    "diag_identity_decomposition", "elementary_unitary", "hyperbolic_unitary", "is_isotropic",
-    "is_transversal", "lagrangian_report", "modules_equal", "pairing",
-    "LagrangianLoop", "MaslovResult", "SturmSequence", "constant_loop", "lambda_flip_homotopy",
-    "loop_from_pair", "maslov_index", "stabilized_image", "sturm_tridiagonal", "sturm_unitary",
-    "transversal_witness", "trivmas_homotopy", "validate_loop",
-    "FiniteAbelianGroup", "classify_loops", "fundamental_ideal_group", "lgroup",
-    "witt_group_structure",
-    *_REALMASLOV_NAMES,
-]
+# the public names, which a star import binds
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _REALMASLOV_NAMES:
-        from . import realmaslov
+    module = _HOME.get(name, name)
+    if module not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(realmaslov, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f"{__name__}.{module}")  # the import binds the submodule here
+    if module != name:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -23,14 +23,7 @@ import argparse
 import json
 import sys
 
-from . import serialize
 from .errors import DomainError, MaslovkitError, UnsupportedRing
-from .forms import witt_class
-from .lgroups import VALIDATED_DIMENSIONS, _check_validated, classify_loops
-from .lgroups import fundamental_ideal_group, lgroup
-from .pauli import apply as pauli_apply
-from .pauli import lagrangian_report
-from .sturm import loop_from_pair, maslov_index
 
 
 def _load_json(arg: str, what: str):
@@ -47,16 +40,22 @@ def _load_json(arg: str, what: str):
         raise DomainError(f"{what}: malformed JSON: {exc}") from exc
 
 
-# -- subcommand bodies: each returns (payload, lines) -------------------------
+# -- subcommand bodies: each returns (payload, lines) and imports the modules
+# it runs, so a command loads no module that only another command needs ------
 
 
 def _cmd_witt_classify(args):
+    from . import serialize
+    from .forms import witt_class
+
     form = serialize.decode_form(_load_json(args.form, "form"))
     cls = witt_class(form)
     return serialize.encode_witt(cls), [f"p = {cls.p}", f"class = {cls.class_name}"]
 
 
 def _maslov_output(result):
+    from . import serialize
+
     lines = []
     if result.witt is not None:
         lines.append(f"witt class = {result.witt.class_name} (p = {result.witt.p})")
@@ -67,18 +66,23 @@ def _maslov_output(result):
 
 
 def _cmd_maslov_compute(args):
+    from . import serialize
+    from .sturm import maslov_index
+
     loop = serialize.decode_loop(_load_json(args.loop, "loop"))
     return _maslov_output(maslov_index(loop))
 
 
 def _cmd_maslov_pair(args):
+    from . import serialize
+    from .sturm import loop_from_pair, maslov_index
+
     q0 = serialize.decode_form(_load_json(args.q0, "q0"))
     q1 = serialize.decode_form(_load_json(args.q1, "q1"))
     return _maslov_output(maslov_index(loop_from_pair(q0, q1)))
 
 
 def _cmd_maslov_real(args):
-    # only this command loads realmaslov, and with it fractions and decimal
     from .realmaslov import RealPolynomial, preset_polynomial, real_maslov
 
     if (args.poly is None) == (args.preset is None):
@@ -98,12 +102,18 @@ def _cmd_maslov_real(args):
 
 
 def _cmd_lagrangian_check(args):
+    from . import serialize
+    from .pauli import lagrangian_report
+
     module = serialize.decode_module(_load_json(args.module, "module"))
     report = lagrangian_report(module)
     return report, [f"{key} = {json.dumps(val)}" for key, val in report.items()]
 
 
 def _cmd_qca_apply(args):
+    from . import serialize
+    from .pauli import apply as pauli_apply
+
     module = serialize.decode_module(_load_json(args.module, "module"))
     circuit = serialize.decode_circuit(_load_json(args.circuit, "circuit"))
     for step in circuit:
@@ -117,6 +127,10 @@ def _cmd_qca_apply(args):
 
 
 def _cmd_lgroup_table(args):
+    from . import serialize
+    from .lgroups import VALIDATED_DIMENSIONS, _check_validated, classify_loops
+    from .lgroups import fundamental_ideal_group, lgroup
+
     p = args.p
     d_max = args.d if args.d is not None else VALIDATED_DIMENSIONS
     _check_validated(d_max, p, "L-group table")

@@ -366,12 +366,17 @@ class SmithDecomposition(_Value):
 
     Nonzero diagonal entries come first, satisfy the divisibility chain
     d1 | d2 | ..., and are normalized to lowest exponent 0 with leading
-    coefficient 1.
+    coefficient 1.  The constructor checks that U, D and V are matrices over
+    one ring; smith_normal_form builds its result through _unchecked.
     """
 
     __slots__ = ("U", "D", "V")
 
     def __init__(self, U: RingMatrix, D: RingMatrix, V: RingMatrix):
+        if not all(isinstance(M, RingMatrix) for M in (U, D, V)):
+            raise DomainError("a Smith decomposition consists of three RingMatrix fields")
+        if not U.ring == D.ring == V.ring:
+            raise RingMismatch("Smith decomposition fields over different rings")
         self._set(U, D, V)
 
     @property
@@ -456,10 +461,10 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
             A[k][k] = u * A[k][k]
             U[k] = [u * e for e in U[k]]
 
-    return SmithDecomposition(
-        U=RingMatrix._unchecked(ring, map(tuple, U), m),
-        D=RingMatrix._unchecked(ring, map(tuple, A), n),
-        V=RingMatrix._unchecked(ring, zip(*Vt), n),
+    return SmithDecomposition._unchecked(
+        RingMatrix._unchecked(ring, map(tuple, U), m),
+        RingMatrix._unchecked(ring, map(tuple, A), n),
+        RingMatrix._unchecked(ring, zip(*Vt), n),
     )
 
 

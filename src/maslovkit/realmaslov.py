@@ -52,7 +52,7 @@ class RealPolynomial(_Value):
         for i, c in enumerate(coefficients):
             try:
                 coeffs.append(Fraction(c))
-            except (ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError, TypeError) as exc:
                 raise DomainError(f"coefficient {i} ({c!r}) is not a finite real number") from exc
         scale = max(map(abs, coeffs), default=0)
         while len(coeffs) > 1 and abs(coeffs[-1]) <= _TOL * scale:
@@ -85,11 +85,16 @@ class ResidueSequence(_Value):
     residues[:-1] are the quotients (each degree <= 1) and residues[-1] is
     the last nonzero remainder of the chain, a constant.  The companion
     product of the quotients applied to (constant, 0) reconstructs (P, P').
+    The constructor checks the field type; sturm_residues builds its result
+    through _unchecked.
     """
 
     __slots__ = ("residues",)
 
     def __init__(self, residues: tuple):
+        if not (type(residues) is tuple and residues
+                and all(isinstance(r, RealPolynomial) for r in residues)):
+            raise DomainError("residues are a nonempty tuple of RealPolynomial")
         self._set(residues)
 
     @property
@@ -149,7 +154,7 @@ def sturm_residues(P: RealPolynomial) -> ResidueSequence:
         quotients.append(RealPolynomial._unchecked((b * factor, a * factor)))
         prev, cur, divisor = cur, lead2 * prev / divisor, lead2
     terminal = RealPolynomial._unchecked((chain[-1][0] / prev,))
-    return ResidueSequence(tuple(quotients) + (terminal,))
+    return ResidueSequence._unchecked(tuple(quotients) + (terminal,))
 
 
 def residue_signature_form(seq: ResidueSequence, t) -> tuple:

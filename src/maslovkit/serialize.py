@@ -10,23 +10,17 @@ matrix with one shared polynomial per residue: no entry is built or checked
 alone.  Only a regular entry is read so, one with the matrix's ring fields and
 a list of terms {"e": [], "c": c}, c a JSON integer; any other entry goes to
 decode_poly, which raises what it raises for that entry alone.
+
+Only the decoders of Pauli data and of loops need pauli and sturm, and they
+import them when they run.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
 from .forms import HermitianForm, WittClass
-from .lgroups import FiniteAbelianGroup
 from .linalg import RingMatrix, _wrap
-from .pauli import (
-    CliffordUnitary,
-    PauliModule,
-    StabilizerModule,
-    elementary_unitary,
-    hyperbolic_unitary,
-)
 from .ring import LaurentPolynomial, RingDescriptor, _interned
-from .sturm import LagrangianLoop, MaslovResult, SturmSequence, validate_loop
 
 
 def _expect(obj, key, kind, what):
@@ -195,6 +189,8 @@ def encode_module(S: StabilizerModule) -> dict:
 
 
 def decode_module(obj) -> StabilizerModule:
+    from .pauli import PauliModule, StabilizerModule
+
     n = _expect(obj, "N", int, "stabilizer module")
     ring = decode_ring(_expect(obj, "ring", dict, "stabilizer module"))
     gens = decode_matrix(_expect(obj, "generators", dict, "stabilizer module"))
@@ -208,6 +204,8 @@ def encode_unitary(u: CliffordUnitary) -> dict:
 
 
 def decode_unitary(obj) -> CliffordUnitary:
+    from .pauli import CliffordUnitary, PauliModule
+
     n = _expect(obj, "N", int, "unitary")
     matrix = decode_matrix(_expect(obj, "matrix", dict, "unitary"))
     return CliffordUnitary(PauliModule(matrix.ring, n), matrix)
@@ -215,6 +213,8 @@ def decode_unitary(obj) -> CliffordUnitary:
 
 def decode_circuit(obj) -> list:
     """Ordered list of {"kind": "E0"|"E1"|"H", "payload": form|matrix}."""
+    from .pauli import elementary_unitary, hyperbolic_unitary
+
     if not isinstance(obj, list):
         raise DomainError("circuit: expected a list of steps")
     steps = []
@@ -254,6 +254,8 @@ def encode_loop(loop: LagrangianLoop) -> dict:
 
 
 def decode_loop(obj) -> LagrangianLoop:
+    from .sturm import SturmSequence, validate_loop
+
     n = _expect(obj, "N", int, "loop")
     ring = decode_ring(_expect(obj, "ring", dict, "loop"))
     raw = _expect(obj, "sturm", list, "loop")

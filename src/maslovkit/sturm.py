@@ -38,7 +38,6 @@ from .errors import (
 from .forms import HermitianForm, WittClass, _require_plus_hermitian
 from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
 from .linalg import _interpolate, _inverse_rows, _matmul_rows, _rows, _scalars, _sub_rows, _wrap
-from .pauli import CliffordUnitary, PauliModule, StabilizerModule
 from .ring import LaurentPolynomial, RingDescriptor, _residue
 
 
@@ -141,6 +140,8 @@ def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
     were checked when the sequence was built, so the word is unitary by
     construction and is not checked again.
     """
+    from .pauli import CliffordUnitary, PauliModule
+
     ring, N = seq.ring, seq.N
     ident = _identity_rows(ring, 2 * N)
     a, c = _apply_word(seq, ident[:N], ident[N:])
@@ -189,6 +190,8 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
     Requires a T-free sequence of type (0, 2n) with n >= 1.  Index k of the
     direct sum occupies the k-th N-wide slot of both the X and Z sides.
     """
+    from .pauli import PauliModule, StabilizerModule
+
     _require_loop_type(seq)
     blocks = len(seq.forms) - 1
     if blocks == 0:
@@ -208,6 +211,8 @@ def transversal_witness(seq: SturmSequence):
     The base case n = 0 returns the dual summand L* (with an empty form) as
     the witness: every graph of a form on L is transverse to it.
     """
+    from .pauli import PauliModule, StabilizerModule
+
     _require_loop_type(seq)
     ring = seq.ring
     N = seq.N
@@ -225,8 +230,13 @@ def transversal_witness(seq: SturmSequence):
 class LagrangianLoop(_Value):
     """A Sturm sequence over R[T] whose word fixes L at T = 0 and T = 1.
 
-    The constructor checks only the type and trusts its caller, as
-    loop_from_pair and direct_sum do; validate_loop is the gate.
+    The constructor is the gate: it checks the loop condition exactly, for
+    every d, and pads a sequence of an even number of forms with a zero form.
+    The word u maps L onto the span of its first N columns (A; C), the word
+    applied to (I; 0).  That span lies in L exactly when C = 0.  And if the
+    Lagrangian uL lies in the Lagrangian L, then L = L^perp is inside
+    (uL)^perp = uL.  loop_from_pair, direct_sum, padded and constant_loop
+    build loops by construction, through _unchecked.
     """
 
     __slots__ = ("seq",)
@@ -234,6 +244,17 @@ class LagrangianLoop(_Value):
     def __init__(self, seq: SturmSequence):
         if not isinstance(seq, SturmSequence):
             raise DomainError(f"a loop is a SturmSequence, got {type(seq).__name__}")
+        if not seq.ring.has_T:
+            raise DomainError("loops are sequences over a ring with T")
+        if seq.start != 0:
+            raise DomainError("loop sequences must start at index 0")
+        if not seq.forms:
+            raise DomainError("a loop sequence of type (0, 2n) has at least one form")
+        if len(seq.forms) % 2 == 0:
+            seq = seq.padded(1)
+        for t in (0, 1):
+            if any(map(any, _apply_word(seq, t=t)[1])):
+                raise NotALoop(f"the word does not fix the base Lagrangian at T = {t}")
         self._set(seq)
 
     @property
@@ -254,31 +275,14 @@ class LagrangianLoop(_Value):
         forms = tuple(
             qa.direct_sum(qb) for qa, qb in zip(a.forms, b.forms)
         )
-        return LagrangianLoop(SturmSequence._unchecked(a.ring, a.N + b.N, forms, 0))
+        return LagrangianLoop._unchecked(SturmSequence._unchecked(a.ring, a.N + b.N, forms, 0))
 
     def padded(self, extra_pairs: int) -> "LagrangianLoop":
-        return LagrangianLoop(self.seq.padded(2 * extra_pairs))
+        return LagrangianLoop._unchecked(self.seq.padded(2 * extra_pairs))
 
 
 def validate_loop(seq: SturmSequence) -> LagrangianLoop:
-    """Check the loop condition E(q)(0) L = L = E(q)(1) L, exactly for every d.
-
-    The word u maps L onto the span of its first N columns (A; C), the word
-    applied to (I; 0).  That span lies in L exactly when C = 0.  And if the
-    Lagrangian uL lies in the Lagrangian L, then L = L^perp is inside
-    (uL)^perp = uL.
-    """
-    if not seq.ring.has_T:
-        raise DomainError("loops are sequences over a ring with T")
-    if seq.start != 0:
-        raise DomainError("loop sequences must start at index 0")
-    if not seq.forms:
-        raise DomainError("a loop sequence of type (0, 2n) has at least one form")
-    if len(seq.forms) % 2 == 0:
-        seq = seq.padded(1)
-    for t in (0, 1):
-        if any(map(any, _apply_word(seq, t=t)[1])):
-            raise NotALoop(f"the word does not fix the base Lagrangian at T = {t}")
+    """The LagrangianLoop of seq, whose constructor checks E(q)(0) L = L = E(q)(1) L."""
     return LagrangianLoop(seq)
 
 
@@ -289,7 +293,7 @@ def constant_loop(ring: RingDescriptor, N: int, pairs: int = 0) -> LagrangianLoo
     if not ring.has_T:
         ring = ring.with_T()
     zero = HermitianForm(RingMatrix.zeros(ring, N, N), 1)
-    return LagrangianLoop(SturmSequence(ring, N, (zero,) * (2 * pairs + 1)))
+    return LagrangianLoop._unchecked(SturmSequence(ring, N, (zero,) * (2 * pairs + 1)))
 
 
 def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
@@ -330,7 +334,7 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         HermitianForm(RingMatrix.identity(ring_T, N), 1),
         HermitianForm(RingMatrix.zeros(ring_T, N, N), 1),
     )
-    return LagrangianLoop(SturmSequence._unchecked(ring_T, N, forms, 0))
+    return LagrangianLoop._unchecked(SturmSequence._unchecked(ring_T, N, forms, 0))
 
 
 class MaslovResult(_Value):
@@ -339,13 +343,20 @@ class MaslovResult(_Value):
     The block -S(0)^-1 comes from the three-term recurrence of S(0) (see
     maslov_index), not from a dense inverse; it is the same matrix.  witt is
     present exactly when the loop lives over F_p (d = 0); for d >= 1 the rank
-    parity and determinant are still exact invariants of the class.
+    parity and determinant are still exact invariants of the class.  The
+    constructor checks the field types; maslov_index builds its result
+    through _unchecked.
     """
 
     __slots__ = ("form", "witt", "rank_parity", "determinant")
 
     def __init__(self, form: HermitianForm, witt: WittClass | None, rank_parity: int,
                  determinant: LaurentPolynomial):
+        if not (isinstance(form, HermitianForm) and isinstance(determinant, LaurentPolynomial)
+                and (witt is None or isinstance(witt, WittClass))
+                and type(rank_parity) is int and rank_parity in (0, 1)):
+            raise DomainError("a Maslov result is a HermitianForm, a WittClass or None, "
+                              "an int rank parity bit and a LaurentPolynomial determinant")
         self._set(form, witt, rank_parity, determinant)
 
 
@@ -361,8 +372,8 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     diagonal row by row as H_{i+1,j} = -H_{i-1,j} - D_i H_ij; H is
     hermitian.  Only W and Q_{-1}(1) are eliminated, on N rows each.
 
-    The loop is trusted (validate_loop is the gate): one whose word does
-    not fix L gets a class all the same.
+    The loop is trusted (its constructor is the gate): one built with
+    _unchecked whose word does not fix L gets a class all the same.
     """
     seq = loop.seq.truncated()
     ring0, N, k = seq.ring.drop_T(), seq.N, len(seq.forms)
@@ -417,7 +428,7 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     rows = [row + pad for row in s1] + [pad + row for row in H]
     rep = HermitianForm(RingMatrix._unchecked(ring0, rows, 2 * n), 1)
     witt = None if ring0.spatial_vars else WittClass.from_determinant(2 * n, determinant)
-    return MaslovResult(rep, witt, rep.dim % 2, determinant)
+    return MaslovResult._unchecked(rep, witt, rep.dim % 2, determinant)
 
 
 def trivmas_homotopy(q: HermitianForm, t) -> RingMatrix:

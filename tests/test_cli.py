@@ -150,17 +150,19 @@ for argv in (["maslov", "real", "--preset", "paper-example"], ["maslov", "real",
 assert "numpy" not in sys.modules, "numpy was imported"
 assert "dataclasses" not in sys.modules, "dataclasses was imported"
 assert "inspect" not in sys.modules, "inspect was imported"
-# __all__ is every public name of the package, and a star import binds each,
-# the seven realmaslov names among them
-public = {{
+# __all__ is the name table, and the package binds a public name only from
+# it, on first use; a star import binds each, the seven realmaslov names among them
+public = lambda: {{
     name for name, value in vars(maslovkit).items()
     if not name.startswith("_") and not isinstance(value, types.ModuleType)
 }}
-assert set(maslovkit.__all__) == public | set(maslovkit._REALMASLOV_NAMES), maslovkit.__all__
+assert maslovkit.__all__ == list(maslovkit._HOME), maslovkit.__all__
+assert public() <= set(maslovkit.__all__), public() - set(maslovkit.__all__)
 star = {{}}
 exec("from maslovkit import *", star)
 assert set(maslovkit.__all__) <= set(star), set(maslovkit.__all__) - set(star)
-assert len(maslovkit._REALMASLOV_NAMES) == 7 and star["real_maslov"] is maslovkit.real_maslov
+assert len(maslovkit._PUBLIC["realmaslov"]) == 7 and star["real_maslov"] is maslovkit.real_maslov
+assert public() == set(maslovkit.__all__), public() ^ set(maslovkit.__all__)
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -169,6 +171,62 @@ assert len(maslovkit._REALMASLOV_NAMES) == 7 and star["real_maslov"] is maslovki
         timeout=120,
         env={**os.environ, "PYTHONPATH": SRC},
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    # each command, in a fresh `python -m maslovkit` process, imports the
+    # package, cli and errors, and then only the modules its code path runs
+    from maslovkit.fixtures import sample_pair
+    from maslovkit.sturm import loop_from_pair
+
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(serialize.encode_loop(loop_from_pair(*sample_pair()))))
+    F = ROOT / "fixtures"
+    codecs = {"ring", "linalg", "forms", "serialize"}
+    cases = [
+        (["witt", "classify", "--form", F / "pair_q1.json"], codecs),
+        (["maslov", "pair", "--q0", F / "pair_q0.json", "--q1", F / "pair_q1.json"], codecs | {"sturm"}),
+        (["maslov", "compute", "--loop", loop], codecs | {"sturm"}),
+        (["lagrangian", "check", "--module", F / "cluster_module.json"], codecs | {"pauli"}),
+        (["qca", "apply", "--circuit", F / "cluster_circuit.json",
+          "--module", F / "product_state_module.json"], codecs | {"pauli"}),
+        (["lgroup", "table", "--p", "7"], codecs | {"lgroups"}),
+        (["maslov", "real", "--preset", "paper-example"], {"realmaslov"}),
+    ]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for argv, modules in cases:
+        # -X importtime writes one stderr line per module the process imports
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "maslovkit", *map(str, argv)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, (argv, proc.stdout)
+        loaded = {
+            line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        expected = {"maslovkit", "maslovkit.cli", "maslovkit.errors"}
+        expected |= {f"maslovkit.{m}" for m in modules}
+        assert {m for m in loaded if m.split(".")[0] == "maslovkit"} == expected, argv
+    # a plain import loads no submodule; every public name and every
+    # submodule of the name table resolves on first use
+    script = """
+import sys
+import maslovkit
+assert [m for m in sys.modules if m.startswith("maslovkit.")] == [], sorted(sys.modules)
+assert maslovkit.linalg is sys.modules["maslovkit.linalg"]
+for name in maslovkit.__all__:
+    value = getattr(maslovkit, name)
+    assert value is getattr(sys.modules[f"maslovkit.{maslovkit._HOME[name]}"], name), name
+    assert vars(maslovkit)[name] is value, name
+assert set(maslovkit.__all__) <= set(dir(maslovkit))
+for module in maslovkit._PUBLIC:
+    assert getattr(maslovkit, module) is sys.modules[f"maslovkit.{module}"], module
+assert not hasattr(maslovkit, "no_such_name")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -332,6 +332,20 @@ def test_validate_loop_examples():
     assert len(validated.seq.forms) == 3, "padded to type (0, 2n)"
 
 
+def test_loop_constructor_is_the_gate():
+    # the constructor runs the check of validate_loop: E0(T) moves L at T = 1
+    T = F5T.T()
+    zero = scalar_form(F5T, 0)
+    seq = SturmSequence(F5T, 1, (HermitianForm(RingMatrix(F5T, [[T]]), 1), zero, zero))
+    for build in (validate_loop, LagrangianLoop):
+        with pytest.raises(NotALoop, match="at T = 1$"):
+            build(seq)
+    # an even number of forms is padded, by either spelling
+    ok = SturmSequence(F5T, 1, (zero, HermitianForm(RingMatrix(F5T, [[3 * T]]), 1)))
+    assert LagrangianLoop(ok) == validate_loop(ok)
+    assert len(LagrangianLoop(ok).seq) == 3
+
+
 def test_validate_loop_laurent_ring():
     # d = 1: the lower-left-block test alone decides whether the word fixes L
     L5T = RingDescriptor(5, 1, True)
@@ -410,7 +424,7 @@ def test_maslov_determinant_equals_det_of_representative():
     for ring in (F5T, RingDescriptor(5, 1, True)):
         for N in (1, 2):
             forms = (scalar_form(ring, 2 + ring.T(), N), scalar_form(ring, 0, N))
-            loops.append(LagrangianLoop(SturmSequence(ring, N, forms)))
+            loops.append(LagrangianLoop._unchecked(SturmSequence(ring, N, forms)))
     # F_p loops whose products are packed; at p = 10^9 + 7 the 2N-term sums
     # of the recurrence are too wide for a slot and fall back; the dense
     # inverse below packs nothing
@@ -661,14 +675,14 @@ def test_maslov_degenerate_endpoint_is_caught():
     for ring in (F5T, RingDescriptor(5, 1, True)):
         two = scalar_form(ring, 2)
         zero = HermitianForm(RingMatrix.zeros(ring, 1, 1), 1)
-        fake = LagrangianLoop(SturmSequence(ring, 1, (two, two, zero)))
+        fake = LagrangianLoop._unchecked(SturmSequence(ring, 1, (two, two, zero)))
         with pytest.raises(InternalInvariantViolation, match=r"^S\(0\) is degenerate"):
             maslov_index(fake)
         # the same sequence genuinely fails validation
         with pytest.raises(NotALoop):
             validate_loop(fake.seq)
         four_T = HermitianForm(RingMatrix(ring, [[4 * ring.T()]]), 1)
-        fake = LagrangianLoop(SturmSequence(ring, 1, (scalar_form(ring, 1), four_T, zero)))
+        fake = LagrangianLoop._unchecked(SturmSequence(ring, 1, (scalar_form(ring, 1), four_T, zero)))
         with pytest.raises(InternalInvariantViolation, match=r"^S\(1\) is degenerate"):
             maslov_index(fake)
 

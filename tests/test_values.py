@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import maslovkit
 from maslovkit import (
     CliffordUnitary,
     FieldElement,
@@ -14,6 +15,8 @@ from maslovkit import (
     FormTriple,
     HermitianForm,
     LagrangianLoop,
+    LaurentPolynomial,
+    MaslovkitError,
     MaslovResult,
     PauliModule,
     RealPolynomial,
@@ -32,6 +35,8 @@ L5 = RingDescriptor(5, 1)
 M = RingMatrix(F5, [[1, 2], [2, 3]])
 Q = HermitianForm(M)
 QT = HermitianForm(RingMatrix(F5T, [[F5T.T() + 1]]))
+# E0(T^2 - T) fixes L at T = 0 and T = 1: the one-form sequence is a loop
+QL = HermitianForm(RingMatrix(F5T, [[F5T.T() * F5T.T() - F5T.T()]]))
 ONE = RingMatrix.identity(L5, 1)
 RESIDUES = (RealPolynomial([1, 2]), RealPolynomial([3]))
 P5 = PauliModule(F5, 1)
@@ -67,9 +72,9 @@ CASES = [
     (SturmSequence, (F5T, 1, (QT,), 1), (F5T, 1, (QT,), 1),
      "SturmSequence(ring=RingDescriptor(p=5, spatial_vars=0, has_T=True), N=1, "
      "forms=(HermitianForm(matrix=RingMatrix[1x1: 1 + T], sign=1),), start=1)"),
-    (LagrangianLoop, (SturmSequence(F5T, 1, (QT,)),), (SturmSequence(F5T, 1, (QT,)),),
+    (LagrangianLoop, (SturmSequence(F5T, 1, (QL,)),), (SturmSequence(F5T, 1, (QL,)),),
      "LagrangianLoop(seq=SturmSequence(ring=RingDescriptor(p=5, spatial_vars=0, has_T=True), "
-     "N=1, forms=(HermitianForm(matrix=RingMatrix[1x1: 1 + T], sign=1),), start=0))"),
+     "N=1, forms=(HermitianForm(matrix=RingMatrix[1x1: 4*T + T^2], sign=1),), start=0))"),
     (MaslovResult, (Q, WittClass(5, 0, 1), 0, F5.constant(4)),
      (Q, WittClass(5, 0, 1), 0, F5.constant(4)),
      "MaslovResult(form=HermitianForm(matrix=RingMatrix[2x2: 1, 2; 2, 3], sign=1), "
@@ -120,6 +125,49 @@ def test_copy_and_pickle(cls, args, fields, text):
     for b in rebuilt:
         assert type(b) is cls and repr(b) == text
         assert b == a and hash(b) == hash(a)
+
+
+# every public class of the package with a constructor call that has one
+# field of the wrong type
+WRONG_FIELDS = {
+    FieldElement: lambda: FieldElement("1", 5),
+    LaurentPolynomial: lambda: LaurentPolynomial("x", {}),
+    RingDescriptor: lambda: RingDescriptor("5"),
+    RingMatrix: lambda: RingMatrix("x", [[1]]),
+    SmithDecomposition: lambda: SmithDecomposition(1, 2, 3),
+    FormTriple: lambda: FormTriple(Q, M),
+    HermitianForm: lambda: HermitianForm([[1]]),
+    WittClass: lambda: WittClass(5, 1.0, 0),
+    CliffordUnitary: lambda: CliffordUnitary(P5, [[1, 0], [0, 1]]),
+    PauliModule: lambda: PauliModule(F5, "1"),
+    StabilizerModule: lambda: StabilizerModule(P5, "generators"),
+    SturmSequence: lambda: SturmSequence(F5, 1, (M,)),
+    LagrangianLoop: lambda: LagrangianLoop(Q),
+    MaslovResult: lambda: MaslovResult(1, 2, 3, 4),
+    FiniteAbelianGroup: lambda: FiniteAbelianGroup(("2",)),
+    RealPolynomial: lambda: RealPolynomial([1, None]),
+    ResidueSequence: lambda: ResidueSequence((1, 2)),
+}
+
+
+def test_wrong_field_types_raise_library_errors():
+    classes = {
+        value for value in (getattr(maslovkit, name) for name in maslovkit.__all__)
+        if isinstance(value, type) and not issubclass(value, Exception)
+    }
+    assert classes == set(WRONG_FIELDS), classes ^ set(WRONG_FIELDS)
+    for build in WRONG_FIELDS.values():
+        with pytest.raises(MaslovkitError):
+            build()
+    # the result classes also reject a wrong type in their other fields
+    with pytest.raises(MaslovkitError):
+        SmithDecomposition(ONE, ONE, RingMatrix.identity(F5, 1))
+    with pytest.raises(MaslovkitError):
+        MaslovResult(Q, None, True, F5.constant(4))
+    with pytest.raises(MaslovkitError):
+        MaslovResult(Q, 1, 0, F5.constant(4))
+    with pytest.raises(MaslovkitError):
+        ResidueSequence([RealPolynomial([1])])
 
 
 def test_defaults():
