@@ -170,10 +170,14 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
-def _add_format(parser: argparse.ArgumentParser, default: str = "json"):
-    parser.add_argument(
-        "--format", choices=("json", "text"), default=default, help="output format"
-    )
+def _command(actions, name: str, help: str, func, flags: dict, fmt: str = "json"):
+    """Add subcommand name to actions: it runs func and takes each flag of
+    flags, with its add_argument keywords, and a --format defaulting to fmt."""
+    command = actions.add_parser(name, help=help)
+    for flag, kw in flags.items():
+        command.add_argument(flag, **kw)
+    command.add_argument("--format", choices=("json", "text"), default=fmt, help="output format")
+    command.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,52 +187,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    witt = top.add_parser("witt", help="Witt classification of forms")
-    witt_sub = witt.add_subparsers(dest="action", required=True)
-    classify = witt_sub.add_parser("classify", help="Witt class of a form over F_p")
-    classify.add_argument("--form", required=True, help="form JSON (path or inline)")
-    _add_format(classify)
-    classify.set_defaults(func=_cmd_witt_classify)
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help).add_subparsers(dest="action", required=True)
 
-    maslov = top.add_parser("maslov", help="Maslov indices of loops")
-    maslov_sub = maslov.add_subparsers(dest="action", required=True)
-    compute = maslov_sub.add_parser("compute", help="index of an encoded loop")
-    compute.add_argument("--loop", required=True, help="loop JSON (path or inline)")
-    _add_format(compute)
-    compute.set_defaults(func=_cmd_maslov_compute)
-    pair = maslov_sub.add_parser("pair", help="index of the loop built from q0, q1")
-    pair.add_argument("--q0", required=True, help="form JSON (path or inline)")
-    pair.add_argument("--q1", required=True, help="form JSON (path or inline)")
-    _add_format(pair)
-    pair.set_defaults(func=_cmd_maslov_pair)
-    real = maslov_sub.add_parser("real", help="classical index of (P, P')")
-    real.add_argument("--poly", help="comma-separated coefficients, lowest first")
-    real.add_argument("--preset", help="named preset polynomial")
-    _add_format(real, default="text")
-    real.set_defaults(func=_cmd_maslov_real)
+    def required(help: str) -> dict:
+        return {"required": True, "help": help}
 
-    lagrangian = top.add_parser("lagrangian", help="stabilizer module checks")
-    lagrangian_sub = lagrangian.add_subparsers(dest="action", required=True)
-    check = lagrangian_sub.add_parser("check", help="isotropy/coisotropy/summand")
-    check.add_argument("--module", required=True, help="module JSON (path or inline)")
-    _add_format(check)
-    check.set_defaults(func=_cmd_lagrangian_check)
+    witt = group("witt", "Witt classification of forms")
+    _command(witt, "classify", "Witt class of a form over F_p", _cmd_witt_classify,
+             {"--form": required("form JSON (path or inline)")})
 
-    qca = top.add_parser("qca", help="Clifford QCA actions")
-    qca_sub = qca.add_subparsers(dest="action", required=True)
-    apply_cmd = qca_sub.add_parser("apply", help="apply a circuit to a module")
-    apply_cmd.add_argument("--circuit", required=True, help="circuit JSON")
-    apply_cmd.add_argument("--module", required=True, help="module JSON")
-    _add_format(apply_cmd)
-    apply_cmd.set_defaults(func=_cmd_qca_apply)
+    maslov = group("maslov", "Maslov indices of loops")
+    _command(maslov, "compute", "index of an encoded loop", _cmd_maslov_compute,
+             {"--loop": required("loop JSON (path or inline)")})
+    _command(maslov, "pair", "index of the loop built from q0, q1", _cmd_maslov_pair,
+             {"--q0": required("form JSON (path or inline)"),
+              "--q1": required("form JSON (path or inline)")})
+    _command(maslov, "real", "classical index of (P, P')", _cmd_maslov_real,
+             {"--poly": {"help": "comma-separated coefficients, lowest first"},
+              "--preset": {"help": "named preset polynomial"}}, fmt="text")
 
-    lgroup_cmd = top.add_parser("lgroup", help="L-group classification tables")
-    lgroup_sub = lgroup_cmd.add_subparsers(dest="action", required=True)
-    table = lgroup_sub.add_parser("table", help="table of L_n, I and OmegaC")
-    table.add_argument("--p", required=True, type=int, help="odd prime")
-    table.add_argument("--d", type=int, help="largest dimension (default 4)")
-    _add_format(table, default="text")
-    table.set_defaults(func=_cmd_lgroup_table)
+    lagrangian = group("lagrangian", "stabilizer module checks")
+    _command(lagrangian, "check", "isotropy/coisotropy/summand", _cmd_lagrangian_check,
+             {"--module": required("module JSON (path or inline)")})
+
+    qca = group("qca", "Clifford QCA actions")
+    _command(qca, "apply", "apply a circuit to a module", _cmd_qca_apply,
+             {"--circuit": required("circuit JSON"), "--module": required("module JSON")})
+
+    lgroup = group("lgroup", "L-group classification tables")
+    _command(lgroup, "table", "table of L_n, I and OmegaC", _cmd_lgroup_table,
+             {"--p": {"required": True, "type": int, "help": "odd prime"},
+              "--d": {"type": int, "help": "largest dimension (default 4)"}}, fmt="text")
 
     return parser
 

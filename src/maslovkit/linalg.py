@@ -213,16 +213,17 @@ class RingMatrix:
         rows = _matmul_rows(self.ring, _rows(self), _rows(other), other.cols)
         return _wrap(self.ring, rows, other.cols)
 
+    def _map(self, f, *others, ring=None) -> "RingMatrix":
+        """f of the entries at each position of self and others, over ring or self's."""
+        rows = [tuple(map(f, *r)) for r in zip(self.entries, *(o.entries for o in others))]
+        return RingMatrix._unchecked(ring or self.ring, rows, self.cols)
+
     def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
         if self.ring != other.ring:
             raise RingMismatch("matrix rings differ")
         if self.shape != other.shape:
             raise ShapeError(f"cannot combine {self.shape} and {other.shape}")
-        return RingMatrix._unchecked(
-            self.ring,
-            [tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries)],
-            self.cols,
-        )
+        return self._map(op, other)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         return self._entrywise(other, add)
@@ -231,16 +232,12 @@ class RingMatrix:
         return self._entrywise(other, sub)
 
     def __neg__(self) -> "RingMatrix":
-        return RingMatrix._unchecked(
-            self.ring, [tuple(-e for e in row) for row in self.entries], self.cols
-        )
+        return self._map(neg)
 
     def scale(self, c) -> "RingMatrix":
         if not isinstance(c, LaurentPolynomial):
             c = self.ring.constant(c)
-        return RingMatrix._unchecked(
-            self.ring, [tuple(c * e for e in row) for row in self.entries], self.cols
-        )
+        return self._map(lambda e: c * e)
 
     @property
     def shape(self):
@@ -265,18 +262,10 @@ class RingMatrix:
         return RingMatrix._unchecked(self.ring, columns, self.rows)
 
     def eval_T(self, t) -> "RingMatrix":
-        return RingMatrix._unchecked(
-            self.ring.drop_T(),
-            [tuple(e.eval_T(t) for e in row) for row in self.entries],
-            self.cols,
-        )
+        return self._map(lambda e: e.eval_T(t), ring=self.ring.drop_T())
 
     def lift_T(self) -> "RingMatrix":
-        return RingMatrix._unchecked(
-            self.ring.with_T(),
-            [tuple(e.lift_T() for e in row) for row in self.entries],
-            self.cols,
-        )
+        return self._map(LaurentPolynomial.lift_T, ring=self.ring.with_T())
 
     def submatrix(self, row_indices, col_indices) -> "RingMatrix":
         col_indices = list(col_indices)

@@ -89,11 +89,7 @@ class StabilizerModule(_Value):
             raise ShapeError(
                 f"generators must have {ambient.rank} rows, got {generators.rows}"
             )
-        keep = [
-            j
-            for j in range(generators.cols)
-            if any(not generators[i, j].is_zero() for i in range(generators.rows))
-        ]
+        keep = [j for j, column in enumerate(zip(*generators.entries)) if any(column)]
         self._set(ambient, generators.submatrix(range(generators.rows), keep))
 
 

@@ -23,6 +23,7 @@ the Euclidean remainder and has its signs.  REL_TOL only decides degeneracy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -48,6 +49,9 @@ class RealPolynomial(_Value):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
+        if isinstance(coefficients, (str, bytes)) or not isinstance(coefficients, Iterable):
+            kind = type(coefficients).__name__
+            raise DomainError(f"coefficients are an iterable of reals, got {kind}")
         coeffs = []
         for i, c in enumerate(coefficients):
             try:

@@ -205,16 +205,12 @@ class RingDescriptor(_Value):
         """The monomial x_{i+1}^power (i is zero-based)."""
         if type(i) is not int or not 0 <= i < self.spatial_vars:
             raise DomainError(f"variable index {i!r} out of range")
-        exps = [0] * self.nexponents
-        exps[i] = power
-        return LaurentPolynomial(self, {tuple(exps): 1})
+        return self.monomial([power if k == i else 0 for k in range(self.nexponents)])
 
     def T(self, power: int = 1) -> "LaurentPolynomial":
         if not self.has_T:
             raise DomainError("ring has no T variable")
-        exps = [0] * self.nexponents
-        exps[-1] = power
-        return LaurentPolynomial(self, {tuple(exps): 1})
+        return self.monomial((0,) * self.spatial_vars + (power,))
 
     def monomial(self, exponents, c: int | FieldElement = 1) -> "LaurentPolynomial":
         return LaurentPolynomial(self, {tuple(exponents): c})

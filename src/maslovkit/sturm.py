@@ -90,11 +90,11 @@ class SturmSequence(_Value):
         )
 
     def padded(self, extra: int) -> "SturmSequence":
-        """Append zero forms; E(0) is the identity, so the word is unchanged."""
+        """Append extra zero forms; E(0) is the identity, so the word is unchanged."""
+        if type(extra) is not int or extra < 0:
+            raise DomainError(f"a sequence is padded by an int count >= 0, got {extra!r}")
         zero = HermitianForm(RingMatrix.zeros(self.ring, self.N, self.N), 1)
-        return SturmSequence._unchecked(
-            self.ring, self.N, self.forms + (zero,) * extra, self.start
-        )
+        return SturmSequence._unchecked(self.ring, self.N, self.forms + (zero,) * extra, self.start)
 
 
 def _three_term(ring: RingDescriptor, steps, x: list, y: list) -> list:
@@ -148,12 +148,13 @@ def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
     return CliffordUnitary._unchecked(PauliModule(ring, N), _wrap(ring, a + c, 2 * N))
 
 
-def _tridiagonal(blocks, start: int, N: int, zero, one, neg) -> list:
+def _tridiagonal(ring: RingDescriptor, blocks, start: int, N: int) -> list:
     """Rows of the block tridiagonal matrix of the N x N blocks b_start, ...
 
-    Block k, given as rows of entries, sits on the diagonal as (-1)^k b_k
-    (neg negates an entry); the blocks beside the diagonal are one * I.
+    Block k, given as rows over ring, sits on the diagonal as (-1)^k b_k;
+    the blocks beside the diagonal are I.
     """
+    zero, one, neg = _scalars(ring)
     size = len(blocks) * N
     grid = [[zero] * size for _ in range(size)]
     for k, rows in enumerate(blocks, start):
@@ -167,11 +168,8 @@ def _tridiagonal(blocks, start: int, N: int, zero, one, neg) -> list:
 
 def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
     """Block tridiagonal form with (-1)^k q_k diagonal, identity off-diagonal."""
-    ring = seq.ring
-    zero, one, neg = _scalars(ring)
     blocks = [_rows(q.matrix) for q in seq.forms]
-    grid = _tridiagonal(blocks, seq.start, seq.N, zero, one, neg)
-    return HermitianForm(_wrap(ring, grid), 1)
+    return HermitianForm(_wrap(seq.ring, _tridiagonal(seq.ring, blocks, seq.start, seq.N)), 1)
 
 
 def _require_loop_type(seq: SturmSequence):
@@ -266,6 +264,8 @@ class LagrangianLoop(_Value):
         return self.seq.N
 
     def direct_sum(self, other: "LagrangianLoop") -> "LagrangianLoop":
+        if not isinstance(other, LagrangianLoop):
+            raise DomainError(f"a loop sums with a LagrangianLoop, got {type(other).__name__}")
         a, b = self.seq, other.seq
         if a.ring != b.ring:
             raise RingMismatch("loops live over different rings")
@@ -278,7 +278,9 @@ class LagrangianLoop(_Value):
         return LagrangianLoop._unchecked(SturmSequence._unchecked(a.ring, a.N + b.N, forms, 0))
 
     def padded(self, extra_pairs: int) -> "LagrangianLoop":
-        return LagrangianLoop._unchecked(self.seq.padded(2 * extra_pairs))
+        # twice by extra_pairs, not once by 2 * extra_pairs: each call checks
+        # the count, and 2 * True would pass as an int
+        return LagrangianLoop._unchecked(self.seq.padded(extra_pairs).padded(extra_pairs))
 
 
 def validate_loop(seq: SturmSequence) -> LagrangianLoop:
@@ -292,8 +294,7 @@ def constant_loop(ring: RingDescriptor, N: int, pairs: int = 0) -> LagrangianLoo
         raise DomainError(f"a constant loop has an int pairs >= 0, got {pairs!r}")
     if not ring.has_T:
         ring = ring.with_T()
-    zero = HermitianForm(RingMatrix.zeros(ring, N, N), 1)
-    return LagrangianLoop._unchecked(SturmSequence(ring, N, (zero,) * (2 * pairs + 1)))
+    return LagrangianLoop._unchecked(SturmSequence._unchecked(ring, N, (), 0).padded(2 * pairs + 1))
 
 
 def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
@@ -332,9 +333,8 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         HermitianForm(_interpolate(ring_T, *shifted, N), 1),
         HermitianForm(RingMatrix.scalar(ring_T, N, -1), 1),
         HermitianForm(RingMatrix.identity(ring_T, N), 1),
-        HermitianForm(RingMatrix.zeros(ring_T, N, N), 1),
     )
-    return LagrangianLoop._unchecked(SturmSequence._unchecked(ring_T, N, forms, 0))
+    return LagrangianLoop._unchecked(SturmSequence._unchecked(ring_T, N, forms, 0).padded(1))
 
 
 class MaslovResult(_Value):
@@ -378,7 +378,7 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     seq = loop.seq.truncated()
     ring0, N, k = seq.ring.drop_T(), seq.N, len(seq.forms)
     n = k * N
-    zero, one, neg = _scalars(ring0)
+    zero, _, neg = _scalars(ring0)
     ident = _identity_rows(ring0, N)
     minus = [list(map(neg, row)) for row in ident]
     zeros = [[zero] * N] * N
@@ -400,7 +400,7 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     W1 = _three_term(ring0, steps(blocks1)[::-1], ident, zeros)[-1]
     if not (det1 := _eliminate_rows(ring0, W1)).is_unit():
         raise InternalInvariantViolation(f"S(1) {invalid}")
-    s1 = _tridiagonal(blocks1, seq.start, N, zero, one, neg)
+    s1 = _tridiagonal(ring0, blocks1, seq.start, N)
     # H's block column Q_j W^-1 for j = 0, ..., k - 1; upper[i] is block row i
     # of H from column i N on, and lower[i] its dagger
     winv = [row[N:] for row in M]

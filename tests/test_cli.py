@@ -1,5 +1,6 @@
 """CLI behavior: formats, determinism, exit codes, error objects."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -550,6 +551,40 @@ def test_usage_errors_are_structured(capsys):
         main(["lgroup", "table", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_parser_contract():
+    # read from the parser, not its help text, which argparse formats
+    # differently from one Python version to the next
+    import maslovkit.cli as cli
+
+    def subcommands(parser, dest):
+        (actions,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert actions.dest == dest and actions.required
+        return actions.choices
+
+    flags = {}
+    for group, group_parser in subcommands(cli.build_parser(), "group").items():
+        for action, command in subcommands(group_parser, "action").items():
+            options = {a.dest: a for a in command._actions if a.option_strings}
+            fmt = options.pop("format")
+            assert (fmt.choices, fmt.required) == (("json", "text"), False)
+            text = (group, action) in {("maslov", "real"), ("lgroup", "table")}
+            assert fmt.default == ("text" if text else "json"), (group, action)
+            assert command.get_default("func") is getattr(cli, f"_cmd_{group}_{action}")
+            del options["help"]
+            flags[group, action] = {
+                a.option_strings[0]: (a.required, a.type) for a in options.values()
+            }
+    assert flags == {
+        ("witt", "classify"): {"--form": (True, None)},
+        ("maslov", "compute"): {"--loop": (True, None)},
+        ("maslov", "pair"): {"--q0": (True, None), "--q1": (True, None)},
+        ("maslov", "real"): {"--poly": (False, None), "--preset": (False, None)},
+        ("lagrangian", "check"): {"--module": (True, None)},
+        ("qca", "apply"): {"--circuit": (True, None), "--module": (True, None)},
+        ("lgroup", "table"): {"--p": (True, int), "--d": (False, int)},
+    }
 
 
 def test_shipped_fixture_commands_print_stored_bytes(capsys, monkeypatch):

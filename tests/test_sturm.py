@@ -216,9 +216,17 @@ def test_sturm_unitary_examples():
         (lambda: SturmSequence(F5, 1, [RingMatrix.identity(F5, 1)]), FormError),
         (lambda: LagrangianLoop(5), DomainError),
         (lambda: LagrangianLoop((scalar_form(F5T, 1),)), DomainError),
+        (lambda: SturmSequence(F5T, 1, ()).padded(-1), DomainError),
+        (lambda: SturmSequence(F5T, 1, ()).padded(0.5), DomainError),
+        (lambda: SturmSequence(F5T, 1, ()).padded(True), DomainError),
+        (lambda: constant_loop(F5, 1).padded(-1), DomainError),
+        (lambda: constant_loop(F5, 1).padded(True), DomainError),
+        (lambda: constant_loop(F5, 1).direct_sum(5), DomainError),
+        (lambda: constant_loop(F5, "x"), DomainError),
     ],
     ids=["int-ring", "bare-form", "no-forms", "float-start", "bool-start", "list-of-matrices",
-         "int-loop", "loop-of-forms"],
+         "int-loop", "loop-of-forms", "negative-padding", "float-padding", "bool-padding",
+         "negative-loop-padding", "bool-loop-padding", "int-summand", "str-constant-loop-N"],
 )
 def test_sturm_sequence_and_loop_fields_are_checked(build, error):
     with pytest.raises(error):

@@ -10,6 +10,7 @@ import pytest
 import maslovkit
 from maslovkit import (
     CliffordUnitary,
+    DomainError,
     FieldElement,
     FiniteAbelianGroup,
     FormTriple,
@@ -168,6 +169,10 @@ def test_wrong_field_types_raise_library_errors():
         MaslovResult(Q, 1, 0, F5.constant(4))
     with pytest.raises(MaslovkitError):
         ResidueSequence([RealPolynomial([1])])
+    # text and non-iterables are no coefficient sequence
+    for coefficients in ("12", b"12", 5):
+        with pytest.raises(DomainError, match="iterable of reals"):
+            RealPolynomial(coefficients)
 
 
 def test_defaults():
