@@ -127,20 +127,19 @@ def _cmd_qca_apply(args):
 
 
 def _cmd_lgroup_table(args):
-    from . import serialize
     from .lgroups import VALIDATED_DIMENSIONS, _check_validated, classify_loops
-    from .lgroups import fundamental_ideal_group, lgroup
+    from .lgroups import encode_group, fundamental_ideal_group, lgroup
 
     p = args.p
     d_max = args.d if args.d is not None else VALIDATED_DIMENSIONS
     _check_validated(d_max, p, "L-group table")
     dims = list(range(d_max + 1))
     lrows = [
-        {"n": n, "groups": [serialize.encode_group(lgroup(n, d, p)) for d in dims]}
+        {"n": n, "groups": [encode_group(lgroup(n, d, p)) for d in dims]}
         for n in range(4)
     ]
-    ideals = [serialize.encode_group(fundamental_ideal_group(d, p)) for d in dims]
-    loops = [serialize.encode_group(classify_loops(d, p)) for d in dims]
+    ideals = [encode_group(fundamental_ideal_group(d, p)) for d in dims]
+    loops = [encode_group(classify_loops(d, p)) for d in dims]
     payload = {
         "p": p,
         "residue_mod_4": p % 4,

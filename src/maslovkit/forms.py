@@ -62,6 +62,8 @@ class HermitianForm(_Value):
         return det(self.matrix).is_unit()
 
     def direct_sum(self, other: "HermitianForm") -> "HermitianForm":
+        if not isinstance(other, HermitianForm):
+            raise DomainError(f"a form sums with a HermitianForm, got {type(other).__name__}")
         if self.sign != other.sign:
             raise FormError("cannot direct-sum forms of opposite sign")
         if self.ring != other.ring:
@@ -75,6 +77,8 @@ class HermitianForm(_Value):
 
     def congruent_by(self, a: RingMatrix) -> "HermitianForm":
         """The pullback dagger(a) F a along an invertible map a."""
+        if not isinstance(a, RingMatrix):
+            raise DomainError(f"a form is pulled back along a RingMatrix, got {type(a).__name__}")
         return HermitianForm(a.dagger() @ self.matrix @ a, self.sign)
 
     def eval_T(self, t) -> "HermitianForm":

@@ -87,6 +87,11 @@ class FiniteAbelianGroup(_Value):
         return f"FiniteAbelianGroup({self.name})"
 
 
+def encode_group(g: FiniteAbelianGroup) -> dict:
+    """The JSON object of g: its invariant factors and its name."""
+    return {"invariant_factors": list(g.cyclic_orders), "name": g.name}
+
+
 def witt_group_structure(p: int) -> FiniteAbelianGroup:
     """The order-four Witt group of F_p: Z/2 + Z/2 or Z/4 by p mod 4."""
     _check_odd_prime(p)

@@ -4,12 +4,12 @@ Provides dense matrices of Laurent polynomials with the dagger
 (involution-transpose), exact polynomial-time determinants and inverses over
 every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and spans.
 
-Only this module decides how entries are stored while they are computed on:
-its private rows (_rows and the helpers after it) hold int residues over F_p
-and polynomials elsewhere.  _wrap turns rows back into a matrix, over F_p
-with one polynomial per residue, built on first use; serialize.decode_matrix
-hands it the int rows of an F_p matrix document, read from its regular
-entries (any other entry goes to decode_poly).
+A matrix stores its rows as this module computes on them: int residues over
+F_p and polynomials elsewhere.  _rows gives a fresh copy, and
+RingMatrix._unchecked stores rows as given; serialize.decode_matrix hands it
+the int rows of an F_p matrix document, read from its regular entries (any
+other entry goes to decode_poly).  Over F_p, entries is a view of the
+residues as polynomials, built on first read with one per residue.
 _interpolate turns the rows of two T-free matrices A and B into the matrix
 A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.
 On polynomial rows no method runs on a zero entry: _dagger_rows (and so
@@ -80,11 +80,13 @@ from .ring import LaurentPolynomial, RingDescriptor, _reduced
 class RingMatrix:
     """Rectangular matrix of Laurent polynomials over a fixed ring.
 
-    Entries are stored densely; matrices in this library stay small.
-    Instances are treated as immutable.
+    Entries are stored densely, as the rows linalg computes on: int residues
+    over F_p, polynomials over every other ring.  Over F_p, entries (and so
+    A[i, j]) is a read-only view of the residues, built on first read with
+    one polynomial per residue.  Instances are treated as immutable.
     """
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "_stored", "_entries")
 
     def __init__(self, ring: RingDescriptor, entries):
         if not isinstance(ring, RingDescriptor):
@@ -105,24 +107,32 @@ class RingMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeError("rows have inconsistent lengths")
+        self._store(ring, _residue_rows(ring, rows), ncols)
+        self._entries = tuple(rows)
+
+    def _store(self, ring: RingDescriptor, rows, cols: int):
         self.ring = ring
-        self.rows = len(rows)
-        self.cols = ncols
-        self.entries = tuple(rows)
+        self._stored = tuple(map(tuple, rows))
+        self.rows = len(self._stored)
+        self.cols = len(self._stored[0]) if self._stored else cols
+        self._entries = self._stored if ring.nexponents else None
 
     @classmethod
     def _unchecked(cls, ring: RingDescriptor, rows, cols: int = 0) -> "RingMatrix":
-        """Wrap rows computed by the library, without checking them.
-
-        rows is a sequence of equal-length tuples of polynomials over ring;
-        cols is the width to record when there are no rows.
-        """
+        """Store rows computed by the library, equal-length and as _rows gives
+        them, unchecked; cols is the width to record when there are no rows."""
         m = object.__new__(cls)
-        m.ring = ring
-        m.entries = tuple(rows)
-        m.rows = len(m.entries)
-        m.cols = len(m.entries[0]) if m.entries else cols
+        m._store(ring, rows, cols)
         return m
+
+    @property
+    def entries(self) -> tuple:
+        """The rows of polynomial entries; over F_p built once, from the residues."""
+        if self._entries is None:
+            ring, wrap = self.ring, LaurentPolynomial._unchecked
+            shared = {v: wrap(ring, {(): v} if v else {}) for v in set().union(*self._stored)}
+            self._entries = tuple(tuple(map(shared.__getitem__, r)) for r in self._stored)
+        return self._entries
 
     # -- constructors ----------------------------------------------------
 
@@ -134,13 +144,13 @@ class RingMatrix:
     def zeros(cls, ring: RingDescriptor, r: int, c: int) -> "RingMatrix":
         if not all(type(n) is int and n >= 0 for n in (r, c)):
             raise DomainError(f"matrix sizes are ints >= 0, got {r!r} x {c!r}")
-        return cls._unchecked(ring, [(ring.zero(),) * c] * r, c)
+        return cls._unchecked(ring, [(_scalars(ring)[0],) * c] * r, c)
 
     @classmethod
     def scalar(cls, ring: RingDescriptor, n: int, c) -> "RingMatrix":
         """c times the n x n identity; c is checked once and its entries shared."""
-        ((c,),) = cls(ring, [[c]]).entries
-        rows = cls.zeros(ring, n, n).entries
+        ((c,),) = cls(ring, [[c]])._stored
+        rows = cls.zeros(ring, n, n)._stored
         return cls._unchecked(ring, [r[:i] + (c,) + r[i + 1 :] for i, r in enumerate(rows)], n)
 
     @classmethod
@@ -163,7 +173,7 @@ class RingMatrix:
             if any(b.ring != ring for b in block_row):
                 raise RingMismatch("block ring mismatch")
             for i in range(height):
-                rows.append(tuple(e for b in block_row for e in b.entries[i]))
+                rows.append([e for b in block_row for e in b._stored[i]])
         return cls._unchecked(ring, rows, sum(widths))
 
     @classmethod
@@ -196,12 +206,12 @@ class RingMatrix:
             isinstance(other, RingMatrix)
             and self.ring == other.ring
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._stored == other._stored
         )
 
     def __hash__(self):
         # cols tells apart the matrices with no rows
-        return hash((self.ring, self.cols, self.entries))
+        return hash((self.ring, self.cols, self._stored))
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):
@@ -211,14 +221,20 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         rows = _matmul_rows(self.ring, _rows(self), _rows(other), other.cols)
-        return _wrap(self.ring, rows, other.cols)
+        return RingMatrix._unchecked(self.ring, rows, other.cols)
 
-    def _map(self, f, *others, ring=None) -> "RingMatrix":
-        """f of the entries at each position of self and others, over ring or self's."""
-        rows = [tuple(map(f, *r)) for r in zip(self.entries, *(o.entries for o in others))]
-        return RingMatrix._unchecked(ring or self.ring, rows, self.cols)
+    def _map(self, f, *others) -> "RingMatrix":
+        """f of the stored entries at each position of self and others; over
+        F_p the ints f gives are reduced mod p."""
+        rows = [map(f, *r) for r in zip(self._stored, *(o._stored for o in others))]
+        if not self.ring.nexponents:
+            p = self.ring.p
+            rows = [[v % p for v in r] for r in rows]
+        return RingMatrix._unchecked(self.ring, rows, self.cols)
 
     def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
+        if not isinstance(other, RingMatrix):
+            raise DomainError(f"matrices combine with a RingMatrix, got {type(other).__name__}")
         if self.ring != other.ring:
             raise RingMismatch("matrix rings differ")
         if self.shape != other.shape:
@@ -235,8 +251,7 @@ class RingMatrix:
         return self._map(neg)
 
     def scale(self, c) -> "RingMatrix":
-        if not isinstance(c, LaurentPolynomial):
-            c = self.ring.constant(c)
+        ((c,),) = RingMatrix(self.ring, [[c]])._stored
         return self._map(lambda e: c * e)
 
     @property
@@ -247,38 +262,37 @@ class RingMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(map(any, self._stored))
 
     def dagger(self) -> "RingMatrix":
         """Transpose with entrywise involution (the dual map), by _dagger_rows."""
-        if not self.entries:
+        if not self._stored:
             return self.transpose()
-        rows = _dagger_rows(self.ring, self.entries)
-        return RingMatrix._unchecked(self.ring, map(tuple, rows), self.rows)
+        return RingMatrix._unchecked(self.ring, _dagger_rows(self.ring, self._stored), self.rows)
 
     def transpose(self) -> "RingMatrix":
         """The columns as rows; a matrix with no rows gives cols empty ones."""
-        columns = list(zip(*self.entries)) if self.entries else [()] * self.cols
+        columns = list(zip(*self._stored)) if self._stored else [()] * self.cols
         return RingMatrix._unchecked(self.ring, columns, self.rows)
 
     def eval_T(self, t) -> "RingMatrix":
-        return self._map(lambda e: e.eval_T(t), ring=self.ring.drop_T())
+        ring = self.ring.drop_T()
+        rows = [[e.eval_T(t) for e in row] for row in self.entries]
+        return RingMatrix._unchecked(ring, _residue_rows(ring, rows), self.cols)
 
     def lift_T(self) -> "RingMatrix":
-        return self._map(LaurentPolynomial.lift_T, ring=self.ring.with_T())
+        rows = [[e.lift_T() for e in row] for row in self.entries]
+        return RingMatrix._unchecked(self.ring.with_T(), rows, self.cols)
 
     def submatrix(self, row_indices, col_indices) -> "RingMatrix":
-        col_indices = list(col_indices)
-        return RingMatrix._unchecked(
-            self.ring,
-            [tuple(self.entries[i][j] for j in col_indices) for i in row_indices],
-            len(col_indices),
-        )
+        rows, cols = picks = list(row_indices), list(col_indices)
+        if not all(type(i) is int and 0 <= i < n for idx, n in zip(picks, self.shape) for i in idx):
+            raise DomainError(f"submatrix indices are ints in range of {self.shape}, got {picks!r}")
+        picked = [[self._stored[i][j] for j in cols] for i in rows]
+        return RingMatrix._unchecked(self.ring, picked, len(cols))
 
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(repr(e) for e in row) for row in self.entries
-        )
+    def __repr__(self):  # a residue prints as its constant polynomial
+        body = "; ".join(", ".join(map(repr, row)) for row in self._stored)
         return f"RingMatrix[{self.rows}x{self.cols}: {body}]"
 
 
@@ -450,11 +464,10 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
             A[k][k] = u * A[k][k]
             U[k] = [u * e for e in U[k]]
 
-    return SmithDecomposition._unchecked(
-        RingMatrix._unchecked(ring, map(tuple, U), m),
-        RingMatrix._unchecked(ring, map(tuple, A), n),
-        RingMatrix._unchecked(ring, zip(*Vt), n),
-    )
+    return SmithDecomposition._unchecked(*(
+        RingMatrix._unchecked(ring, _residue_rows(ring, rows), cols)
+        for rows, cols in ((U, m), (A, n), (zip(*Vt), n))
+    ))
 
 
 def kernel_basis(G: RingMatrix) -> RingMatrix:
@@ -489,49 +502,36 @@ def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
                 Y[i][j] = q
             elif not w.is_zero():
                 return None
-    return snf.V @ RingMatrix._unchecked(ring, map(tuple, Y), B.cols)
+    return snf.V @ RingMatrix._unchecked(ring, _residue_rows(ring, Y), B.cols)
 
 
 # -- the rows linalg computes on; determinants and inverses ----------------
 
 
 def _rows(A: RingMatrix, t: int | None = None) -> list:
-    """Fresh rows of A's entries: int residues over F_p, polynomials elsewhere.
+    """A fresh copy of A's stored rows: int residues over F_p, polynomials elsewhere.
 
     With t in {0, 1} a matrix over R[T] is evaluated at T = t first, so a
     matrix over F_p[T] gives int rows only then.
     """
     ring = A.ring
-    if ring.spatial_vars or (ring.has_T and t is None):
-        if t is None:
-            return [list(row) for row in A.entries]
+    if t is None or not ring.has_T:
+        return [list(row) for row in A._stored]
+    if ring.spatial_vars:
         zero = ring.drop_T().zero()
-        return [[e.eval_T(t) if e.terms else zero for e in row] for row in A.entries]
+        return [[e.eval_T(t) if e.terms else zero for e in row] for row in A._stored]
     if t == 1:  # the value at T = 1 is the sum of the coefficients
         p = ring.p
-        return [[sum(e.terms.values()) % p for e in row] for row in A.entries]
-    constant = (0,) * ring.nexponents  # the T-free term is the value at T = 0
-    return [[e.terms.get(constant, 0) for e in row] for row in A.entries]
+        return [[sum(e.terms.values()) % p for e in row] for row in A._stored]
+    return [[e.terms.get((0,), 0) for e in row] for row in A._stored]  # the T^0 term
 
 
-def _wrap(ring: RingDescriptor, rows, cols: int = 0) -> RingMatrix:
-    """The RingMatrix over ring of rows as _rows gives them.
-
-    Over F_p the entries of one residue share one immutable polynomial.
-    """
+def _residue_rows(ring: RingDescriptor, rows) -> list:
+    """The rows RingMatrix stores for rows of polynomials over ring: their
+    residues over F_p, the rows themselves elsewhere."""
     if ring.nexponents:
-        return RingMatrix._unchecked(ring, map(tuple, rows), cols)
-    shared = _Shared()
-    shared.ring = ring
-    return RingMatrix._unchecked(ring, [tuple(map(shared.__getitem__, r)) for r in rows], cols)
-
-
-class _Shared(dict):
-    """The polynomials over an F_p ring by residue, each built on first use."""
-
-    def __missing__(self, v: int) -> LaurentPolynomial:
-        f = self[v] = LaurentPolynomial._unchecked(self.ring, {(): v} if v else {})
-        return f
+        return rows
+    return [[e.terms.get((), 0) for e in row] for row in rows]
 
 
 def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatrix:
@@ -891,4 +891,4 @@ def inverse(A: RingMatrix) -> RingMatrix:
     """Inverse of a matrix whose determinant is a unit; NotAUnit otherwise."""
     if not A.is_square():
         raise ShapeError("inverse of a non-square matrix")
-    return _wrap(A.ring, _inverse_rows(A.ring, _rows(A)), A.rows)
+    return RingMatrix._unchecked(A.ring, _inverse_rows(A.ring, _rows(A)), A.rows)

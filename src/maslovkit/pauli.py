@@ -24,6 +24,7 @@ from .errors import (
 from .forms import HermitianForm, _require_plus_hermitian, hyperbolic_form
 from .linalg import (
     RingMatrix,
+    _rows,
     _solve,
     inverse,
     kernel_basis,
@@ -89,7 +90,7 @@ class StabilizerModule(_Value):
             raise ShapeError(
                 f"generators must have {ambient.rank} rows, got {generators.rows}"
             )
-        keep = [j for j, column in enumerate(zip(*generators.entries)) if any(column)]
+        keep = [j for j, column in enumerate(zip(*_rows(generators))) if any(column)]
         self._set(ambient, generators.submatrix(range(generators.rows), keep))
 
 

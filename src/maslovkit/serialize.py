@@ -5,11 +5,12 @@ fixed key order) so identical inputs produce byte-identical output.
 Decoders raise DomainError on malformed data, which the CLI maps to a
 structured error object and exit code 2.
 
-An F_p matrix document decodes to int rows, which linalg._wrap turns into a
-matrix with one shared polynomial per residue: no entry is built or checked
-alone.  Only a regular entry is read so, one with the matrix's ring fields and
-a list of terms {"e": [], "c": c}, c a JSON integer; any other entry goes to
-decode_poly, which raises what it raises for that entry alone.
+An F_p matrix document decodes to the int rows a RingMatrix stores: no
+entry is built or checked alone.  Only a regular entry is read so, one with
+the matrix's ring fields and a list of terms {"e": [], "c": c}, c a JSON
+integer; any other entry goes to decode_poly, which raises what it raises for
+that entry alone.  An F_p matrix encodes from its residues, each entry as
+encode_poly writes the constant polynomial.
 
 Only the decoders of Pauli data and of loops need pauli and sturm, and they
 import them when they run.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .forms import HermitianForm, WittClass
-from .linalg import RingMatrix, _wrap
+from .linalg import RingMatrix, _rows
 from .ring import LaurentPolynomial, RingDescriptor, _interned
 
 
@@ -99,12 +100,16 @@ def _decode_terms(obj, ring: RingDescriptor) -> LaurentPolynomial:
 
 
 def encode_matrix(A: RingMatrix) -> dict:
-    return {
-        "rows": A.rows,
-        "cols": A.cols,
-        "ring": encode_ring(A.ring),
-        "entries": [[encode_poly(e) for e in row] for row in A.entries],
-    }
+    if A.ring.nexponents:
+        entries = [[encode_poly(e) for e in row] for row in A.entries]
+    else:  # from the residues, in encode_poly's key order
+        p = A.ring.p
+        entries = [
+            [{"p": p, "vars": [], "T": False, "terms": [{"e": [], "c": v}] if v else []}
+             for v in row]
+            for row in _rows(A)
+        ]
+    return {"rows": A.rows, "cols": A.cols, "ring": encode_ring(A.ring), "entries": entries}
 
 
 def decode_matrix(obj) -> RingMatrix:
@@ -118,11 +123,11 @@ def decode_matrix(obj) -> RingMatrix:
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DomainError("matrix: entry grid does not match rows x cols")
-    if not ring.nexponents:  # over F_p: int rows, one polynomial per residue
+    if not ring.nexponents:  # over F_p: the int rows the matrix stores
         rows = [[_residue_entry(e, ring) for e in row] for row in raw]
         if any(None in row for row in rows):
             raise DomainError("matrix: entry ring differs from matrix ring")
-        return _wrap(ring, rows, cols)
+        return RingMatrix._unchecked(ring, rows, cols)
     # an entry whose ring fields match is not decoded as a ring again; any
     # other goes through decode_poly, which raises what its fields deserve
     entries = [
@@ -270,7 +275,3 @@ def encode_maslov_result(result: MaslovResult) -> dict:
         "rank_parity": result.rank_parity,
         "determinant": encode_poly(result.determinant),
     }
-
-
-def encode_group(g: FiniteAbelianGroup) -> dict:
-    return {"invariant_factors": list(g.cyclic_orders), "name": g.name}

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .forms import HermitianForm, WittClass, _require_plus_hermitian
 from .linalg import RingMatrix, _dagger_rows, _eliminate_rows, _identity_rows, inverse
-from .linalg import _interpolate, _inverse_rows, _matmul_rows, _rows, _scalars, _sub_rows, _wrap
+from .linalg import _interpolate, _inverse_rows, _matmul_rows, _rows, _scalars, _sub_rows
 from .ring import LaurentPolynomial, RingDescriptor, _residue
 
 
@@ -145,7 +145,8 @@ def sturm_unitary(seq: SturmSequence) -> CliffordUnitary:
     ring, N = seq.ring, seq.N
     ident = _identity_rows(ring, 2 * N)
     a, c = _apply_word(seq, ident[:N], ident[N:])
-    return CliffordUnitary._unchecked(PauliModule(ring, N), _wrap(ring, a + c, 2 * N))
+    matrix = RingMatrix._unchecked(ring, a + c, 2 * N)
+    return CliffordUnitary._unchecked(PauliModule(ring, N), matrix)
 
 
 def _tridiagonal(ring: RingDescriptor, blocks, start: int, N: int) -> list:
@@ -169,7 +170,8 @@ def _tridiagonal(ring: RingDescriptor, blocks, start: int, N: int) -> list:
 def sturm_tridiagonal(seq: SturmSequence) -> HermitianForm:
     """Block tridiagonal form with (-1)^k q_k diagonal, identity off-diagonal."""
     blocks = [_rows(q.matrix) for q in seq.forms]
-    return HermitianForm(_wrap(seq.ring, _tridiagonal(seq.ring, blocks, seq.start, seq.N)), 1)
+    rows = _tridiagonal(seq.ring, blocks, seq.start, seq.N)
+    return HermitianForm(RingMatrix._unchecked(seq.ring, rows), 1)
 
 
 def _require_loop_type(seq: SturmSequence):
@@ -196,7 +198,7 @@ def stabilized_image(seq: SturmSequence) -> StabilizerModule:
         raise DomainError("the type (0,0) base case has no stabilized image")
     ring = seq.ring
     N = seq.N
-    a, c = (_wrap(ring, x, N) for x in _apply_word(seq))
+    a, c = (RingMatrix._unchecked(ring, x, N) for x in _apply_word(seq))
     # columns: the word applied to slot 0 of L, then L_{1,2n-1} on the X side
     cells = [[int(i == j) for j in range(blocks)] for i in range(2 * blocks)]
     cells[0][0], cells[blocks][0] = a, c
@@ -421,10 +423,8 @@ def maslov_index(loop: LagrangianLoop) -> MaslovResult:
     determinant = det1 * det0.unit_inverse()
     if n % 2:
         determinant = -determinant
-    # rep is block diagonal, S(1) then H: each is wrapped alone, and one
-    # tuple of n zeros pads every row
-    pad = (ring0.zero(),) * n
-    s1, H = (_wrap(ring0, x, n).entries for x in (s1, H))
+    # rep is block diagonal, S(1) then H, on rows as _rows gives them
+    pad = [zero] * n
     rows = [row + pad for row in s1] + [pad + row for row in H]
     rep = HermitianForm(RingMatrix._unchecked(ring0, rows, 2 * n), 1)
     witt = None if ring0.spatial_vars else WittClass.from_determinant(2 * n, determinant)

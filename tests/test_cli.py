@@ -1,8 +1,10 @@
 """CLI behavior: formats, determinism, exit codes, error objects."""
 
 import argparse
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -192,7 +194,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         (["lagrangian", "check", "--module", F / "cluster_module.json"], codecs | {"pauli"}),
         (["qca", "apply", "--circuit", F / "cluster_circuit.json",
           "--module", F / "product_state_module.json"], codecs | {"pauli"}),
-        (["lgroup", "table", "--p", "7"], codecs | {"lgroups"}),
+        (["lgroup", "table", "--p", "7"], {"ring", "lgroups"}),
         (["maslov", "real", "--preset", "paper-example"], {"realmaslov"}),
     ]
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -617,3 +619,25 @@ def test_shipped_fixture_commands_print_stored_bytes(capsys, monkeypatch):
         capsys, ["maslov", "real", "--preset", "paper-example", "--format", "json"]
     )
     assert (code, out) == (0, '{\n  "maslov_index": 1\n}\n')
+
+
+def test_maslov_stdout_matches_mod_p_oracle_at_scale(capsys, tmp_path):
+    # perfbench/gen.py derives the `maslov compute` output mod p on its own
+    # (dense inverses and determinants, no maslovkit); `maslov compute` on its
+    # loop document and `maslov pair` on its two form documents print exactly
+    # those bytes, for seeded pairs well beyond the 1 x 1 fixtures
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(2029)
+    for p in (7, 1_000_000_007):
+        for N in (3, 8):
+            q0, q1 = (gen.rand_sym_nondeg(rng, p, N) for _ in range(2))
+            expected = gen.maslov_compute_stdout(q0, q1, p)
+            loop, f0, f1 = (tmp_path / name for name in ("loop.json", "q0.json", "q1.json"))
+            loop.write_text(json.dumps(gen.loop_from_pair_json(q0, q1, p)))
+            f0.write_text(json.dumps(gen.form_json(p, 0, q0)))
+            f1.write_text(json.dumps(gen.form_json(p, 0, q1)))
+            for argv in (["maslov", "compute", "--loop", str(loop)],
+                         ["maslov", "pair", "--q0", str(f0), "--q1", str(f1)]):
+                assert run_cli(capsys, argv) == (0, expected), (argv, p, N)

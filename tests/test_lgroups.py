@@ -17,6 +17,7 @@ from maslovkit import (
     maslov_index,
     witt_group_structure,
 )
+from maslovkit.lgroups import encode_group
 
 from helpers import rand_symmetric_nondeg, time_limit
 
@@ -30,6 +31,11 @@ def test_canonical_invariant_factors():
     assert FiniteAbelianGroup((4,)).name == "Z/4"
     chain = FiniteAbelianGroup((8, 2, 4)).cyclic_orders
     assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+
+
+def test_group_encoding():
+    g = FiniteAbelianGroup((2, 4))
+    assert encode_group(g) == {"invariant_factors": [2, 4], "name": "Z/2 + Z/4"}
 
 
 def test_constructor_is_canonical():

@@ -12,6 +12,7 @@ from sympy import Poly, nextprime, prevprime, symbols
 from maslovkit import (
     DivisionByZero,
     DomainError,
+    FieldElement,
     LaurentPolynomial,
     RingDescriptor,
     RingMismatch,
@@ -26,7 +27,7 @@ from maslovkit import (
 )
 from maslovkit import linalg
 from maslovkit.linalg import _dagger_rows, _interpolate, _matmul_rows, _rows, _scalars, _sub_rows
-from maslovkit.linalg import _wrap, laurent_divmod, spread
+from maslovkit.linalg import laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix, time_limit
 
@@ -222,6 +223,20 @@ def test_negative_matrix_sizes_are_rejected():
     assert RingMatrix.scalar(L5, 2, 3) == RingMatrix(L5, [[3, 0], [0, 3]])
 
 
+def test_submatrix_indices_are_checked():
+    # an index past the end, a negative one (not read from the end) and a
+    # non-int are library errors; the checked picks may repeat and reorder
+    for ring in (F5, L5):
+        A = RingMatrix(ring, [[1, 2, 3], [4, 0, 1]])
+        for rows, cols in (([5], [0]), ([0], [3]), ([-1], [0]), ([0], [-1]), ([0.0], [0]),
+                           ([True], [0]), (["0"], [0])):
+            with pytest.raises(DomainError, match="submatrix indices"):
+                A.submatrix(rows, cols)
+        assert A.submatrix([1, 1, 0], [2, 0]) == RingMatrix(ring, [[1, 4], [1, 4], [3, 1]])
+        assert A.submatrix([], range(3)).shape == (0, 3)
+        assert A.submatrix(range(2), []).shape == (2, 0)
+
+
 def test_kernel_examples():
     x = L5.x(0)
     G = RingMatrix(L5, [[1, x]])
@@ -409,25 +424,90 @@ def test_snf_divisibility_repair():
     assert snf.D == RingMatrix(L5, [[1, 0, 0], [0, 1, 0], [0, 0, cubic]])
 
 
-@settings(max_examples=60, deadline=None)
+def _from_entries(ring, rows, cols):
+    """The matrix the public constructor builds from polynomial rows, cols wide."""
+    return RingMatrix(ring, rows) if rows else RingMatrix.zeros(ring, 0, cols)
+
+
+def _assert_entries(M, ring, rows, shape):
+    """M is the shape x matrix over ring of the polynomial rows, as read and as built."""
+    assert M.ring == ring and M.shape == shape
+    assert [list(row) for row in M.entries] == rows
+    assert all(e.ring == ring for row in M.entries for e in row)
+    expected = _from_entries(ring, rows, shape[1])
+    assert M == expected and hash(M) == hash(expected) and repr(M) == repr(expected)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from((F5, RingDescriptor(7, 0, True), L5, RingDescriptor(5, 2, True))),
+    st.sampled_from((F5, RingDescriptor(10**9 + 7), RingDescriptor(7, 0, True), L5,
+                     RingDescriptor(5, 2, True))),
     st.integers(0, 3),
     st.integers(0, 3),
     st.randoms(use_true_random=False),
 )
 def test_rows_round_trip(ring, rows, cols, rng):
-    # over F_p the rows hold int residues, elsewhere the entries themselves;
-    # at T = 0 or 1 a matrix over R[T] gives the rows of its evaluation
-    A = rand_matrix(ring, rng, rows, cols) if rows else RingMatrix.zeros(ring, 0, cols)
-    B = _wrap(ring, _rows(A), A.cols)
-    assert B == A and B.shape == A.shape
-    if ring == F5:
-        assert all(type(v) is int for row in _rows(A) for v in row)
+    # a matrix stores the rows _rows copies: int residues over F_p, the
+    # entries themselves elsewhere; at T = 0 or 1 a matrix over R[T] gives
+    # the rows of its evaluation.  Every public operation equals the same
+    # operation on the polynomial entries, shapes with no rows or no columns
+    # included, their cols kept
+    def draw(m, n):
+        return rand_matrix(ring, rng, m, n) if m else RingMatrix.zeros(ring, 0, n)
+
+    A, B, C = draw(rows, cols), draw(rows, cols), draw(cols, 2)
+    got = _rows(A)
+    assert got == [list(row) for row in A.entries]
+    if not ring.nexponents:
+        assert all(type(v) is int and 0 <= v < ring.p for row in got for v in row)
+    if got and got[0]:  # a fresh copy: elimination writes to its rows
+        got[0][0] = None
+        assert _rows(A)[0][0] is not None
+    D = RingMatrix._unchecked(ring, _rows(A), A.cols)
+    assert D == A and D.shape == A.shape and hash(D) == hash(A)
     if ring.has_T:
         for t in (0, 1):
-            B = _wrap(ring.drop_T(), _rows(A, t), A.cols)
-            assert B == A.eval_T(t) and B.shape == A.shape
+            D = RingMatrix._unchecked(ring.drop_T(), _rows(A, t), A.cols)
+            assert D == A.eval_T(t) and D.shape == A.shape
+    a, b, c = ([list(row) for row in M.entries] for M in (A, B, C))
+    m, n = A.shape
+    assert A.is_zero() == all(not e for row in a for e in row)
+    assert all(A[i, j] == a[i][j] for i in range(m) for j in range(n))
+    _assert_entries(-A, ring, [[-e for e in row] for row in a], (m, n))
+    _assert_entries(A + B, ring, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], (m, n))
+    _assert_entries(A - B, ring, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], (m, n))
+    for k in (0, 3, ring.p - 1, FieldElement(2, ring.p), ring.constant(2)):
+        _assert_entries(A.scale(k), ring, [[k * e for e in row] for row in a], (m, n))
+    columns = list(zip(*a)) if a else [()] * n
+    _assert_entries(A.transpose(), ring, [list(col) for col in columns], (n, m))
+    _assert_entries(A.dagger(), ring, [[e.involute() for e in col] for col in columns], (n, m))
+    product = [[sum(map(mul, row, col), ring.zero()) for col in (zip(*c) if c else [()] * 2)]
+               for row in a]
+    _assert_entries(A @ C, ring, product, (m, 2))
+    picks = ([rng.randrange(m) for _ in range(3 * bool(m))],
+             [rng.randrange(n) for _ in range(2 * bool(n))])
+    picked = [[a[i][j] for j in picks[1]] for i in picks[0]]
+    _assert_entries(A.submatrix(*picks), ring, picked, tuple(map(len, picks)))
+    beside = RingMatrix.from_blocks([[A, B]])
+    _assert_entries(beside, ring, [r + s for r, s in zip(a, b)], (m, 2 * n))
+    stacked = RingMatrix.from_blocks([[A], [B]])
+    _assert_entries(stacked, ring, a + b, (2 * m, n))
+    diagonal = [r + [ring.zero()] * n for r in a] + [[ring.zero()] * n + s for s in b]
+    _assert_entries(RingMatrix.block_diag([A, B]), ring, diagonal, (2 * m, 2 * n))
+    ident = [[ring.one() if i == j else ring.zero() for j in range(m)] for i in range(m)]
+    _assert_entries(RingMatrix.identity(ring, m), ring, ident, (m, m))
+    zeros = [[ring.zero()] * n for _ in range(m)]
+    _assert_entries(RingMatrix.zeros(ring, m, n), ring, zeros, (m, n))
+    thrice = [[3 * e for e in row] for row in ident]
+    _assert_entries(RingMatrix.scalar(ring, m, 3), ring, thrice, (m, m))
+    if ring.has_T:
+        for t in (0, 1, 2):
+            drop = ring.drop_T()
+            _assert_entries(A.eval_T(t), drop, [[e.eval_T(t) for e in row] for row in a], (m, n))
+    else:
+        _assert_entries(A.lift_T(), ring.with_T(), [[e.lift_T() for e in row] for row in a], (m, n))
+    if m == n:
+        assert det(A) == det(_from_entries(ring, a, n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,20 +541,25 @@ def test_interpolate_round_trip(ring, rows, cols, rng):
 
 
 def test_wrap_over_field_matches_constructor():
-    # over F_p the entries of one residue share one polynomial, and the
-    # wrapped matrix equals the one RingMatrix builds entry by entry
+    # over F_p _unchecked stores the int rows as given, and the matrix equals
+    # the one RingMatrix builds entry by entry; its entries are built once,
+    # on first read, and the entries of one residue share one polynomial
     rng = random.Random(12)
     for p in (5, 10**9 + 7):
         ring = RingDescriptor(p)
         for rows, cols in ((0, 3), (1, 1), (3, 4), (6, 6)):
             grid = [[rng.choice((0, 1, 2, p - 1)) for _ in range(cols)] for _ in range(rows)]
-            A = _wrap(ring, grid, cols)
+            A = RingMatrix._unchecked(ring, grid, cols)
             B = RingMatrix(ring, grid) if rows else RingMatrix.zeros(ring, 0, cols)
             assert A == B and A.shape == B.shape and hash(A) == hash(B)
+            assert _rows(A) == _rows(B) == grid
+            assert A.entries is A.entries and A.entries == B.entries
             shared = {}
             for row, entries in zip(grid, A.entries):
                 for v, e in zip(row, entries):
-                    assert shared.setdefault(v, e) is e
+                    assert e == ring.constant(v) and shared.setdefault(v, e) is e
+            with pytest.raises(AttributeError):
+                A.entries = B.entries
 
 
 @settings(max_examples=60, deadline=None)
@@ -546,13 +631,14 @@ def test_matmul_rows_int_rows_match_dense_product():
 
 @st.composite
 def half_zero_matrix(draw, ring, m, n):
-    """An m x n matrix over ring (with T) of which at least half the entries are zero."""
+    """An m x n matrix over ring of which at least half the entries are zero."""
     spatial = st.lists(st.integers(-2, 2), min_size=ring.spatial_vars, max_size=ring.spatial_vars)
     term = st.tuples(spatial, st.integers(0, 2), st.integers(1, ring.p - 1))
     nonzero = draw(st.permutations(range(m * n)))[: draw(st.integers(0, m * n // 2))]
     grid = [[ring.zero()] * n for _ in range(m)]
     for k in nonzero:
-        terms = {tuple(e) + (t,): c for e, t, c in draw(st.lists(term, min_size=1, max_size=3))}
+        drawn = draw(st.lists(term, min_size=1, max_size=3))
+        terms = {tuple(e) + (t,) * ring.has_T: c for e, t, c in drawn}
         grid[k // n][k % n] = LaurentPolynomial(ring, terms)
     return RingMatrix(ring, grid)
 
@@ -560,16 +646,18 @@ def half_zero_matrix(draw, ring, m, n):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_row_helpers_match_entrywise_operations(data):
-    # the row helpers against the polynomial operations entry by entry, on
-    # mostly zero matrices; a zero entry is passed through as a zero that no
-    # method ran on, and no input entry's terms change
+    # the row helpers and the public operations they serve against the
+    # polynomial operations entry by entry, on mostly zero matrices; on
+    # polynomial rows a zero entry is passed through as a zero that no method
+    # ran on, and no input entry's terms change.  Over F_p the rows are ints
     ring = data.draw(st.sampled_from((RingDescriptor(5, 0, True), RingDescriptor(5, 1, True),
-                                      RingDescriptor(5, 2, True))))
+                                      RingDescriptor(5, 2, True), F5, RingDescriptor(10**9 + 7))))
     m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     A, B = data.draw(half_zero_matrix(ring, m, n)), data.draw(half_zero_matrix(ring, m, n))
     before = [[dict(e.terms) for e in row] for M in (A, B) for row in M.entries]
+    polynomial_rows = ring.nexponents > 0
     zero = _scalars(ring)[0]
-    for t in (0, 1):
+    for t in (0, 1) if ring.has_T else ():
         got = _rows(A, t)
         assert got == [[e.eval_T(t) for e in row] for row in A.entries]
         if ring.spatial_vars:  # over F_p[T] the rows hold ints
@@ -579,12 +667,14 @@ def test_row_helpers_match_entrywise_operations(data):
     for got in (_dagger_rows(ring, _rows(A)), A.dagger().entries):
         assert [list(row) for row in got] == want
         pairs = zip((e for row in got for e in row), (f for col in zip(*A.entries) for f in col))
-        assert all(e is f for e, f in pairs if not f)
+        assert all(e is f for e, f in pairs if not f) or not polynomial_rows
     assert A.dagger().shape == (n, m)
-    diff = _sub_rows(ring, _rows(A), _rows(B))
-    assert diff == [[x - y for x, y in zip(a, b)] for a, b in zip(A.entries, B.entries)]
+    diff = [[x - y for x, y in zip(a, b)] for a, b in zip(A.entries, B.entries)]
+    assert _sub_rows(ring, _rows(A), _rows(B)) == diff == [list(row) for row in (A - B).entries]
     neg = _scalars(ring)[2]
-    assert [[neg(e) for e in row] for row in A.entries] == [[-e for e in row] for row in A.entries]
-    assert all(neg(e) is e for row in A.entries for e in row if not e)
+    negated = [[-e for e in row] for row in A.entries]
+    assert [[neg(e) for e in row] for row in _rows(A)] == negated
+    assert [list(row) for row in (-A).entries] == negated
+    assert all(neg(e) is e for row in _rows(A) for e in row if not e) or not polynomial_rows
     assert [[dict(e.terms) for e in row] for M in (A, B) for row in M.entries] == before
-    assert not zero.terms and zero is _scalars(ring)[0]
+    assert zero is _scalars(ring)[0] and not zero and (not polynomial_rows or not zero.terms)

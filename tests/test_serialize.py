@@ -29,10 +29,9 @@ from maslovkit.fixtures import (
     product_state_module,
     sample_pair,
 )
-from maslovkit.lgroups import FiniteAbelianGroup
 from maslovkit.sturm import loop_from_pair, maslov_index
 
-from helpers import rand_hermitian, rand_matrix, rand_poly
+from helpers import rand_hermitian, rand_matrix, rand_poly, rand_symmetric_nondeg
 
 
 L5 = RingDescriptor(5, 1)
@@ -268,11 +267,6 @@ def test_maslov_result_encoding():
     assert blob["form"]["sign"] == 1
 
 
-def test_group_encoding():
-    g = FiniteAbelianGroup((2, 4))
-    assert serialize.encode_group(g) == {"invariant_factors": [2, 4], "name": "Z/2 + Z/4"}
-
-
 def test_malformed_inputs_raise_domain_error():
     F5_json = {"p": 5, "vars": [], "T": False}
     x_entry = {"p": 5, "vars": ["x1"], "T": False, "terms": [{"e": [1], "c": 1}]}
@@ -423,3 +417,41 @@ def test_circuit_hyperbolic_step_round_trip():
     assert u.matrix.dagger() @ lam @ u.matrix == lam
     with pytest.raises(DomainError, match="unknown kind"):
         serialize.encode_circuit([("X", a)])
+
+
+def test_field_pipeline_builds_no_polynomial_per_entry(monkeypatch):
+    # over F_p a matrix is its residues from the JSON document to the JSON
+    # result: decode_form, loop_from_pair, maslov_index and
+    # encode_maslov_result build as many polynomials over the T-free ring at
+    # N = 16 as at N = 4 (only the F_p[T] forms of the loop hold polynomials)
+    p = 10**9 + 7
+    ring = RingDescriptor(p)
+    rng = random.Random(29)
+    docs = {
+        N: [json.loads(json.dumps(serialize.encode_form(rand_symmetric_nondeg(p, N, rng))))
+            for _ in range(2)]
+        for N in (4, 16)
+    }
+    built = []
+    unchecked, init = LaurentPolynomial._unchecked.__func__, LaurentPolynomial.__init__
+
+    def counting_unchecked(cls, r, terms):
+        built.append(r)
+        return unchecked(cls, r, terms)
+
+    def counting_init(self, r, terms):
+        built.append(r)
+        init(self, r, terms)
+
+    monkeypatch.setattr(LaurentPolynomial, "_unchecked", classmethod(counting_unchecked))
+    monkeypatch.setattr(LaurentPolynomial, "__init__", counting_init)
+
+    def count(N):
+        built.clear()
+        q0, q1 = map(serialize.decode_form, docs[N])
+        out = serialize.encode_maslov_result(maslov_index(loop_from_pair(q0, q1)))
+        assert out["form"]["rows"] == 8 * N
+        return sum(r == ring for r in built)
+
+    count(4)  # the shared constants of the ring are built on first use
+    assert count(4) == count(16) < 16

@@ -39,7 +39,7 @@ from maslovkit import (
     witt_class,
 )
 from maslovkit import sturm
-from maslovkit.linalg import _rows, _wrap, det
+from maslovkit.linalg import _rows, det
 from maslovkit.sturm import _three_term
 
 from helpers import (
@@ -468,7 +468,7 @@ def test_three_term_determinant_identity():
                 steps = [_rows(RingMatrix.from_blocks([[-d, -one]])) for d in reversed(D)]
                 Q = _three_term(ring, steps, _rows(one), _rows(zero))
                 sign = -1 if k * N % 2 else 1
-                assert det(S) == sign * det(_wrap(ring, Q[-1], N))
+                assert det(S) == sign * det(RingMatrix._unchecked(ring, Q[-1], N))
     # the recurrence itself, densely, on Sturm sequences: with D_i = (-1)^(m+i) q_i
     # the diagonal of sturm_tridiagonal, S (Q_0; ...; Q_{k-1}) = (-Q_{-1}; 0; ...; 0)
     for ring in (F5, RingDescriptor(7, 1), RingDescriptor(5, 2)):
@@ -480,8 +480,8 @@ def test_three_term_determinant_identity():
                     D = [(-q if (start + i) % 2 else q).matrix for i, q in enumerate(forms)]
                     steps = [_rows(RingMatrix.from_blocks([[-d, -one]])) for d in reversed(D)]
                     Q = _three_term(ring, steps, _rows(one), _rows(zero))
-                    solution = _wrap(ring, [r for Qi in Q[k:0:-1] for r in Qi], N)
-                    rhs = [[-_wrap(ring, Q[-1], N)]] + [[zero]] * (k - 1)
+                    solution = RingMatrix._unchecked(ring, [r for Qi in Q[k:0:-1] for r in Qi], N)
+                    rhs = [[-RingMatrix._unchecked(ring, Q[-1], N)]] + [[zero]] * (k - 1)
                     S = sturm_tridiagonal(SturmSequence(ring, N, forms, start)).matrix
                     assert S @ solution == RingMatrix.from_blocks(rhs)
 

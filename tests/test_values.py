@@ -173,6 +173,10 @@ def test_wrong_field_types_raise_library_errors():
     for coefficients in ("12", b"12", 5):
         with pytest.raises(DomainError, match="iterable of reals"):
             RealPolynomial(coefficients)
+    # a second operand of the wrong type
+    for combine in (Q.direct_sum, Q.congruent_by, M.__add__, M.__sub__):
+        with pytest.raises(DomainError):
+            combine(5)
 
 
 def test_defaults():
