@@ -170,12 +170,17 @@ class WittClass(_Value):
         """Class of a symmetric n x n form over F_p with the given determinant.
 
         Over F_p a form's Witt class is fixed by its rank parity and the square
-        class of its signed discriminant (-1)^(n(n-1)/2) det.
+        class of its signed discriminant (-1)^(n(n-1)/2) det.  The determinant
+        is a nonzero constant, over any ring; anything else is refused.
         """
         if determinant.is_zero():
             raise DegenerateForm("Witt class of a degenerate form is undefined")
-        signed = (-1) ** (n * (n - 1) // 2) * determinant
-        return cls(determinant.ring.p, n % 2, 0 if is_square(signed.augment()) else 1)
+        ring, terms = determinant.ring, determinant.terms
+        constant = (0,) * ring.nexponents
+        if list(terms) != [constant]:
+            raise DomainError(f"a Witt class needs a constant determinant, got {determinant}")
+        signed = FieldElement((-1) ** (n * (n - 1) // 2) * terms[constant], ring.p)
+        return cls(ring.p, n % 2, 0 if is_square(signed) else 1)
 
     @classmethod
     def from_name(cls, p: int, name: str) -> "WittClass":

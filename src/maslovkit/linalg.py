@@ -10,8 +10,11 @@ RingMatrix._unchecked stores rows as given; serialize.decode_matrix hands it
 the int rows of an F_p matrix document, read from its regular entries (any
 other entry goes to decode_poly).  Over F_p, entries is a view of the
 residues as polynomials, built on first read with one per residue.
-_interpolate turns the rows of two T-free matrices A and B into the matrix
-A + T (B - A) over R[T], whose rows at T = 0 and T = 1 are those of A and B.
+_interpolate makes the matrix A + T (B - A) over R[T] from the rows of two
+T-free matrices A and B and keeps them: _rows at T = 0 and T = 1 copies
+them, and RingMatrix.eval_T there reads them, without a polynomial over
+R[T]; any other read (entries, A[i, j], ==, hash, dagger, encoding) first
+builds the polynomial rows, once.
 On polynomial rows no method runs on a zero entry: _dagger_rows (and so
 RingMatrix.dagger), _sub_rows and the negation of _scalars pass it through,
 and _rows at T = t gives it as RingDescriptor.zero() of the ring without T,
@@ -74,7 +77,7 @@ from .errors import (
     UnsupportedRing,
     _Value,
 )
-from .ring import LaurentPolynomial, RingDescriptor, _reduced
+from .ring import LaurentPolynomial, RingDescriptor, _reduced, _residue
 
 
 class RingMatrix:
@@ -83,10 +86,12 @@ class RingMatrix:
     Entries are stored densely, as the rows linalg computes on: int residues
     over F_p, polynomials over every other ring.  Over F_p, entries (and so
     A[i, j]) is a read-only view of the residues, built on first read with
-    one polynomial per residue.  Instances are treated as immutable.
+    one polynomial per residue.  A matrix made by _interpolate keeps its
+    T-free rows at T = 0 and T = 1 and builds its polynomial rows on first
+    read.  Instances are treated as immutable.
     """
 
-    __slots__ = ("ring", "rows", "cols", "_stored", "_entries")
+    __slots__ = ("ring", "rows", "cols", "_stored_rows", "_ends", "_entries")
 
     def __init__(self, ring: RingDescriptor, entries):
         if not isinstance(ring, RingDescriptor):
@@ -110,12 +115,15 @@ class RingMatrix:
         self._store(ring, _residue_rows(ring, rows), ncols)
         self._entries = tuple(rows)
 
-    def _store(self, ring: RingDescriptor, rows, cols: int):
+    def _store(self, ring: RingDescriptor, rows, cols: int, ends: tuple | None = None):
+        """Store rows, or with rows None keep ends, the rows at T = 0 and T = 1."""
         self.ring = ring
-        self._stored = tuple(map(tuple, rows))
-        self.rows = len(self._stored)
-        self.cols = len(self._stored[0]) if self._stored else cols
-        self._entries = self._stored if ring.nexponents else None
+        self._ends = ends
+        self._stored_rows = None if rows is None else tuple(map(tuple, rows))
+        shaped = ends[0] if rows is None else self._stored_rows
+        self.rows = len(shaped)
+        self.cols = len(shaped[0]) if shaped else cols
+        self._entries = None
 
     @classmethod
     def _unchecked(cls, ring: RingDescriptor, rows, cols: int = 0) -> "RingMatrix":
@@ -126,12 +134,23 @@ class RingMatrix:
         return m
 
     @property
+    def _stored(self) -> tuple:
+        """The stored rows; a matrix made by _interpolate builds them on first read."""
+        if self._stored_rows is None:
+            self._stored_rows = _interpolated_rows(self.ring, *self._ends)
+        return self._stored_rows
+
+    @property
     def entries(self) -> tuple:
         """The rows of polynomial entries; over F_p built once, from the residues."""
         if self._entries is None:
-            ring, wrap = self.ring, LaurentPolynomial._unchecked
-            shared = {v: wrap(ring, {(): v} if v else {}) for v in set().union(*self._stored)}
-            self._entries = tuple(tuple(map(shared.__getitem__, r)) for r in self._stored)
+            ring, rows = self.ring, self._stored
+            if ring.nexponents:
+                self._entries = rows
+            else:
+                wrap = LaurentPolynomial._unchecked
+                shared = {v: wrap(ring, {(): v} if v else {}) for v in set().union(*rows)}
+                self._entries = tuple(tuple(map(shared.__getitem__, r)) for r in rows)
         return self._entries
 
     # -- constructors ----------------------------------------------------
@@ -198,8 +217,16 @@ class RingMatrix:
     # -- basic operations --------------------------------------------------
 
     def __getitem__(self, key):
-        i, j = key
+        """The entry at key = (i, j), its indices checked as submatrix checks them."""
+        i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
+        self._check_indices("entry", ([i], [j]), key)
         return self.entries[i][j]
+
+    def _check_indices(self, what: str, picks, given):
+        """DomainError unless picks, the row and the column indices, are ints
+        in range of the shape: not bools, and not read from the end."""
+        if not all(type(i) is int and 0 <= i < n for idx, n in zip(picks, self.shape) for i in idx):
+            raise DomainError(f"{what} indices are ints in range of {self.shape}, got {given!r}")
 
     def __eq__(self, other):
         return (
@@ -276,9 +303,11 @@ class RingMatrix:
         return RingMatrix._unchecked(self.ring, columns, self.rows)
 
     def eval_T(self, t) -> "RingMatrix":
-        ring = self.ring.drop_T()
-        rows = [[e.eval_T(t) for e in row] for row in self.entries]
-        return RingMatrix._unchecked(ring, _residue_rows(ring, rows), self.cols)
+        """The matrix at T = t, a scalar, from _rows."""
+        if not self.ring.has_T:
+            raise DomainError("ring has no T variable to evaluate")
+        rows = _rows(self, _residue(t, self.ring.p))
+        return RingMatrix._unchecked(self.ring.drop_T(), rows, self.cols)
 
     def lift_T(self) -> "RingMatrix":
         rows = [[e.lift_T() for e in row] for row in self.entries]
@@ -286,8 +315,7 @@ class RingMatrix:
 
     def submatrix(self, row_indices, col_indices) -> "RingMatrix":
         rows, cols = picks = list(row_indices), list(col_indices)
-        if not all(type(i) is int and 0 <= i < n for idx, n in zip(picks, self.shape) for i in idx):
-            raise DomainError(f"submatrix indices are ints in range of {self.shape}, got {picks!r}")
+        self._check_indices("submatrix", picks, picks)
         picked = [[self._stored[i][j] for j in cols] for i in rows]
         return RingMatrix._unchecked(self.ring, picked, len(cols))
 
@@ -511,19 +539,27 @@ def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
 def _rows(A: RingMatrix, t: int | None = None) -> list:
     """A fresh copy of A's stored rows: int residues over F_p, polynomials elsewhere.
 
-    With t in {0, 1} a matrix over R[T] is evaluated at T = t first, so a
-    matrix over F_p[T] gives int rows only then.
+    With an int t a matrix over R[T] is evaluated at T = t first, so a
+    matrix over F_p[T] then gives int rows.  A matrix made by _interpolate
+    gives a copy of its kept rows at T = 0 and T = 1, and does not build its
+    polynomial rows for it.
     """
     ring = A.ring
     if t is None or not ring.has_T:
         return [list(row) for row in A._stored]
+    p = ring.p
+    t %= p
+    if A._ends is not None and t < 2:
+        return [list(row) for row in A._ends[t]]
     if ring.spatial_vars:
         zero = ring.drop_T().zero()
         return [[e.eval_T(t) if e.terms else zero for e in row] for row in A._stored]
-    if t == 1:  # the value at T = 1 is the sum of the coefficients
-        p = ring.p
+    if t == 0:  # the T^0 term
+        return [[e.terms.get((0,), 0) for e in row] for row in A._stored]
+    if t == 1:  # the sum of the coefficients
         return [[sum(e.terms.values()) % p for e in row] for row in A._stored]
-    return [[e.terms.get((0,), 0) for e in row] for row in A._stored]  # the T^0 term
+    return [[sum(c * pow(t, k, p) for (k,), c in e.terms.items()) % p for e in row]
+            for row in A._stored]
 
 
 def _residue_rows(ring: RingDescriptor, rows) -> list:
@@ -538,10 +574,21 @@ def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatri
     """The matrix over ring, a ring with T, whose entries are v0 + T (v1 - v0).
 
     rows0 and rows1 hold the entries v0 and v1 as _rows gives them over the
-    ring without T, so the result M has _rows(M, 0) == rows0 and
-    _rows(M, 1) == rows1.  Over F_p each entry is one small dict; elsewhere
-    the terms of v0 and of v1 - v0 are shifted to T^0 and T^1.  cols is the
+    ring without T.  The result M keeps them, so _rows(M, 0) == rows0 and
+    _rows(M, 1) == rows1 are copies of them, and builds its polynomial rows,
+    by _interpolated_rows, on the first read of anything else.  cols is the
     width when there are no rows.
+    """
+    m = object.__new__(RingMatrix)
+    m._store(ring, None, cols, tuple(tuple(map(tuple, r)) for r in (rows0, rows1)))
+    return m
+
+
+def _interpolated_rows(ring: RingDescriptor, rows0, rows1) -> tuple:
+    """The polynomial rows of _interpolate(ring, rows0, rows1), as tuples.
+
+    Over F_p each entry is one small dict; elsewhere the terms of v0 and of
+    v1 - v0 are shifted to T^0 and T^1.
     """
     wrap = LaurentPolynomial._unchecked
     if ring.spatial_vars:
@@ -560,8 +607,7 @@ def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatri
             return wrap(ring, terms)
 
     slopes = _sub_rows(ring.drop_T(), rows1, rows0)
-    rows = [tuple(map(entry, r0, s)) for r0, s in zip(rows0, slopes)]
-    return RingMatrix._unchecked(ring, rows, cols)
+    return tuple(tuple(map(entry, r0, s)) for r0, s in zip(rows0, slopes))
 
 
 def _sub_rows(ring: RingDescriptor, A: list, B: list) -> list:

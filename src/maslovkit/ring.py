@@ -187,16 +187,14 @@ class RingDescriptor(_Value):
     def drop_T(self) -> "RingDescriptor":
         return _interned(self.p, self.spatial_vars, False)
 
-    @cache
     def zero(self) -> "LaurentPolynomial":
-        """The ring's zero, one object per ring shared by every caller; it is
-        never changed."""
-        return LaurentPolynomial._unchecked(self, {})
+        """The ring's zero, one object per ring value shared by every caller,
+        over the interned descriptor; it is never changed."""
+        return _constants(self.p, self.spatial_vars, self.has_T)[0]
 
-    @cache
     def one(self) -> "LaurentPolynomial":
         """The ring's constant 1, shared like zero()."""
-        return LaurentPolynomial._unchecked(self, {(0,) * self.nexponents: 1})
+        return _constants(self.p, self.spatial_vars, self.has_T)[1]
 
     def constant(self, c: int | FieldElement) -> "LaurentPolynomial":
         return LaurentPolynomial(self, {(0,) * self.nexponents: c})
@@ -223,6 +221,14 @@ def _interned(p: int, spatial_vars: int, has_T: bool) -> RingDescriptor:
     The T-twins of a descriptor and every decoded ring come from here.
     """
     return RingDescriptor(p, spatial_vars, has_T)
+
+
+@cache
+def _constants(p: int, spatial_vars: int, has_T: bool) -> tuple:
+    """(zero, one) of the ring, over its interned descriptor."""
+    ring = _interned(p, spatial_vars, has_T)
+    unchecked = LaurentPolynomial._unchecked
+    return unchecked(ring, {}), unchecked(ring, {(0,) * ring.nexponents: 1})
 
 
 class LaurentPolynomial:

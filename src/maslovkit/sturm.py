@@ -19,7 +19,10 @@ N x N blocks, the same recurrence the words run on, so no elimination sees
 more than N rows.  _three_term is the one implementation of that recurrence:
 words, loop tests and the index all run it on the private rows of linalg,
 one path for every ring.  loop_from_pair builds its forms on the same rows:
-each T-form is the interpolation of its rows at T = 0 and T = 1.
+each T-form is the interpolation of its rows at T = 0 and T = 1, and keeps
+them (see linalg._interpolate), so maslov_index reads them back without a
+polynomial over R[T]; a form builds its polynomial rows only when something
+else, such as encode_loop or ==, reads them.
 """
 
 from __future__ import annotations
@@ -308,7 +311,10 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
         ((1-T)q0 + Tq1, (T-1)q0^-1 - Tq1^-1 + 1, -1, 1, 0).
     Its first two forms are the interpolations v0 + T(v1 - v0) from q0 to q1
     and from 1 - q0^-1 to 1 - q1^-1, built on the rows of linalg, where the
-    inverses are taken.  It is a loop by construction: not re-validated.
+    inverses are taken; -1 and 1 are the interpolations of their rows with
+    themselves.  All four keep their rows at T = 0 and T = 1 and build their
+    polynomial entries on first read.  It is a loop by construction: not
+    re-validated.
     """
     if q0.ring != q1.ring:
         raise RingMismatch("forms live over different rings")
@@ -329,12 +335,11 @@ def loop_from_pair(q0: HermitianForm, q1: HermitianForm) -> LagrangianLoop:
                 "loop construction needs nondegenerate forms"
             ) from None
         shifted.append(_sub_rows(ring, ident, inv))
+    minus = [list(map(_scalars(ring)[2], row)) for row in ident]
     ring_T = ring.with_T()
-    forms = (
-        HermitianForm(_interpolate(ring_T, *ends, N), 1),
-        HermitianForm(_interpolate(ring_T, *shifted, N), 1),
-        HermitianForm(RingMatrix.scalar(ring_T, N, -1), 1),
-        HermitianForm(RingMatrix.identity(ring_T, N), 1),
+    forms = tuple(
+        HermitianForm(_interpolate(ring_T, *rows, N), 1)
+        for rows in (ends, shifted, (minus, minus), (ident, ident))
     )
     return LagrangianLoop._unchecked(SturmSequence._unchecked(ring_T, N, forms, 0).padded(1))
 

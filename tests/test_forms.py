@@ -1,6 +1,7 @@
 """Hermitian forms, diagonalization and Witt classification."""
 
 import random
+import re
 
 import pytest
 from sympy import Matrix
@@ -227,6 +228,23 @@ def test_witt_errors():
     for p, name in ((5, "1"), (7, "<1>"), (7, "4"), (5, "")):
         with pytest.raises(DomainError):
             WittClass.from_name(p, name)
+
+
+def test_witt_class_from_determinant_needs_a_constant():
+    # a determinant that is not constant is refused by name; a nonzero
+    # constant over a Laurent ring or a ring with T gives its residue's class
+    F5T, L5xyT = RingDescriptor(5, 0, True), RingDescriptor(5, 2, True)
+    for f in (L5.x(0), L5.x(0, -1) + 1, F5T.T(), F5T.T() + 2, L5xyT.x(1) * L5xyT.T()):
+        with pytest.raises(DomainError, match=f"constant determinant, got {re.escape(repr(f))}$"):
+            WittClass.from_determinant(2, f)
+    for n in (1, 2, 3):
+        for c in range(1, 5):
+            want = witt_class(diag_form(F5, [1] * (n - 1) + [c]))
+            for ring in (F5, L5, RingDescriptor(5, 2), F5T):
+                assert WittClass.from_determinant(n, ring.constant(c)) == want
+    for ring in (F5, L5, F5T):
+        with pytest.raises(DegenerateForm):
+            WittClass.from_determinant(2, ring.zero())
 
 
 @pytest.mark.parametrize(

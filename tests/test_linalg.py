@@ -1,5 +1,7 @@
 """Matrix algebra, Smith normal form, kernels and inverses."""
 
+import copy
+import pickle
 import random
 from math import isqrt
 from operator import mul
@@ -233,6 +235,12 @@ def test_submatrix_indices_are_checked():
             with pytest.raises(DomainError, match="submatrix indices"):
                 A.submatrix(rows, cols)
         assert A.submatrix([1, 1, 0], [2, 0]) == RingMatrix(ring, [[1, 4], [1, 4], [3, 1]])
+        # A[i, j] checks its key by the same rule, and takes a pair only
+        for key in (0, (0,), (0, 0, 0), [0, 0], (2, 0), (0, 3), (-1, 0), (0, -1), (0.0, 0),
+                    (True, 0), ("0", 0), (None, None)):
+            with pytest.raises(DomainError, match="entry indices"):
+                A[key]
+        assert [A[i, j] for i, j in ((0, 0), (0, 2), (1, 0), (1, 2))] == [1, 3, 4, 1]
         assert A.submatrix([], range(3)).shape == (0, 3)
         assert A.submatrix(range(2), []).shape == (2, 0)
 
@@ -466,7 +474,7 @@ def test_rows_round_trip(ring, rows, cols, rng):
     D = RingMatrix._unchecked(ring, _rows(A), A.cols)
     assert D == A and D.shape == A.shape and hash(D) == hash(A)
     if ring.has_T:
-        for t in (0, 1):
+        for t in (0, 1, 2, ring.p - 1, ring.p):
             D = RingMatrix._unchecked(ring.drop_T(), _rows(A, t), A.cols)
             assert D == A.eval_T(t) and D.shape == A.shape
     a, b, c = ([list(row) for row in M.entries] for M in (A, B, C))
@@ -533,11 +541,54 @@ def test_interpolate_round_trip(ring, rows, cols, rng):
     B = A if rng.random() < 0.2 else draw()
     r0, r1 = _rows(A), _rows(B)
     ring_T = ring.with_T()
-    M = _interpolate(ring_T, r0, r1, cols)
-    assert M.ring is ring_T and M.shape == A.shape
-    assert _rows(M, 0) == r0 and _rows(M, 1) == r1
     T = RingMatrix.scalar(ring_T, rows, ring_T.T())
-    assert M == A.lift_T() + T @ (B - A).lift_T()
+    eager = A.lift_T() + T @ (B - A).lift_T()
+
+    def interpolated():
+        return _interpolate(ring_T, [list(r) for r in r0], [list(r) for r in r1], cols)
+
+    # the kept rows come back as copies, and reading them builds nothing
+    M = interpolated()
+    assert M.ring is ring_T and M.shape == A.shape
+    for t, want in ((0, r0), (1, r1), (ring.p, r0), (ring.p + 1, r1)):
+        got = _rows(M, t)
+        assert got == want
+        if got and got[0]:
+            got[0][0] = None
+    assert _rows(M, 0) == r0 and _rows(M, 1) == r1 and M._stored_rows is None
+    # copies and pickles keep the rows, built or not
+    for source in (interpolated(), M):
+        for twin in (copy.copy(source), copy.deepcopy(source), pickle.loads(pickle.dumps(source))):
+            assert _rows(twin, 0) == r0 and _rows(twin, 1) == r1
+            assert twin == eager and twin.shape == eager.shape
+    # any other read builds the polynomial rows once, equal to the eager ones
+    assert M == eager and hash(M) == hash(eager) and repr(M) == repr(eager)
+    assert M.entries is M.entries and M.entries == eager.entries
+    reads = (
+        lambda X: X.dagger(), lambda X: X.transpose(), lambda X: -X, lambda X: X + X,
+        lambda X: X.submatrix(range(X.rows), range(X.cols)), lambda X: X.is_zero(),
+        lambda X: [X[i, j] for i in range(X.rows) for j in range(X.cols)],
+        lambda X: RingMatrix.from_blocks([[X, X]]), lambda X: _rows(X),
+    )
+    for read in reads:
+        assert read(interpolated()) == read(eager)
+    # at every T = t, on the kept rows or on the built ones, as eval_T gives it
+    for t in (0, 1, 2, ring.p - 1):
+        want = eager.eval_T(t)
+        for X in (interpolated(), M, eager):
+            assert X.eval_T(t) == want and X.eval_T(t).shape == want.shape
+            assert RingMatrix._unchecked(ring, _rows(X, t), cols) == want
+
+
+def test_rows_at_any_T_over_a_field():
+    # over F_p[T] the int rows at T = t are the polynomial's value there
+    F5T = RingDescriptor(5, 0, True)
+    T = F5T.T()
+    A = RingMatrix(F5T, [[T + 1, 3 * T ** 2 + T], [0, 2]])
+    for t, want in ((0, [[1, 0], [0, 2]]), (1, [[2, 4], [0, 2]]), (2, [[3, 4], [0, 2]]),
+                    (4, [[0, 2], [0, 2]]), (7, [[3, 4], [0, 2]])):
+        assert _rows(A, t) == want
+        assert A.eval_T(t) == RingMatrix(F5, want)
 
 
 def test_wrap_over_field_matches_constructor():

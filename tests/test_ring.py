@@ -19,6 +19,7 @@ from maslovkit import (
     least_non_residue,
     trivmas_homotopy,
 )
+from maslovkit.ring import _interned
 
 from helpers import rand_poly
 
@@ -222,6 +223,19 @@ def test_T_twins_are_interned():
     # each ring has one zero and one constant 1, shared by equal descriptors
     assert base.zero() is L5.zero() and base.one() is L5T.drop_T().one()
     assert L5T.zero() is not L5.zero() and L5T.one() == L5T.constant(1)
+
+
+def test_zero_and_one_live_over_the_interned_descriptor():
+    # zero() and one() are shared per ring value and built over the interned
+    # descriptor, whichever of the equal descriptors asks first
+    for fields in ((7, 0, False), (11, 1, False), (13, 2, True)):
+        first, second = RingDescriptor(*fields), RingDescriptor(*fields)
+        assert first is not second and first == second
+        for constant in (RingDescriptor.zero, RingDescriptor.one):
+            assert constant(first) is constant(second)
+            assert constant(first).ring is _interned(*fields)
+    assert RingDescriptor(7).zero() is RingDescriptor(7).zero()
+    assert RingDescriptor(7).zero().ring is _interned(7, 0, False)
 
 
 def test_descriptor_fields_are_checked():

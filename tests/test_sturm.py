@@ -1,5 +1,6 @@
 """Sturm sequences, loops of Lagrangians and the Maslov index."""
 
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from maslovkit import (
     HermitianForm,
     InternalInvariantViolation,
     LagrangianLoop,
+    LaurentPolynomial,
     NotALoop,
     PauliModule,
     RingDescriptor,
@@ -38,7 +40,7 @@ from maslovkit import (
     validate_loop,
     witt_class,
 )
-from maslovkit import sturm
+from maslovkit import serialize, sturm
 from maslovkit.linalg import _rows, det
 from maslovkit.sturm import _three_term
 
@@ -637,6 +639,12 @@ def test_loop_from_pair_matches_entrywise_construction():
         expected = SturmSequence(q0.ring.with_T(), q0.dim, entrywise_loop_forms(q0, q1))
         assert loop.seq == expected
         assert all(q.ring is loop.ring for q in loop.seq.forms)
+        # a fresh loop reads its forms' kept rows at T = 0 and T = 1; its
+        # index and its encoding equal those of the loop of eager forms
+        eager = LagrangianLoop._unchecked(expected)
+        assert maslov_index(loop_from_pair(q0, q1)) == maslov_index(eager)
+        encoded = serialize.encode_loop(loop_from_pair(q0, q1))
+        assert json.dumps(encoded) == json.dumps(serialize.encode_loop(eager))
     # the checks come first, in the same order: hermitian, then nondegenerate
     one, x = scalar_form(L5, 1), L5.x(0)
     not_hermitian = HermitianForm(RingMatrix(L5, [[1, x], [0, 1]]), 1)
@@ -659,6 +667,38 @@ def test_loop_from_pair_matches_entrywise_construction():
         loop_from_pair(scalar_form(F5, 1), scalar_form(F5, 1, 2))
     with pytest.raises(DomainError, match="T-free"):
         loop_from_pair(scalar_form(F5T, 1), scalar_form(F5T, 1))
+
+
+def test_maslov_index_of_a_pair_builds_no_polynomial_over_R_T(monkeypatch):
+    # the index reads the forms of loop_from_pair at T = 0 and T = 1 only,
+    # and they keep their rows there: after a warm-up (the shared zero of the
+    # padded form), no polynomial over a ring with T is built
+    built = []
+    init, unchecked = LaurentPolynomial.__init__, LaurentPolynomial._unchecked.__func__
+
+    def counting_init(self, ring, terms):
+        init(self, ring, terms)
+        if ring.has_T:
+            built.append(self)
+
+    def counting_unchecked(cls, ring, terms):
+        if ring.has_T:
+            built.append(terms)
+        return unchecked(cls, ring, terms)
+
+    monkeypatch.setattr(LaurentPolynomial, "__init__", counting_init)
+    monkeypatch.setattr(LaurentPolynomial, "_unchecked", classmethod(counting_unchecked))
+    rng = random.Random(30)
+    for d, N in ((0, 6), (1, 3), (2, 2)):
+        ring = RingDescriptor(7, d)
+        q0, q1 = _nondeg_form(ring, N, rng), _nondeg_form(ring, N, rng)
+        want = maslov_index(loop_from_pair(q0, q1))
+        built.clear()
+        assert maslov_index(loop_from_pair(q0, q1)) == want
+        assert len(built) == 0, (d, N)
+    # the counter sees the polynomials that other reads build
+    loop_from_pair(q0, q1).seq.forms[0].matrix.entries
+    assert len(built) == N * N
 
 
 def test_maslov_laurent_ring_invariants():
