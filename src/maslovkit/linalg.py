@@ -5,21 +5,21 @@ Provides dense matrices of Laurent polynomials with the dagger
 every ring, and Smith normal form over F_p and F_p[x, x^-1] for kernels and spans.
 
 A matrix stores its rows as this module computes on them: int residues over
-F_p and polynomials elsewhere.  _rows gives a fresh copy, and
-RingMatrix._unchecked stores rows as given; serialize.decode_matrix hands it
-the int rows of an F_p matrix document, read from its regular entries (any
-other entry goes to decode_poly).  Over F_p, entries is a view of the
-residues as polynomials, built on first read with one per residue.
+F_p, the entries' term dicts (see ring) elsewhere.  _rows gives a fresh list
+of them, RingMatrix._unchecked stores rows as given, and
+serialize.decode_matrix hands it the rows it reads from a document.
+entries is a view of them as polynomials, built on first read: one per
+residue over F_p, elsewhere one per nonzero entry, which shares its terms
+dict with the stored row.  No stored dict is ever changed.
 _interpolate makes the matrix A + T (B - A) over R[T] from the rows of two
 T-free matrices A and B and keeps them: _rows at T = 0 and T = 1 copies
-them, and RingMatrix.eval_T there reads them, without a polynomial over
-R[T]; any other read (entries, A[i, j], ==, hash, dagger, encoding) first
-builds the polynomial rows, once.
-On polynomial rows no method runs on a zero entry: _dagger_rows (and so
-RingMatrix.dagger), _sub_rows and the negation of _scalars pass it through,
-and _rows at T = t gives it as RingDescriptor.zero() of the ring without T,
-the one shared zero that _scalars gives and _matmul_rows puts in every entry
-no term reaches.  Eliminations run mod p over F_p and fraction-free (Bareiss)
+them, and RingMatrix.eval_T there reads them, without a row over R[T]; any
+other read (entries, A[i, j], ==, hash, dagger, encoding) first builds the
+stored rows, once.  On term-dict rows no function runs on a zero entry:
+_dagger_rows (and so RingMatrix.dagger), _sub_rows and the negation of
+_scalars pass it through, and _rows at T = t gives it as ring._ZERO, the
+shared zero that _scalars gives and _matmul_rows puts in every entry no
+term reaches.  Eliminations run mod p over F_p and fraction-free (Bareiss)
 elsewhere; a Bareiss step touches only the rows with a nonzero entry in the
 pivot column, the others keep the level of their last update and are caught
 up lazily.  A division by a single-term pivot is an exponent shift, by a
@@ -64,31 +64,31 @@ from __future__ import annotations
 
 import sys
 from array import array
-from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 
 from .errors import (
     DivisionByZero,
     DomainError,
-    InternalInvariantViolation,
     NotAUnit,
     RingMismatch,
     ShapeError,
     UnsupportedRing,
     _Value,
 )
-from .ring import LaurentPolynomial, RingDescriptor, _reduced, _residue
+from .ring import LaurentPolynomial, RingDescriptor, _ZERO, _at_T, _combined, _involuted
+from .ring import _is_unit, _lifted, _negated, _product, _products, _quotient, _reduced, _residue
 
 
 class RingMatrix:
     """Rectangular matrix of Laurent polynomials over a fixed ring.
 
     Entries are stored densely, as the rows linalg computes on: int residues
-    over F_p, polynomials over every other ring.  Over F_p, entries (and so
-    A[i, j]) is a read-only view of the residues, built on first read with
-    one polynomial per residue.  A matrix made by _interpolate keeps its
-    T-free rows at T = 0 and T = 1 and builds its polynomial rows on first
-    read.  Instances are treated as immutable.
+    over F_p, the entries' term dicts elsewhere.  entries (and so A[i, j])
+    is a read-only view of them, built on first read (the constructor keeps
+    the polynomials it was given): a nonzero entry shares its terms dict
+    with the stored row, and no stored dict is ever changed.  A matrix made
+    by _interpolate keeps its T-free rows at T = 0 and T = 1 and builds its
+    stored rows on first read.  Instances are treated as immutable.
     """
 
     __slots__ = ("ring", "rows", "cols", "_stored_rows", "_ends", "_entries")
@@ -112,7 +112,7 @@ class RingMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeError("rows have inconsistent lengths")
-        self._store(ring, _residue_rows(ring, rows), ncols)
+        self._store(ring, _as_stored(ring, rows), ncols)
         self._entries = tuple(rows)
 
     def _store(self, ring: RingDescriptor, rows, cols: int, ends: tuple | None = None):
@@ -142,14 +142,14 @@ class RingMatrix:
 
     @property
     def entries(self) -> tuple:
-        """The rows of polynomial entries; over F_p built once, from the residues."""
+        """The rows of polynomial entries, built once from the stored rows."""
         if self._entries is None:
-            ring, rows = self.ring, self._stored
+            ring, rows, wrap = self.ring, self._stored, LaurentPolynomial._unchecked
             if ring.nexponents:
-                self._entries = rows
+                zero = ring.zero()
+                self._entries = tuple(tuple(wrap(ring, e) if e else zero for e in r) for r in rows)
             else:
-                wrap = LaurentPolynomial._unchecked
-                shared = {v: wrap(ring, {(): v} if v else {}) for v in set().union(*rows)}
+                shared = {v: wrap(ring, {(): v} if v else _ZERO) for v in set().union(*rows)}
                 self._entries = tuple(tuple(map(shared.__getitem__, r)) for r in rows)
         return self._entries
 
@@ -237,8 +237,11 @@ class RingMatrix:
         )
 
     def __hash__(self):
-        # cols tells apart the matrices with no rows
-        return hash((self.ring, self.cols, self._stored))
+        # cols tells apart the matrices with no rows; a terms dict hashes as its items
+        rows = self._stored
+        if self.ring.nexponents:
+            rows = tuple(tuple(frozenset(e.items()) for e in r) for r in rows)
+        return hash((self.ring, self.cols, rows))
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):
@@ -250,13 +253,12 @@ class RingMatrix:
         rows = _matmul_rows(self.ring, _rows(self), _rows(other), other.cols)
         return RingMatrix._unchecked(self.ring, rows, other.cols)
 
-    def _map(self, f, *others) -> "RingMatrix":
-        """f of the stored entries at each position of self and others; over
-        F_p the ints f gives are reduced mod p."""
+    def _map(self, ints, terms, *others) -> "RingMatrix":
+        """At each position of self and others, ints of the residues reduced
+        mod p over F_p, terms of the term dicts elsewhere."""
+        p = self.ring.p
+        f = terms if self.ring.nexponents else lambda *v: ints(*v) % p
         rows = [map(f, *r) for r in zip(self._stored, *(o._stored for o in others))]
-        if not self.ring.nexponents:
-            p = self.ring.p
-            rows = [[v % p for v in r] for r in rows]
         return RingMatrix._unchecked(self.ring, rows, self.cols)
 
     def _entrywise(self, other: "RingMatrix", op) -> "RingMatrix":
@@ -266,7 +268,8 @@ class RingMatrix:
             raise RingMismatch("matrix rings differ")
         if self.shape != other.shape:
             raise ShapeError(f"cannot combine {self.shape} and {other.shape}")
-        return self._map(op, other)
+        p = self.ring.p
+        return self._map(op, lambda x, y: _combined(x, y, p, op), other)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         return self._entrywise(other, add)
@@ -275,11 +278,13 @@ class RingMatrix:
         return self._entrywise(other, sub)
 
     def __neg__(self) -> "RingMatrix":
-        return self._map(neg)
+        negate = _scalars(self.ring)[2]
+        return self._map(negate, negate)
 
     def scale(self, c) -> "RingMatrix":
         ((c,),) = RingMatrix(self.ring, [[c]])._stored
-        return self._map(lambda e: c * e)
+        p = self.ring.p
+        return self._map(lambda v: c * v, lambda e: _product(c, e, p))
 
     @property
     def shape(self):
@@ -310,8 +315,10 @@ class RingMatrix:
         return RingMatrix._unchecked(self.ring.drop_T(), rows, self.cols)
 
     def lift_T(self) -> "RingMatrix":
-        rows = [[e.lift_T() for e in row] for row in self.entries]
-        return RingMatrix._unchecked(self.ring.with_T(), rows, self.cols)
+        """The interpolation of the rows with themselves; DomainError over R[T]."""
+        if self.ring.has_T:
+            raise DomainError("matrix already lives in a ring with T")
+        return _interpolate(self.ring.with_T(), self._stored, self._stored, self.cols)
 
     def submatrix(self, row_indices, col_indices) -> "RingMatrix":
         rows, cols = picks = list(row_indices), list(col_indices)
@@ -320,7 +327,8 @@ class RingMatrix:
         return RingMatrix._unchecked(self.ring, picked, len(cols))
 
     def __repr__(self):  # a residue prints as its constant polynomial
-        body = "; ".join(", ".join(map(repr, row)) for row in self._stored)
+        rows = self.entries if self.ring.nexponents else self._stored
+        body = "; ".join(", ".join(map(repr, row)) for row in rows)
         return f"RingMatrix[{self.rows}x{self.cols}: {body}]"
 
 
@@ -361,8 +369,9 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     _check_snf_ring(ring)
     if g.is_zero():
         raise DivisionByZero("division by zero polynomial")
+    wrap = LaurentPolynomial._unchecked
     if len(g.terms) == 1 or f.is_zero():  # exact: a unit g is an exponent shift
-        return _exact_quotient(f, g), ring.zero()
+        return wrap(ring, _quotient(f.terms, g.terms, ring.p, False)), ring.zero()
     if spread(f) > _MAX_SPREAD:
         raise DomainError(f"dividend spread {spread(f)} exceeds the bound {_MAX_SPREAD}")
     p = ring.p
@@ -379,7 +388,6 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
                     rem[t] = v
                 else:
                     rem.pop(t, None)
-    wrap = LaurentPolynomial._unchecked
     return wrap(ring, q), wrap(ring, rem)
 
 
@@ -493,7 +501,7 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
             U[k] = [u * e for e in U[k]]
 
     return SmithDecomposition._unchecked(*(
-        RingMatrix._unchecked(ring, _residue_rows(ring, rows), cols)
+        RingMatrix._unchecked(ring, _as_stored(ring, rows), cols)
         for rows, cols in ((U, m), (A, n), (zip(*Vt), n))
     ))
 
@@ -530,19 +538,20 @@ def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
                 Y[i][j] = q
             elif not w.is_zero():
                 return None
-    return snf.V @ RingMatrix._unchecked(ring, _residue_rows(ring, Y), B.cols)
+    return snf.V @ RingMatrix._unchecked(ring, _as_stored(ring, Y), B.cols)
 
 
 # -- the rows linalg computes on; determinants and inverses ----------------
 
 
 def _rows(A: RingMatrix, t: int | None = None) -> list:
-    """A fresh copy of A's stored rows: int residues over F_p, polynomials elsewhere.
+    """A fresh list of A's stored rows: int residues over F_p, term dicts
+    elsewhere, the dicts shared with A and never changed.
 
     With an int t a matrix over R[T] is evaluated at T = t first, so a
     matrix over F_p[T] then gives int rows.  A matrix made by _interpolate
     gives a copy of its kept rows at T = 0 and T = 1, and does not build its
-    polynomial rows for it.
+    stored rows for it.
     """
     ring = A.ring
     if t is None or not ring.has_T:
@@ -552,21 +561,15 @@ def _rows(A: RingMatrix, t: int | None = None) -> list:
     if A._ends is not None and t < 2:
         return [list(row) for row in A._ends[t]]
     if ring.spatial_vars:
-        zero = ring.drop_T().zero()
-        return [[e.eval_T(t) if e.terms else zero for e in row] for row in A._stored]
-    if t == 0:  # the T^0 term
-        return [[e.terms.get((0,), 0) for e in row] for row in A._stored]
-    if t == 1:  # the sum of the coefficients
-        return [[sum(e.terms.values()) % p for e in row] for row in A._stored]
-    return [[sum(c * pow(t, k, p) for (k,), c in e.terms.items()) % p for e in row]
-            for row in A._stored]
+        return [[_at_T(e, t, p) if e else _ZERO for e in row] for row in A._stored]
+    return [[_at_T(e, t, p).get((), 0) for e in row] for row in A._stored]
 
 
-def _residue_rows(ring: RingDescriptor, rows) -> list:
+def _as_stored(ring: RingDescriptor, rows) -> list:
     """The rows RingMatrix stores for rows of polynomials over ring: their
-    residues over F_p, the rows themselves elsewhere."""
+    residues over F_p, their term dicts elsewhere."""
     if ring.nexponents:
-        return rows
+        return [[e.terms for e in row] for row in rows]
     return [[e.terms.get((), 0) for e in row] for row in rows]
 
 
@@ -575,8 +578,8 @@ def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatri
 
     rows0 and rows1 hold the entries v0 and v1 as _rows gives them over the
     ring without T.  The result M keeps them, so _rows(M, 0) == rows0 and
-    _rows(M, 1) == rows1 are copies of them, and builds its polynomial rows,
-    by _interpolated_rows, on the first read of anything else.  cols is the
+    _rows(M, 1) == rows1 are copies of them, and builds its stored rows, by
+    _interpolated_rows, on the first read of anything else.  cols is the
     width when there are no rows.
     """
     m = object.__new__(RingMatrix)
@@ -585,18 +588,15 @@ def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatri
 
 
 def _interpolated_rows(ring: RingDescriptor, rows0, rows1) -> tuple:
-    """The polynomial rows of _interpolate(ring, rows0, rows1), as tuples.
+    """The stored rows of _interpolate(ring, rows0, rows1), as tuples.
 
     Over F_p each entry is one small dict; elsewhere the terms of v0 and of
     v1 - v0 are shifted to T^0 and T^1.
     """
-    wrap = LaurentPolynomial._unchecked
     if ring.spatial_vars:
 
         def entry(v0, slope):
-            terms = {e + (0,): c for e, c in v0.terms.items()}
-            terms.update({e + (1,): c for e, c in slope.terms.items()})
-            return wrap(ring, terms)
+            return {**_lifted(v0), **{e + (1,): c for e, c in slope.items()}} or _ZERO
 
     else:
 
@@ -604,7 +604,7 @@ def _interpolated_rows(ring: RingDescriptor, rows0, rows1) -> tuple:
             terms = {(0,): v0} if v0 else {}
             if slope:
                 terms[(1,)] = slope
-            return wrap(ring, terms)
+            return terms or _ZERO
 
     slopes = _sub_rows(ring.drop_T(), rows1, rows0)
     return tuple(tuple(map(entry, r0, s)) for r0, s in zip(rows0, slopes))
@@ -612,17 +612,17 @@ def _interpolated_rows(ring: RingDescriptor, rows0, rows1) -> tuple:
 
 def _sub_rows(ring: RingDescriptor, A: list, B: list) -> list:
     """The rows of A - B from the rows of A and of B, as _rows gives them."""
-    if ring.nexponents:
-        return [[x - y if y.terms else x for x, y in zip(a, b)] for a, b in zip(A, B)]
     p = ring.p
+    if ring.nexponents:
+        return [[_combined(x, y, p, sub) if y else x for x, y in zip(a, b)] for a, b in zip(A, B)]
     return [[(x - y) % p for x, y in zip(a, b)] for a, b in zip(A, B)]
 
 
 def _scalars(ring: RingDescriptor) -> tuple:
     """(zero, one, neg) for _rows over ring; neg negates an entry."""
-    if ring.nexponents:
-        return ring.zero(), ring.one(), lambda v: -v if v.terms else v
     p = ring.p
+    if ring.nexponents:
+        return _ZERO, ring.one().terms, lambda v: _negated(v, p) if v else v
     return 0, 1, lambda v: -v % p
 
 
@@ -638,8 +638,8 @@ def _dagger_rows(ring: RingDescriptor, rows: list) -> list:
     Without spatial variables the involution is trivial and the dagger is the
     transpose.
     """
-    if ring.spatial_vars:
-        return [[e.involute() if e.terms else e for e in col] for col in zip(*rows)]
+    if d := ring.spatial_vars:
+        return [[_involuted(e, d) if e else e for e in col] for col in zip(*rows)]
     return [list(col) for col in zip(*rows)]
 
 
@@ -686,25 +686,20 @@ def _matmul_rows(ring: RingDescriptor, A: list, B: list, cols: int = 0) -> list:
         packed = [_pack(slot, b) for b in B]
         return [[v % p for v in _unpack(slot, sum(map(mul, row, packed)), width)] for row in A]
     # each entry of a row of C sums all its term products in one dict and
-    # reduces once; an entry no term reaches is the shared zero, with no dict
-    wrap, zero = LaurentPolynomial._unchecked, ring.zero()
-    B = [[(j, b.terms) for j, b in enumerate(row) if b.terms] for row in B]
+    # reduces once; an entry no term reaches is the shared _ZERO
     out = []
     for row in A:
         accs: dict = {}
         for a, right in zip(row, B):
-            if not (a := a.terms):
-                continue
-            for j, b in right:
-                if (acc := accs.get(j)) is None:
-                    acc = accs[j] = {}
-                for e1, c1 in a.items():
-                    for e2, c2 in b.items():
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        new_row = [zero] * width
+            if a:
+                for j, b in enumerate(right):
+                    if b:
+                        if (acc := accs.get(j)) is None:
+                            acc = accs[j] = {}
+                        _products(acc, a, b)
+        new_row = [_ZERO] * width
         for j, acc in accs.items():
-            new_row[j] = wrap(ring, _reduced(acc, p))
+            new_row[j] = _reduced(acc, p)
         out.append(new_row)
     return out
 
@@ -717,7 +712,7 @@ def _eliminate_rows(ring: RingDescriptor, M: list) -> LaurentPolynomial:
     if not M:
         return ring.one()
     if ring.nexponents:
-        return _eliminate(M)
+        return LaurentPolynomial._unchecked(ring, _eliminate(ring, M))
     return ring.constant(_eliminate_modp(M, ring.p))
 
 
@@ -810,58 +805,8 @@ def _eliminate_packed(M: list, p: int, slot: tuple) -> int:
     return d
 
 
-def _exact_quotient(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """The q with q * g = f; InternalInvariantViolation if g does not divide f.
-
-    Lex long division from the least term up.  Newton polytopes add, so q lies
-    in the box min(f) - min(g) .. max(f) - max(g) of each variable (T also >= 0)
-    and its terms rise in lex order: an inexact division leaves the box.
-    """
-    if not f.terms:
-        return f
-    p = f.ring.p
-    if len(g.terms) == 1:  # a monomial: shift the exponents, scale once
-        ((lead, c),) = g.terms.items()
-        constant = not any(lead)
-        if constant and c == 1:
-            return f
-        inv = pow(c, -1, p)
-        if constant:  # scale the coefficients, the exponents stay
-            q = {e: v * inv % p for e, v in f.terms.items()}
-            return LaurentPolynomial._unchecked(f.ring, q)
-        q = {tuple(map(sub, e, lead)): v * inv % p for e, v in f.terms.items()}
-        if f.ring.has_T and any(e[-1] < 0 for e in q):
-            raise InternalInvariantViolation(f"{g} does not divide {f}")
-        return LaurentPolynomial._unchecked(f.ring, q)
-    lo = [min(a) - min(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
-    hi = [max(a) - max(b) for a, b in zip(zip(*f.terms), zip(*g.terms))]
-    if f.ring.has_T:
-        lo[-1] = max(lo[-1], 0)
-    lead = min(g.terms)
-    lead_inv = pow(g.terms[lead], -1, p)
-    rem, q = dict(f.terms), {}
-    heapify(heap := list(rem))
-    while heap:
-        e = heappop(heap)
-        if e not in rem:
-            continue
-        m = tuple(map(sub, e, lead))
-        if not all(a <= v <= b for a, v, b in zip(lo, m, hi)):
-            raise InternalInvariantViolation(f"{g} does not divide {f}")
-        q[m] = c = rem[e] * lead_inv % p
-        for e2, c2 in g.terms.items():
-            t = tuple(map(add, m, e2))
-            if v := (rem.get(t, 0) - c * c2) % p:
-                if t not in rem:
-                    heappush(heap, t)
-                rem[t] = v
-            else:
-                rem.pop(t, None)
-    return LaurentPolynomial._unchecked(f.ring, q)
-
-
-def _eliminate(M: list) -> LaurentPolynomial:
-    """Fraction-free (Bareiss) elimination of the n polynomial rows M in place.
+def _eliminate(ring: RingDescriptor, M: list) -> dict:
+    """Fraction-free (Bareiss) elimination of the n term-dict rows M over ring in place.
 
     As _eliminate_modp, but each update is divided exactly by an earlier pivot,
     and a row is touched only at the steps that change it.  Let p_0 = 1 and
@@ -877,17 +822,17 @@ def _eliminate(M: list) -> LaurentPolynomial:
       leaves it unchanged, so it is then at level c + 1.
     Row swaps carry the levels with the rows.
 
-    Returns det (0 for a singular A).  With augmented columns [A | B] a
+    Returns the terms of det (0 for a singular A).  With augmented columns [A | B] a
     nonsingular A leaves p_l (A^-1 B)[r] in B's columns of a row r at level
     l; for a unit det these are divided by p_l, which leaves A^-1 B there.
     """
     n, width = len(M), len(M[0])
-    ring = M[0][0].ring
-    pivots, level, negate = [ring.one()], [0] * n, False
+    p, has_T = ring.p, ring.has_T
+    pivots, level, negate = [ring.one().terms], [0] * n, False
     for c in range(n):
         piv = next((r for r in range(c, n) if M[r][c]), None)
         if piv is None:
-            return ring.zero()
+            return _ZERO
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             level[c], level[piv] = level[piv], level[c]
@@ -895,25 +840,26 @@ def _eliminate(M: list) -> LaurentPolynomial:
         top = M[c]
         if (l := level[c]) < c and pivots[c] != pivots[l]:
             top[c:] = [
-                _exact_quotient(pivots[c] * e, pivots[l]) if e.terms else e
+                _quotient(_product(pivots[c], e, p), pivots[l], p, has_T) if e else e
                 for e in top[c:]
             ]
         level[c] = c + 1
         pivots.append(top[c])
         for r in range(n) if width > n else range(c + 1, n):
             row = M[r]
-            if r == c or not row[c].terms:
+            if r == c or not row[c]:
                 continue
             # pivot * row[j] - row[c] * top[j] for every j > c, then / p_l; a
             # column zero in both rows stays zero and is not divided
-            (new,) = _matmul_rows(ring, [[top[c], -row[c]]], [row[c + 1 :], top[c + 1 :]])
+            left = [[top[c], _negated(row[c], p)]]
+            (new,) = _matmul_rows(ring, left, [row[c + 1 :], top[c + 1 :]])
             prev = pivots[level[r]]
-            row[c + 1 :] = [_exact_quotient(e, prev) if e.terms else e for e in new]
+            row[c + 1 :] = [_quotient(e, prev, p, has_T) if e else e for e in new]
             level[r] = c + 1
-    d = -pivots[-1] if negate else pivots[-1]
-    if width > n and d.is_unit():
+    d = _negated(pivots[-1], p) if negate else pivots[-1]
+    if width > n and _is_unit(d, has_T):
         for row, l in zip(M, level):
-            row[n:] = [_exact_quotient(e, pivots[l]) for e in row[n:]]
+            row[n:] = [_quotient(e, pivots[l], p, has_T) for e in row[n:]]
     return d
 
 

@@ -13,9 +13,10 @@ normalized so that equality is map equality.
 from __future__ import annotations
 
 from functools import cache
+from heapq import heapify, heappop, heappush
 from operator import add, mul, neg, sub
 
-from .errors import DivisionByZero, DomainError, RingMismatch, _Value
+from .errors import DivisionByZero, DomainError, InternalInvariantViolation, RingMismatch, _Value
 
 
 # Sorenson and Webster, "Strong pseudoprimes to twelve prime bases" (Math.
@@ -79,9 +80,149 @@ def _residue(c, p: int) -> int:
     return c % p
 
 
+# -- term dicts {exponent tuple: residue in [1, p)} --------------------------
+# Each term rule is one function here: LaurentPolynomial's methods wrap them
+# and linalg's kernels run them on the rows a RingMatrix stores.  No function
+# or caller changes a dict it is given or gets back, since polynomials,
+# matrix rows and their views share them; every zero may be _ZERO.
+
+_ZERO: dict = {}
+
+
+def _checked(ring: "RingDescriptor", terms) -> dict:
+    """The one check of terms from outside, given as a dict or an iterable of
+    (exponents, coefficient) pairs: ring.nexponents ints (not bools) per
+    exponent tuple, the T exponent >= 0, and scalar coefficients.  Repeated
+    exponents add up after each term's own check, so True never merges with
+    1.  Any other container is a DomainError."""
+    cleaned = {}
+    width, p = ring.nexponents, ring.p
+    try:
+        for exps, c in terms.items() if isinstance(terms, dict) else terms:
+            exps = tuple(exps)
+            if len(exps) != width or not all(type(e) is int for e in exps):
+                raise DomainError(f"exponent tuple {exps!r} must hold {width} ints")
+            if ring.has_T and exps[-1] < 0:
+                raise DomainError("T exponent must be non-negative")
+            if c := (cleaned.get(exps, 0) + _residue(c, p)) % p:
+                cleaned[exps] = c
+            else:
+                cleaned.pop(exps, None)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"terms are a dict or (exponent, coefficient) pairs: {exc}") from None
+    return cleaned or _ZERO
+
+
 def _reduced(terms: dict, p: int) -> dict:
     """Reduce integer coefficients mod p and drop the terms that vanish."""
-    return {e: r for e, c in terms.items() if (r := c % p)}
+    return {e: r for e, c in terms.items() if (r := c % p)} or _ZERO
+
+
+def _negated(f: dict, p: int) -> dict:
+    return {e: p - c for e, c in f.items()}
+
+
+def _combined(f: dict, g: dict, p: int, op=add) -> dict:
+    """f op g for op in (add, sub), in one pass over g's terms."""
+    out = dict(f)
+    for exps, c in g.items():
+        if c := op(out.get(exps, 0), c) % p:
+            out[exps] = c
+        else:
+            del out[exps]
+    return out or _ZERO
+
+
+def _products(acc: dict, f: dict, g: dict) -> dict:
+    """Add the term products of f and g to acc, unreduced; acc is the
+    caller's own dict."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
+
+
+def _product(f: dict, g: dict, p: int) -> dict:
+    return _reduced(_products({}, f, g), p)
+
+
+def _is_unit(f: dict, has_T: bool) -> bool:
+    """Units are single monomials with no T content."""
+    return len(f) == 1 and not (has_T and next(iter(f))[-1])
+
+
+def _involuted(f: dict, d: int) -> dict:
+    """Invert the first d (the spatial) exponents; T and coefficients stay."""
+    return {tuple(map(neg, e[:d])) + e[d:]: c for e, c in f.items()}
+
+
+def _at_T(f: dict, t: int, p: int) -> dict:
+    """f at T = t, a residue, without its T exponent.
+
+    At t = 0 only the T^0 terms are left, and they stay distinct and
+    nonzero; at t = 1 the coefficients of each spatial monomial add up.
+    """
+    if not t:
+        return {e[:-1]: c for e, c in f.items() if not e[-1]} or _ZERO
+    out: dict = {}
+    for exps, c in f.items():
+        e = exps[:-1]
+        out[e] = out.get(e, 0) + (c if t == 1 else c * pow(t, exps[-1], p))
+    return _reduced(out, p)
+
+
+def _lifted(f: dict) -> dict:
+    """f with a T exponent 0 appended to each term; always a new dict."""
+    return {e + (0,): c for e, c in f.items()}
+
+
+def _quotient(f: dict, g: dict, p: int, has_T: bool) -> dict:
+    """The q with q * g = f; InternalInvariantViolation if g does not divide f.
+
+    Lex long division from the least term up.  Newton polytopes add, so q lies
+    in the box min(f) - min(g) .. max(f) - max(g) of each variable (T also >= 0)
+    and its terms rise in lex order: an inexact division leaves the box.
+    """
+    if not f:
+        return f
+    if len(g) == 1:  # a monomial: shift the exponents, scale once
+        ((lead, c),) = g.items()
+        constant = not any(lead)
+        if constant and c == 1:
+            return f
+        inv = pow(c, -1, p)
+        if constant:  # scale the coefficients, the exponents stay
+            return {e: v * inv % p for e, v in f.items()}
+        q = {tuple(map(sub, e, lead)): v * inv % p for e, v in f.items()}
+        if has_T and any(e[-1] < 0 for e in q):
+            raise InternalInvariantViolation(f"{g} does not divide {f}")
+        return q
+    lo = [min(a) - min(b) for a, b in zip(zip(*f), zip(*g))]
+    hi = [max(a) - max(b) for a, b in zip(zip(*f), zip(*g))]
+    if has_T:
+        lo[-1] = max(lo[-1], 0)
+    lead = min(g)
+    lead_inv = pow(g[lead], -1, p)
+    rem, q = dict(f), {}
+    heapify(heap := list(rem))
+    while heap:
+        e = heappop(heap)
+        if e not in rem:
+            continue
+        m = tuple(map(sub, e, lead))
+        if not all(a <= v <= b for a, v, b in zip(lo, m, hi)):
+            raise InternalInvariantViolation(f"{g} does not divide {f}")
+        q[m] = c = rem[e] * lead_inv % p
+        for e2, c2 in g.items():
+            t = tuple(map(add, m, e2))
+            if v := (rem.get(t, 0) - c * c2) % p:
+                if t not in rem:
+                    heappush(heap, t)
+                rem[t] = v
+            else:
+                rem.pop(t, None)
+    return q
 
 
 class FieldElement(_Value):
@@ -228,44 +369,28 @@ def _constants(p: int, spatial_vars: int, has_T: bool) -> tuple:
     """(zero, one) of the ring, over its interned descriptor."""
     ring = _interned(p, spatial_vars, has_T)
     unchecked = LaurentPolynomial._unchecked
-    return unchecked(ring, {}), unchecked(ring, {(0,) * ring.nexponents: 1})
+    return unchecked(ring, _ZERO), unchecked(ring, {(0,) * ring.nexponents: 1})
 
 
 class LaurentPolynomial:
     """Sparse Laurent polynomial with residue coefficients.
 
     Terms map exponent tuples (spatial exponents first, T exponent last when
-    present) to nonzero residues mod p.  Instances are treated as immutable.
+    present) to nonzero residues mod p.  Each method wraps a term function
+    of this module; the terms dict may be shared with a RingMatrix row or
+    another polynomial, and is never changed.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingDescriptor, terms):
-        """The one check of terms from outside, given as a dict or an iterable
-        of (exponents, coefficient) pairs: ring.nexponents ints (not bools) per
-        exponent tuple, the T exponent >= 0, and scalar coefficients.  Repeated
-        exponents add up after each term's own check, so True never merges
-        with 1.  Any other container is a DomainError, as is a ring that is
-        not a RingDescriptor."""
+        """terms as _checked checks them; a ring that is not a
+        RingDescriptor is a DomainError."""
         if not isinstance(ring, RingDescriptor):
             raise DomainError(f"a polynomial's ring is a RingDescriptor, got {type(ring).__name__}")
-        cleaned = {}
-        width, p = ring.nexponents, ring.p
-        try:
-            for exps, c in terms.items() if isinstance(terms, dict) else terms:
-                exps = tuple(exps)
-                if len(exps) != width or not all(type(e) is int for e in exps):
-                    raise DomainError(f"exponent tuple {exps!r} must hold {width} ints")
-                if ring.has_T and exps[-1] < 0:
-                    raise DomainError("T exponent must be non-negative")
-                if c := (cleaned.get(exps, 0) + _residue(c, p)) % p:
-                    cleaned[exps] = c
-                else:
-                    cleaned.pop(exps, None)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"terms are a dict or (exponent, coefficient) pairs: {exc}") from None
+        self.terms = _checked(ring, terms)
         self.ring = ring
-        self.terms = cleaned
 
     @classmethod
     def _unchecked(cls, ring: RingDescriptor, terms: dict) -> "LaurentPolynomial":
@@ -293,50 +418,30 @@ class LaurentPolynomial:
             return self.ring.constant(other)
         return NotImplemented
 
-    def _combine(self, other, op):
-        """self op other for op in (add, sub), in one pass over other's terms."""
+    def _combine(self, other, f):
+        """The polynomial of f(self.terms, other.terms, p), other a polynomial or a scalar."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            c = op(out.get(exps, 0), c) % p
-            if c:
-                out[exps] = c
-            else:
-                del out[exps]
-        return LaurentPolynomial._unchecked(self.ring, out)
+        return LaurentPolynomial._unchecked(self.ring, f(self.terms, other.terms, self.ring.p))
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, _combined)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._combine(other, lambda f, g, p: _combined(f, g, p, sub))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        p = self.ring.p
-        return LaurentPolynomial._unchecked(
-            self.ring, {e: p - c for e, c in self.terms.items()}
-        )
+        return LaurentPolynomial._unchecked(self.ring, _negated(self.terms, self.ring.p))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial._unchecked(self.ring, _reduced(out, self.ring.p))
+        return self._combine(other, _product)
 
     __rmul__ = __mul__
 
@@ -377,10 +482,7 @@ class LaurentPolynomial:
 
     def is_unit(self) -> bool:
         """Units are single monomials with no T content."""
-        if len(self.terms) != 1:
-            return False
-        (exps,) = self.terms
-        return not (self.ring.has_T and exps[-1] != 0)
+        return _is_unit(self.terms, self.ring.has_T)
 
     def unit_inverse(self) -> "LaurentPolynomial":
         if not self.is_unit():
@@ -391,9 +493,8 @@ class LaurentPolynomial:
 
     def involute(self) -> "LaurentPolynomial":
         """Invert every spatial exponent; T and coefficients stay fixed."""
-        d = self.ring.spatial_vars
         return LaurentPolynomial._unchecked(
-            self.ring, {tuple(map(neg, e[:d])) + e[d:]: c for e, c in self.terms.items()}
+            self.ring, _involuted(self.terms, self.ring.spatial_vars)
         )
 
     def augment(self) -> FieldElement:
@@ -404,33 +505,17 @@ class LaurentPolynomial:
         return FieldElement(self.terms.get(zero, 0), self.ring.p)
 
     def eval_T(self, t: int | FieldElement) -> "LaurentPolynomial":
-        """Substitute a scalar for T; the result lives in the ring without T.
-
-        At t = 0 only the T^0 terms are left, and they stay distinct and
-        nonzero; at t = 1 the coefficients of each spatial monomial add up.
-        """
+        """Substitute a scalar for T, by _at_T; the result lives in the ring without T."""
         if not self.ring.has_T:
             raise DomainError("ring has no T variable to evaluate")
-        p = self.ring.p
-        t = _residue(t, p)
-        ring = self.ring.drop_T()
-        if not t:
-            return LaurentPolynomial._unchecked(
-                ring, {e[:-1]: c for e, c in self.terms.items() if not e[-1]}
-            )
-        out: dict = {}
-        for exps, c in self.terms.items():
-            e = exps[:-1]
-            out[e] = out.get(e, 0) + (c if t == 1 else c * pow(t, exps[-1], p))
-        return LaurentPolynomial._unchecked(ring, _reduced(out, p))
+        t = _residue(t, self.ring.p)
+        return LaurentPolynomial._unchecked(self.ring.drop_T(), _at_T(self.terms, t, self.ring.p))
 
     def lift_T(self) -> "LaurentPolynomial":
         """View a T-free polynomial inside the ring extended by T."""
         if self.ring.has_T:
             raise DomainError("polynomial already lives in a ring with T")
-        return LaurentPolynomial._unchecked(
-            self.ring.with_T(), {e + (0,): c for e, c in self.terms.items()}
-        )
+        return LaurentPolynomial._unchecked(self.ring.with_T(), _lifted(self.terms))
 
     # -- display -------------------------------------------------------
 

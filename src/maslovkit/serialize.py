@@ -5,12 +5,14 @@ fixed key order) so identical inputs produce byte-identical output.
 Decoders raise DomainError on malformed data, which the CLI maps to a
 structured error object and exit code 2.
 
-An F_p matrix document decodes to the int rows a RingMatrix stores: no
-entry is built or checked alone.  Only a regular entry is read so, one with
-the matrix's ring fields and a list of terms {"e": [], "c": c}, c a JSON
-integer; any other entry goes to decode_poly, which raises what it raises for
-that entry alone.  An F_p matrix encodes from its residues, each entry as
-encode_poly writes the constant polynomial.
+A matrix document decodes to the rows a RingMatrix stores, int residues
+over F_p and term dicts elsewhere, and a matrix encodes from them, each
+entry as encode_poly writes it: no entry is built as a polynomial.  A
+regular entry, one with the matrix's ring fields (over F_p also terms
+{"e": [], "c": c} with c a JSON integer), is read with no ring of its own:
+its terms go through the constructor's term check, or over F_p are summed
+mod p.  Any other entry goes to decode_poly, which raises what it raises
+for that entry alone.
 
 Only the decoders of Pauli data and of loops need pauli and sturm, and they
 import them when they run.
@@ -21,7 +23,7 @@ from __future__ import annotations
 from .errors import DomainError
 from .forms import HermitianForm, WittClass
 from .linalg import RingMatrix, _rows
-from .ring import LaurentPolynomial, RingDescriptor, _interned
+from .ring import LaurentPolynomial, RingDescriptor, _checked, _interned
 
 
 def _expect(obj, key, kind, what):
@@ -56,19 +58,23 @@ def decode_ring(obj) -> RingDescriptor:
 
 
 def encode_poly(f: LaurentPolynomial) -> dict:
-    out = encode_ring(f.ring)
-    out["terms"] = [
-        {"e": list(exps), "c": f.terms[exps]} for exps in sorted(f.terms)
-    ]
-    return out
+    return _encode_terms(encode_ring(f.ring), f.terms)
+
+
+def _encode_terms(ring_doc: dict, terms: dict) -> dict:
+    """The document of the polynomial with these terms over the ring of
+    ring_doc, with a vars list of its own."""
+    terms = [{"e": list(exps), "c": terms[exps]} for exps in sorted(terms)]
+    return {**ring_doc, "vars": [*ring_doc["vars"]], "terms": terms}
 
 
 def decode_poly(obj) -> LaurentPolynomial:
-    """The polynomial of obj's ring and terms; the constructor checks each term
-    and adds repeated exponents."""
+    """The polynomial of obj's ring and terms; the constructor's check reads
+    each term and adds repeated exponents."""
     if not isinstance(obj, dict):  # before decode_ring reads its ring fields
         raise DomainError(f"polynomial: expected a JSON object, got {type(obj).__name__}")
-    return _decode_terms(obj, decode_ring(obj))
+    ring = decode_ring(obj)
+    return LaurentPolynomial._unchecked(ring, _decode_terms(obj, ring))
 
 
 def _in_ring(obj, ring: RingDescriptor) -> bool:
@@ -91,9 +97,9 @@ def _term(item) -> tuple:
     return _expect(item, "e", list, "polynomial term"), _expect(item, "c", int, "polynomial term")
 
 
-def _decode_terms(obj, ring: RingDescriptor) -> LaurentPolynomial:
-    """The polynomial over ring of the terms of obj, as decode_poly reads them."""
-    return LaurentPolynomial(ring, map(_term, _expect(obj, "terms", list, "polynomial")))
+def _decode_terms(obj, ring: RingDescriptor) -> dict:
+    """The checked terms over ring of the terms of obj, as decode_poly reads them."""
+    return _checked(ring, map(_term, _expect(obj, "terms", list, "polynomial")))
 
 
 # -- matrices and forms ------------------------------------------------------
@@ -101,7 +107,8 @@ def _decode_terms(obj, ring: RingDescriptor) -> LaurentPolynomial:
 
 def encode_matrix(A: RingMatrix) -> dict:
     if A.ring.nexponents:
-        entries = [[encode_poly(e) for e in row] for row in A.entries]
+        ring_doc = encode_ring(A.ring)
+        entries = [[_encode_terms(ring_doc, e) for e in row] for row in _rows(A)]
     else:  # from the residues, in encode_poly's key order
         p = A.ring.p
         entries = [
@@ -123,20 +130,20 @@ def decode_matrix(obj) -> RingMatrix:
         not isinstance(r, list) or len(r) != cols for r in raw
     ):
         raise DomainError("matrix: entry grid does not match rows x cols")
-    if not ring.nexponents:  # over F_p: the int rows the matrix stores
-        rows = [[_residue_entry(e, ring) for e in row] for row in raw]
-        if any(None in row for row in rows):
-            raise DomainError("matrix: entry ring differs from matrix ring")
-        return RingMatrix._unchecked(ring, rows, cols)
-    # an entry whose ring fields match is not decoded as a ring again; any
-    # other goes through decode_poly, which raises what its fields deserve
-    entries = [
-        tuple(_decode_terms(e, ring) if _in_ring(e, ring) else decode_poly(e) for e in row)
-        for row in raw
-    ]
-    if any(e.ring is not ring for row in entries for e in row):
+    entry = _terms_entry if ring.nexponents else _residue_entry
+    rows = [[entry(e, ring) for e in row] for row in raw]
+    if any(None in row for row in rows):
         raise DomainError("matrix: entry ring differs from matrix ring")
-    return RingMatrix._unchecked(ring, entries, cols)
+    return RingMatrix._unchecked(ring, rows, cols)
+
+
+def _terms_entry(e, ring: RingDescriptor) -> dict | None:
+    """The terms of an entry of a matrix over a ring with variables, None for
+    a polynomial over another ring; as _residue_entry reads one over F_p."""
+    if _in_ring(e, ring):
+        return _decode_terms(e, ring)
+    f = decode_poly(e)
+    return f.terms if f.ring is ring else None
 
 
 def _residue_entry(e, ring: RingDescriptor) -> int | None:

@@ -17,12 +17,13 @@ and its computable invariants are returned.  Both determinants and -S(0)^-1
 come from the three-term recurrence x_{i-1} = -x_{i+1} - D_i x_i of S(t) on
 N x N blocks, the same recurrence the words run on, so no elimination sees
 more than N rows.  _three_term is the one implementation of that recurrence:
-words, loop tests and the index all run it on the private rows of linalg,
-one path for every ring.  loop_from_pair builds its forms on the same rows:
-each T-form is the interpolation of its rows at T = 0 and T = 1, and keeps
-them (see linalg._interpolate), so maslov_index reads them back without a
-polynomial over R[T]; a form builds its polynomial rows only when something
-else, such as encode_loop or ==, reads them.
+words, loop tests and the index all run it on the private rows of linalg
+(residues over F_p, term dicts elsewhere), one path for every ring, with no
+polynomial built per entry.  loop_from_pair builds its forms on the same
+rows: each T-form is the interpolation of its rows at T = 0 and T = 1, and
+keeps them (see linalg._interpolate), so maslov_index reads them back
+without a row over R[T]; a form builds its rows over R[T] only when
+something else, such as encode_loop or ==, reads them.
 """
 
 from __future__ import annotations

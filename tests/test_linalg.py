@@ -7,7 +7,7 @@ from math import isqrt
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, nextprime, prevprime, symbols
 
@@ -15,6 +15,7 @@ from maslovkit import (
     DivisionByZero,
     DomainError,
     FieldElement,
+    HermitianForm,
     LaurentPolynomial,
     RingDescriptor,
     RingMismatch,
@@ -24,10 +25,14 @@ from maslovkit import (
     det,
     inverse,
     kernel_basis,
+    loop_from_pair,
+    maslov_index,
+    serialize,
     smith_normal_form,
     solve_in_span,
 )
 from maslovkit import linalg
+from maslovkit.ring import _ZERO
 from maslovkit.linalg import _dagger_rows, _interpolate, _matmul_rows, _rows, _scalars, _sub_rows
 from maslovkit.linalg import laurent_divmod, spread
 
@@ -417,6 +422,64 @@ def test_matrices_without_rows_keep_their_width():
         assert a != b and hash(a) != hash(b)
 
 
+def test_lift_T_refuses_a_ring_with_T():
+    # every shape is refused up front, with no entry to read
+    for ring in (RingDescriptor(5, 0, True), RingDescriptor(5, 1, True)):
+        shapes = (RingMatrix.zeros(ring, 0, 2), RingMatrix.zeros(ring, 1, 0),
+                  RingMatrix.identity(ring, 2))
+        for M in shapes:
+            with pytest.raises(DomainError, match="matrix already lives in a ring with T"):
+                M.lift_T()
+
+
+# a changed shared constant spoils every later example, so a failure is
+# reported as found, not shrunk
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    st.sampled_from((L5, RingDescriptor(5, 2), RingDescriptor(5, 1, True),
+                     RingDescriptor(5, 2, True))),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_no_stored_terms_dict_is_changed(ring, n, rng):
+    # views, stored rows, results and the shared zero share term dicts, so no
+    # operation may change one: the stored rows and entries of every input,
+    # and the rings' constants, are as they were after all of them ran
+    base = ring.drop_T()
+    a, b = rand_unit_matrix(base, rng, n), rand_unit_matrix(base, rng, n)
+    q0 = HermitianForm(a.dagger() @ a, 1)
+    q1 = HermitianForm(b.dagger() @ RingMatrix.scalar(base, n, 2) @ b, 1)
+    A, B = rand_matrix(ring, rng, n, n), rand_matrix(ring, rng, n, n)
+    inputs = (A, B, a, b, q0.matrix, q1.matrix)
+
+    def snapshot():
+        constants = [(r.zero().terms, r.one().terms) for r in (ring, base)]
+        return copy.deepcopy([(_rows(M), [[e.terms for e in r] for r in M.entries]) for M in inputs]
+                             + [constants, _ZERO])
+
+    before = snapshot()
+    loop = loop_from_pair(q0, q1)
+    # the ops that build rows from the rows of another matrix come before
+    # the ones that compute on those rows, so that a changed dict shows first
+    ops = [lambda: A @ B, lambda: A + B, lambda: A - B, lambda: -A, lambda: A.scale(3),
+           lambda: A.scale(ring.x(0)), A.dagger, a.lift_T, lambda: serialize.encode_loop(loop),
+           lambda: loop.direct_sum(loop), lambda: det(A),
+           lambda: inverse(a.lift_T() if ring.has_T else a), lambda: maslov_index(loop),
+           lambda: maslov_index(loop.direct_sum(loop))]
+    if ring.has_T:
+        ops += [lambda t=t: A.eval_T(t) for t in (0, 1, 2)]
+    else:
+        ops += [A.lift_T, lambda: A.lift_T().eval_T(1), lambda: A.lift_T() @ A.lift_T()]
+        if ring.spatial_vars == 1:
+            ops.append(lambda: smith_normal_form(A))
+    for k, op in enumerate(ops):  # each result read as entries too, and checked at once
+        result = op()
+        if isinstance(result, RingMatrix):
+            result.entries
+        unchanged = snapshot() == before and _ZERO == {}  # a bool: no diff of the rows
+        assert unchanged, f"op {k} changed a stored terms dict"
+
+
 def test_snf_divisibility_repair():
     # coprime diagonal entries: the Smith form must move the product onto one
     # entry, which only the divisibility repair (adding an offending row) does
@@ -437,9 +500,19 @@ def _from_entries(ring, rows, cols):
     return RingMatrix(ring, rows) if rows else RingMatrix.zeros(ring, 0, cols)
 
 
+def _stored_of(ring, rows):
+    """The rows a matrix over ring stores for rows of polynomials: their
+    residues over F_p, their term dicts elsewhere."""
+    if ring.nexponents:
+        return [[e.terms for e in row] for row in rows]
+    return [[e.terms.get((), 0) for e in row] for row in rows]
+
+
 def _assert_entries(M, ring, rows, shape):
-    """M is the shape x matrix over ring of the polynomial rows, as read and as built."""
+    """M is the shape x matrix over ring of the polynomial rows: as stored,
+    as read and as built."""
     assert M.ring == ring and M.shape == shape
+    assert _rows(M) == _stored_of(ring, rows)
     assert [list(row) for row in M.entries] == rows
     assert all(e.ring == ring for row in M.entries for e in row)
     expected = _from_entries(ring, rows, shape[1])
@@ -449,30 +522,37 @@ def _assert_entries(M, ring, rows, shape):
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from((F5, RingDescriptor(10**9 + 7), RingDescriptor(7, 0, True), L5,
-                     RingDescriptor(5, 2, True))),
+                     RingDescriptor(5, 2), RingDescriptor(5, 2, True))),
     st.integers(0, 3),
     st.integers(0, 3),
     st.randoms(use_true_random=False),
 )
 def test_rows_round_trip(ring, rows, cols, rng):
     # a matrix stores the rows _rows copies: int residues over F_p, the
-    # entries themselves elsewhere; at T = 0 or 1 a matrix over R[T] gives
-    # the rows of its evaluation.  Every public operation equals the same
-    # operation on the polynomial entries, shapes with no rows or no columns
-    # included, their cols kept
+    # entries' term dicts elsewhere, which their views share; at T = 0 or 1
+    # a matrix over R[T] gives the rows of its evaluation.  Every public
+    # operation on the stored rows equals the same operation on the
+    # polynomial entries, shapes with no rows or no columns included, their
+    # cols kept, and equal matrices hash equal
     def draw(m, n):
         return rand_matrix(ring, rng, m, n) if m else RingMatrix.zeros(ring, 0, n)
 
+    def shares_terms(M):  # each nonzero entry of the view holds the stored dict
+        return all(e.terms is v for r, s in zip(M.entries, _rows(M)) for e, v in zip(r, s) if v)
+
     A, B, C = draw(rows, cols), draw(rows, cols), draw(cols, 2)
     got = _rows(A)
-    assert got == [list(row) for row in A.entries]
-    if not ring.nexponents:
+    assert got == _stored_of(ring, A.entries)
+    if ring.nexponents:
+        assert all(type(v) is dict for row in got for v in row) and shares_terms(A)
+    else:
         assert all(type(v) is int and 0 <= v < ring.p for row in got for v in row)
     if got and got[0]:  # a fresh copy: elimination writes to its rows
         got[0][0] = None
         assert _rows(A)[0][0] is not None
     D = RingMatrix._unchecked(ring, _rows(A), A.cols)
     assert D == A and D.shape == A.shape and hash(D) == hash(A)
+    assert D.entries == A.entries and (not ring.nexponents or shares_terms(D))
     if ring.has_T:
         for t in (0, 1, 2, ring.p - 1, ring.p):
             D = RingMatrix._unchecked(ring.drop_T(), _rows(A, t), A.cols)
@@ -512,6 +592,8 @@ def test_rows_round_trip(ring, rows, cols, rng):
         for t in (0, 1, 2):
             drop = ring.drop_T()
             _assert_entries(A.eval_T(t), drop, [[e.eval_T(t) for e in row] for row in a], (m, n))
+        with pytest.raises(DomainError):
+            A.lift_T()
     else:
         _assert_entries(A.lift_T(), ring.with_T(), [[e.lift_T() for e in row] for row in a], (m, n))
     if m == n:
@@ -642,8 +724,8 @@ def test_matmul_rows_matches_dense_product(ring, m, k, n, rng):
         j = rng.randrange(n)
         for row in B:
             row[j] = ring.zero()
-    got = _matmul_rows(ring, A, B, n)
-    assert got == _dense_product(A, B, n, ring.zero())
+    got = _matmul_rows(ring, _stored_of(ring, A), _stored_of(ring, B), n)
+    assert got == _stored_of(ring, _dense_product(A, B, n, ring.zero()))
 
 
 def _dense_product(A, B, n, zero):
@@ -699,33 +781,36 @@ def half_zero_matrix(draw, ring, m, n):
 def test_row_helpers_match_entrywise_operations(data):
     # the row helpers and the public operations they serve against the
     # polynomial operations entry by entry, on mostly zero matrices; on
-    # polynomial rows a zero entry is passed through as a zero that no method
-    # ran on, and no input entry's terms change.  Over F_p the rows are ints
+    # term-dict rows a zero entry is passed through as a zero that no
+    # function ran on, and no input entry's terms change.  Over F_p the rows
+    # are ints
     ring = data.draw(st.sampled_from((RingDescriptor(5, 0, True), RingDescriptor(5, 1, True),
-                                      RingDescriptor(5, 2, True), F5, RingDescriptor(10**9 + 7))))
+                                      RingDescriptor(5, 2, True), RingDescriptor(5, 1),
+                                      RingDescriptor(5, 2), F5, RingDescriptor(10**9 + 7))))
     m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     A, B = data.draw(half_zero_matrix(ring, m, n)), data.draw(half_zero_matrix(ring, m, n))
     before = [[dict(e.terms) for e in row] for M in (A, B) for row in M.entries]
-    polynomial_rows = ring.nexponents > 0
+    term_rows = ring.nexponents > 0
     zero = _scalars(ring)[0]
     for t in (0, 1) if ring.has_T else ():
         got = _rows(A, t)
-        assert got == [[e.eval_T(t) for e in row] for row in A.entries]
+        drop = ring.drop_T()
+        assert got == _stored_of(drop, [[e.eval_T(t) for e in row] for row in A.entries])
         if ring.spatial_vars:  # over F_p[T] the rows hold ints
-            passed = {id(g) for row, r in zip(got, A.entries) for g, e in zip(row, r) if not e}
-            assert len(passed) <= 1
-    want = [[e.involute() for e in col] for col in zip(*A.entries)]
-    for got in (_dagger_rows(ring, _rows(A)), A.dagger().entries):
+            assert all(g is zero for row, r in zip(got, A.entries) for g, e in zip(row, r) if not e)
+    want = _stored_of(ring, [[e.involute() for e in col] for col in zip(*A.entries)])
+    for got in (_dagger_rows(ring, _rows(A)), A.dagger()._stored):
         assert [list(row) for row in got] == want
-        pairs = zip((e for row in got for e in row), (f for col in zip(*A.entries) for f in col))
-        assert all(e is f for e, f in pairs if not f) or not polynomial_rows
+        pairs = zip((e for row in got for e in row), (f for col in zip(*_rows(A)) for f in col))
+        assert all(e is f for e, f in pairs if not f) or not term_rows
     assert A.dagger().shape == (n, m)
     diff = [[x - y for x, y in zip(a, b)] for a, b in zip(A.entries, B.entries)]
-    assert _sub_rows(ring, _rows(A), _rows(B)) == diff == [list(row) for row in (A - B).entries]
+    assert _sub_rows(ring, _rows(A), _rows(B)) == _stored_of(ring, diff)
+    assert [list(row) for row in (A - B).entries] == diff
     neg = _scalars(ring)[2]
     negated = [[-e for e in row] for row in A.entries]
-    assert [[neg(e) for e in row] for row in _rows(A)] == negated
+    assert [[neg(e) for e in row] for row in _rows(A)] == _stored_of(ring, negated)
     assert [list(row) for row in (-A).entries] == negated
-    assert all(neg(e) is e for row in _rows(A) for e in row if not e) or not polynomial_rows
+    assert all(neg(e) is e for row in _rows(A) for e in row if not e) or not term_rows
     assert [[dict(e.terms) for e in row] for M in (A, B) for row in M.entries] == before
-    assert zero is _scalars(ring)[0] and not zero and (not polynomial_rows or not zero.terms)
+    assert zero is _scalars(ring)[0] and not zero and (zero == {} if term_rows else zero == 0)

@@ -31,7 +31,7 @@ from maslovkit.fixtures import (
 )
 from maslovkit.sturm import loop_from_pair, maslov_index
 
-from helpers import rand_hermitian, rand_matrix, rand_poly, rand_symmetric_nondeg
+from helpers import rand_hermitian, rand_matrix, rand_poly, rand_symmetric_nondeg, rand_unit_matrix
 
 
 L5 = RingDescriptor(5, 1)
@@ -419,19 +419,9 @@ def test_circuit_hyperbolic_step_round_trip():
         serialize.encode_circuit([("X", a)])
 
 
-def test_field_pipeline_builds_no_polynomial_per_entry(monkeypatch):
-    # over F_p a matrix is its residues from the JSON document to the JSON
-    # result: decode_form, loop_from_pair, maslov_index and
-    # encode_maslov_result build as many polynomials over the T-free ring at
-    # N = 16 as at N = 4 (only the F_p[T] forms of the loop hold polynomials)
-    p = 10**9 + 7
-    ring = RingDescriptor(p)
-    rng = random.Random(29)
-    docs = {
-        N: [json.loads(json.dumps(serialize.encode_form(rand_symmetric_nondeg(p, N, rng))))
-            for _ in range(2)]
-        for N in (4, 16)
-    }
+def _count_polynomials(monkeypatch) -> list:
+    """The list to which every LaurentPolynomial built from now on, checked
+    or not, appends its ring."""
     built = []
     unchecked, init = LaurentPolynomial._unchecked.__func__, LaurentPolynomial.__init__
 
@@ -445,6 +435,23 @@ def test_field_pipeline_builds_no_polynomial_per_entry(monkeypatch):
 
     monkeypatch.setattr(LaurentPolynomial, "_unchecked", classmethod(counting_unchecked))
     monkeypatch.setattr(LaurentPolynomial, "__init__", counting_init)
+    return built
+
+
+def test_field_pipeline_builds_no_polynomial_per_entry(monkeypatch):
+    # over F_p a matrix is its residues from the JSON document to the JSON
+    # result: decode_form, loop_from_pair, maslov_index and
+    # encode_maslov_result build as many polynomials over the T-free ring at
+    # N = 16 as at N = 4 (only the F_p[T] forms of the loop hold polynomials)
+    p = 10**9 + 7
+    ring = RingDescriptor(p)
+    rng = random.Random(29)
+    docs = {
+        N: [json.loads(json.dumps(serialize.encode_form(rand_symmetric_nondeg(p, N, rng))))
+            for _ in range(2)]
+        for N in (4, 16)
+    }
+    built = _count_polynomials(monkeypatch)
 
     def count(N):
         built.clear()
@@ -455,3 +462,30 @@ def test_field_pipeline_builds_no_polynomial_per_entry(monkeypatch):
 
     count(4)  # the shared constants of the ring are built on first use
     assert count(4) == count(16) < 16
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_laurent_pipeline_builds_no_polynomial_per_entry(monkeypatch, d):
+    # over F_p[x^+-] and F_p[x^+-, y^+-] a matrix is its term dicts from the
+    # JSON document to the JSON result: decode_form, loop_from_pair,
+    # maslov_index and encode_maslov_result build as many polynomials, over
+    # any ring, at N = 6 as at N = 2, fewer than the 8 entries of two 2 x 2 forms
+    ring = RingDescriptor(5, d)
+    rng = random.Random(31)
+
+    def doc(N):  # a^+ a for a random unimodular a: nondegenerate, hermitian
+        a = rand_unit_matrix(ring, rng, N, word_length=2 * N)
+        return json.loads(json.dumps(serialize.encode_form(HermitianForm(a.dagger() @ a, 1))))
+
+    docs = {N: [doc(N), doc(N)] for N in (2, 6)}
+    built = _count_polynomials(monkeypatch)
+
+    def count(N):
+        built.clear()
+        q0, q1 = map(serialize.decode_form, docs[N])
+        out = serialize.encode_maslov_result(maslov_index(loop_from_pair(q0, q1)))
+        assert out["form"]["rows"] == 8 * N
+        return len(built)
+
+    count(2)  # the shared constants of the rings are built on first use
+    assert count(2) == count(6) < 8
