@@ -51,20 +51,21 @@ _PACK_ELIMINATE_MIN entries (n x width) keeps the plain update, which is
 faster there, as does one whose p^2 (n + 1) fits no slot (p near 10^9 and
 n >= 18); the rows and the det are the same either way.
 
-Smith normal form runs for d <= 1 on the same sparse terms.  Its Euclidean
-size is the exponent spread (max degree - min degree, 0 for a monomial):
-long division walks f's exponents from the top down and leaves a remainder of
-smaller spread than the divisor, and a single-term divisor (every nonzero
-element over F_p, every unit over F_p[x, x^-1]) divides as an exponent shift.
-Division walks the exponent range, so the Smith form rejects entries whose
-spread exceeds 2^16.
+Smith normal form, division and solve run for d <= 1 on term-dict rows, the
+stored ones, with an F_p residue v entering as {(): v} and leaving as v; no
+computation reads entries, only A[i, j], repr and invariant_factors do.  The
+Euclidean size is the exponent spread (max - min degree, 0 for one term):
+long division walks f's exponents from the top down and leaves a remainder
+of smaller spread than the divisor, and a single-term divisor (every unit)
+divides through ring._quotient as an exponent shift.  Division walks the
+exponent range, so the Smith form rejects entries whose spread exceeds 2^16.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from operator import add, mul, neg, sub
+from operator import add, mul, sub
 
 from .errors import (
     DivisionByZero,
@@ -112,7 +113,7 @@ class RingMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeError("rows have inconsistent lengths")
-        self._store(ring, _as_stored(ring, rows), ncols)
+        self._store(ring, _from_terms(ring, [[e.terms for e in r] for r in rows]), ncols)
         self._entries = tuple(rows)
 
     def _store(self, ring: RingDescriptor, rows, cols: int, ends: tuple | None = None):
@@ -341,16 +342,20 @@ _MAX_SPREAD = 1 << 16
 
 def spread(f: LaurentPolynomial) -> int:
     """Exponent spread of a nonzero element; the Euclidean size for d <= 1."""
+    _check_snf_ring(f.ring)
     if f.is_zero():
         raise DivisionByZero("spread of zero is undefined")
-    if len(f.terms) == 1:
-        return 0
-    return max(f.terms)[0] - min(f.terms)[0]
+    return _spread(f.terms)
 
 
-def _check_spread(A: RingMatrix):
-    """DomainError when an entry of A has spread beyond _MAX_SPREAD."""
-    worst = max((spread(e) for row in A.entries for e in row if e), default=0)
+def _spread(f: dict) -> int:
+    """spread of the nonzero term dict f; a single term has spread 0."""
+    return max(f)[0] - min(f)[0] if len(f) > 1 else 0
+
+
+def _check_spread(rows: list):
+    """DomainError when an entry of the term-dict rows has spread beyond _MAX_SPREAD."""
+    worst = max((_spread(e) for row in rows for e in row if e), default=0)
     if worst > _MAX_SPREAD:
         raise DomainError(f"exponent spread {worst} exceeds the bound {_MAX_SPREAD}")
 
@@ -369,16 +374,19 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
     _check_snf_ring(ring)
     if g.is_zero():
         raise DivisionByZero("division by zero polynomial")
-    wrap = LaurentPolynomial._unchecked
-    if len(g.terms) == 1 or f.is_zero():  # exact: a unit g is an exponent shift
-        return wrap(ring, _quotient(f.terms, g.terms, ring.p, False)), ring.zero()
-    if spread(f) > _MAX_SPREAD:
-        raise DomainError(f"dividend spread {spread(f)} exceeds the bound {_MAX_SPREAD}")
-    p = ring.p
-    (lo,), (hi,) = min(g.terms), max(g.terms)
-    inv = pow(g.terms[(hi,)], -1, p)
-    lower = [(e - hi, c) for (e,), c in g.terms.items() if e != hi]
-    rem, q = dict(f.terms), {}
+    return tuple(LaurentPolynomial._unchecked(ring, h) for h in _divmod(f.terms, g.terms, ring.p))
+
+
+def _divmod(f: dict, g: dict, p: int) -> tuple:
+    """The term dicts (q, r) of laurent_divmod for the term dicts f and g != 0."""
+    if len(g) == 1 or not f:  # exact: a unit g is an exponent shift
+        return _quotient(f, g, p, False), _ZERO
+    if (s := _spread(f)) > _MAX_SPREAD:
+        raise DomainError(f"dividend spread {s} exceeds the bound {_MAX_SPREAD}")
+    (lo,), (hi,) = min(g), max(g)
+    inv = pow(g[(hi,)], -1, p)
+    lower = [(e - hi, c) for (e,), c in g.items() if e != hi]
+    rem, q = dict(f), {}
     for k in range(max(rem)[0], min(rem)[0] + hi - lo - 1, -1):
         if c := rem.pop((k,), 0):
             q[(k - hi,)] = c = c * inv % p
@@ -388,13 +396,7 @@ def laurent_divmod(f: LaurentPolynomial, g: LaurentPolynomial):
                     rem[t] = v
                 else:
                     rem.pop(t, None)
-    return wrap(ring, q), wrap(ring, rem)
-
-
-def _canonical_unit(f: LaurentPolynomial) -> LaurentPolynomial:
-    """Unit u such that u*f has lowest exponent 0 and leading coefficient 1."""
-    inv = pow(f.terms[max(f.terms)], -1, f.ring.p)
-    return LaurentPolynomial._unchecked(f.ring, {tuple(map(neg, min(f.terms))): inv})
+    return q, rem
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -420,12 +422,11 @@ class SmithDecomposition(_Value):
 
     @property
     def invariant_factors(self) -> list:
-        n = min(self.D.rows, self.D.cols)
-        return [self.D[k, k] for k in range(n) if not self.D[k, k].is_zero()]
+        return [self.D[k, k] for k in range(self.rank)]
 
     @property
     def rank(self) -> int:
-        return len(self.invariant_factors)
+        return sum(bool(row[k]) for k, row in zip(range(self.D.cols), self.D._stored))
 
 
 def _check_snf_ring(ring: RingDescriptor):
@@ -434,35 +435,34 @@ def _check_snf_ring(ring: RingDescriptor):
         raise UnsupportedRing(f"division and Smith normal form need d <= 1 and no T, got {ring}")
 
 
-def _submul(M: list, dst: int, q: LaurentPolynomial, src: int):
-    """Row dst of M minus q times row src."""
-    M[dst] = [a - q * b if b else a for a, b in zip(M[dst], M[src])]
+def _submul(M: list, dst: int, q: dict, src: int, p: int):
+    """Term-dict row dst of M minus q times row src."""
+    M[dst] = [_combined(a, _product(q, b, p), p, sub) if b else a for a, b in zip(M[dst], M[src])]
 
 
 def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
-    """Smith normal form over F_p or F_p[x, x^-1].
+    """Smith normal form over F_p or F_p[x, x^-1], on term-dict rows.
 
     The pivot is the entry of least spread left, ties by lowest row, then
     column, so the output is deterministic.  Row operations clear its column,
     then column operations (row operations on V transposed) clear its row; the
     first nonzero remainder has a smaller spread, so the pass ends there and
     the pivot is picked again.  Once the cross is clear, a pivot that does not
-    divide some entry left gets that entry's row added to its own.  An entry
-    of G whose spread exceeds 2^16 raises DomainError.
+    divide some entry left gets that entry's row added to its own.  A pivot f
+    and its row of U are then divided by the monomial f[max(f)] x^min(f).  An
+    entry of G whose spread exceeds 2^16 raises DomainError.
     """
-    ring = G.ring
+    ring, p = G.ring, G.ring.p
     _check_snf_ring(ring)
-    _check_spread(G)
+    A = _term_rows(G)
+    _check_spread(A)
     m, n = G.rows, G.cols
-    A = [list(row) for row in G.entries]
-    U = [list(row) for row in RingMatrix.identity(ring, m).entries]
-    Vt = [list(row) for row in RingMatrix.identity(ring, n).entries]
-    minus_one = -ring.one()
+    one = ring.one().terms
+    U, Vt = ([[one if i == j else _ZERO for j in range(k)] for i in range(k)] for k in (m, n))
+    minus_one = _negated(one, p)
     t = 0
     while t < min(m, n):
-        cells = [
-            (spread(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]
-        ]
+        cells = [(_spread(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
         if not cells:
             break
         _, pi, pj = min(cells)
@@ -473,35 +473,35 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
         pivot = A[t][t]
         for i in range(t + 1, m):
             if A[i][t]:
-                q, r = laurent_divmod(A[i][t], pivot)
-                _submul(A, i, q, t)
-                _submul(U, i, q, t)
+                q, r = _divmod(A[i][t], pivot, p)
+                _submul(A, i, q, t, p)
+                _submul(U, i, q, t, p)
                 if r:
                     break
         else:  # the column is clear, so a column operation changes only row t
             for j in range(t + 1, n):
                 if A[t][j]:
-                    q, A[t][j] = laurent_divmod(A[t][j], pivot)
-                    _submul(Vt, j, q, t)
+                    q, A[t][j] = _divmod(A[t][j], pivot, p)
+                    _submul(Vt, j, q, t, p)
                     if A[t][j]:
                         break
             else:  # the cross is clear; a unit pivot divides every entry left
-                for i in () if pivot.is_unit() else range(t + 1, m):
-                    if any(e and laurent_divmod(e, pivot)[1] for e in A[i]):
-                        _submul(A, t, minus_one, i)
-                        _submul(U, t, minus_one, i)
+                for i in () if _is_unit(pivot, False) else range(t + 1, m):
+                    if any(e and _divmod(e, pivot, p)[1] for e in A[i]):
+                        _submul(A, t, minus_one, i, p)
+                        _submul(U, t, minus_one, i, p)
                         break
                 else:
                     t += 1
 
     for k in range(min(m, n)):
-        if A[k][k]:
-            u = _canonical_unit(A[k][k])
-            A[k][k] = u * A[k][k]
-            U[k] = [u * e for e in U[k]]
+        if f := A[k][k]:
+            unit = {min(f): f[max(f)]}
+            A[k][k] = _quotient(f, unit, p, False)
+            U[k] = [_quotient(e, unit, p, False) for e in U[k]]
 
     return SmithDecomposition._unchecked(*(
-        RingMatrix._unchecked(ring, _as_stored(ring, rows), cols)
+        RingMatrix._unchecked(ring, _from_terms(ring, rows), cols)
         for rows, cols in ((U, m), (A, n), (zip(*Vt), n))
     ))
 
@@ -509,36 +509,28 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
 def kernel_basis(G: RingMatrix) -> RingMatrix:
     """Columns generating {v : G v = 0}; a rows x 0 matrix for zero kernel."""
     snf = smith_normal_form(G)
-    r = snf.rank
-    cols = range(r, G.cols)
-    return snf.V.submatrix(range(G.cols), cols)
+    return snf.V.submatrix(range(G.cols), range(snf.rank, G.cols))
 
 
 def solve_in_span(G: RingMatrix, B: RingMatrix) -> RingMatrix | None:
     """Solve G X = B over the ring; None when some column is not in the span."""
     if G.rows != B.rows:
         raise ShapeError("row counts differ")
-    _check_spread(B)
+    _check_spread(_term_rows(B))
     return _solve(smith_normal_form(G), B)
 
 
 def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
-    """solve_in_span from the Smith form U G V = D of G."""
-    r = snf.rank
-    W = snf.U @ B
-    ring = B.ring
-    Y = [[ring.zero()] * B.cols for _ in range(snf.D.cols)]
-    for i in range(snf.D.rows):
-        for j in range(B.cols):
-            w = W[i, j]
+    """solve_in_span from the Smith form U G V = D of G, on term-dict rows."""
+    ring, r, D = B.ring, snf.rank, _term_rows(snf.D)
+    Y = [[_ZERO] * B.cols for _ in range(snf.D.cols)]
+    for i, row in enumerate(_term_rows(snf.U @ B)):
+        for j, w in enumerate(row):
             if i < r:
-                q, rem = laurent_divmod(w, snf.D[i, i])
-                if not rem.is_zero():
-                    return None
-                Y[i][j] = q
-            elif not w.is_zero():
+                Y[i][j], w = _divmod(w, D[i][i], ring.p)
+            if w:
                 return None
-    return snf.V @ RingMatrix._unchecked(ring, _as_stored(ring, Y), B.cols)
+    return snf.V @ RingMatrix._unchecked(ring, _from_terms(ring, Y), B.cols)
 
 
 # -- the rows linalg computes on; determinants and inverses ----------------
@@ -565,12 +557,18 @@ def _rows(A: RingMatrix, t: int | None = None) -> list:
     return [[_at_T(e, t, p).get((), 0) for e in row] for row in A._stored]
 
 
-def _as_stored(ring: RingDescriptor, rows) -> list:
-    """The rows RingMatrix stores for rows of polynomials over ring: their
-    residues over F_p, their term dicts elsewhere."""
+def _term_rows(A: RingMatrix) -> list:
+    """_rows(A) as term dicts: over F_p a residue v enters as {(): v}."""
+    if A.ring.nexponents:
+        return _rows(A)
+    return [[{(): v} if v else _ZERO for v in row] for row in A._stored]
+
+
+def _from_terms(ring: RingDescriptor, rows) -> list:
+    """The rows RingMatrix stores for term-dict rows: over F_p a dict leaves as its residue."""
     if ring.nexponents:
-        return [[e.terms for e in row] for row in rows]
-    return [[e.terms.get((), 0) for e in row] for row in rows]
+        return rows
+    return [[e.get((), 0) for e in row] for row in rows]
 
 
 def _interpolate(ring: RingDescriptor, rows0, rows1, cols: int = 0) -> RingMatrix:

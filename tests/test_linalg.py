@@ -37,6 +37,7 @@ from maslovkit.linalg import _dagger_rows, _interpolate, _matmul_rows, _rows, _s
 from maslovkit.linalg import laurent_divmod, spread
 
 from helpers import check_snf_contract, rand_matrix, rand_unit_matrix, time_limit
+from test_serialize import _count_polynomials
 
 
 F5 = RingDescriptor(5)
@@ -45,6 +46,21 @@ F7 = RingDescriptor(7)
 L3 = RingDescriptor(3, 1)
 L5 = RingDescriptor(5, 1)
 L7 = RingDescriptor(7, 1)
+BIG = 10**9 + 7
+
+
+def _snf_draws(ring, rng, draws, max_spread=2):
+    """Matrices over ring for check_snf_contract: draws random ones of shapes
+    1..5, every other one with 30% of its entries zeroed, then each 0 x n and
+    m x 0 shape up to 4."""
+    for k in range(draws):
+        G = rand_matrix(ring, rng, rng.randrange(1, 6), rng.randrange(1, 6), max_spread)
+        if k % 2:
+            G = RingMatrix(ring, [[0 if rng.random() < 0.3 else e for e in r] for r in G.entries])
+        yield G
+    for k in range(5):
+        yield RingMatrix.zeros(ring, 0, k)
+        yield RingMatrix.zeros(ring, k, 0)
 
 
 def test_mat_mul_examples():
@@ -154,6 +170,10 @@ def test_snf_random_laurent():
         rows = rng.randrange(5, 7)
         cols = rng.randrange(5, 7)
         check_snf_contract(rand_matrix(L7, rng, rows, cols, max_spread=5))
+    # the prime near 10^9, sparse draws, and the shapes with no rows or columns
+    for ring in (L3, RingDescriptor(BIG, 1)):
+        for G in _snf_draws(ring, rng, 20, max_spread=3):
+            check_snf_contract(G)
 
 
 def test_snf_random_field():
@@ -166,6 +186,9 @@ def test_snf_random_field():
         rows = rng.randrange(5, 7)
         cols = rng.randrange(5, 7)
         check_snf_contract(rand_matrix(F7, rng, rows, cols))
+    for ring in (F5, RingDescriptor(BIG)):
+        for G in _snf_draws(ring, rng, 20):
+            check_snf_contract(G)
 
 
 def test_snf_divides_once_per_entry_of_each_cross(monkeypatch):
@@ -174,16 +197,36 @@ def test_snf_divides_once_per_entry_of_each_cross(monkeypatch):
     # dense invertible 4 x 4 takes at most (3 + 3) + (2 + 2) + (1 + 1) calls
     G = RingMatrix(F5, [[3, 2, 2, 4], [3, 1, 4, 1], [2, 3, 1, 3], [4, 2, 3, 3]])
     assert all(e for row in G.entries for e in row) and det(G)
-    calls = []
+    calls, divide = [], linalg._divmod
 
-    def counted(f, g):
+    def counted(f, g, p):
         calls.append((f, g))
-        return laurent_divmod(f, g)
+        return divide(f, g, p)
 
-    monkeypatch.setattr(linalg, "laurent_divmod", counted)
+    monkeypatch.setattr(linalg, "_divmod", counted)
     snf = smith_normal_form(G)
     assert snf.D == RingMatrix.identity(F5, 4)
     assert 0 < len(calls) <= 12
+
+
+def test_snf_builds_no_polynomial_per_entry(monkeypatch):
+    # the Smith form, kernels and solves run on the stored rows: once the
+    # ring's shared constants exist they build no LaurentPolynomial, over
+    # F_p (12 x 12 at p near 10^9) or over F_5[x^+-] (8 x 8, rank 6)
+    rng = random.Random(32)
+    built = _count_polynomials(monkeypatch)
+    for ring, n, k in ((RingDescriptor(BIG), 12, 12), (L5, 8, 6)):
+        G = rand_matrix(ring, rng, n, k, max_spread=1) @ rand_matrix(ring, rng, k, n, max_spread=1)
+        B = G @ rand_matrix(ring, rng, n, 2)
+
+        def run():
+            return smith_normal_form(G).rank, kernel_basis(G).cols, solve_in_span(G, B)
+
+        run()
+        built.clear()
+        rank, nullity, X = run()
+        assert not built
+        assert (rank, nullity) == (k, n - k) and G @ X == B
 
 
 def test_snf_rejects_entries_of_huge_spread():
@@ -212,6 +255,10 @@ def test_divmod_takes_the_snf_ring_gate():
     for ring in (RingDescriptor(5, 2), RingDescriptor(5, 1, True), RingDescriptor(5, 0, True)):
         with pytest.raises(UnsupportedRing, match="d <= 1 and no T"):
             laurent_divmod(ring.one(), ring.one())
+    # spread takes the gate too: it would read x1's exponent alone, or T's
+    for f in (RingDescriptor(5, 2).x(1, 9) + 1, RingDescriptor(5, 0, True).T(3) + 1):
+        with pytest.raises(UnsupportedRing, match="d <= 1 and no T"):
+            spread(f)
 
 
 def test_negative_matrix_sizes_are_rejected():
@@ -332,8 +379,9 @@ def test_spread_and_divmod():
 def test_divmod_bounds_the_dividend_spread():
     x = L5.x(0)
     # long division walks the dividend's exponent range: refused at once
-    with time_limit(2), pytest.raises(DomainError):
-        laurent_divmod(L5.x(0, 10**7) + 1, x + 1)
+    for beyond in (10**7, (1 << 16) + 1):
+        with time_limit(2), pytest.raises(DomainError):
+            laurent_divmod(L5.x(0, beyond) + 1, x + 1)
     at_bound = L5.x(0, 1 << 16) + 1
     q, r = laurent_divmod(at_bound, x + 1)
     assert q * (x + 1) + r == at_bound
