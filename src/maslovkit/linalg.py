@@ -8,9 +8,10 @@ A matrix stores its rows as this module computes on them: int residues over
 F_p, the entries' term dicts (see ring) elsewhere.  _rows gives a fresh list
 of them, RingMatrix._unchecked stores rows as given, and
 serialize.decode_matrix hands it the rows it reads from a document.
-entries is a view of them as polynomials, built on first read: one per
-residue over F_p, elsewhere one per nonzero entry, which shares its terms
-dict with the stored row.  No stored dict is ever changed.
+entries is a view of them as polynomials, built on first read from
+_term_rows of them the same way over every ring: one per nonzero entry,
+which shares its terms dict with the stored row (over F_p a fresh {(): v}),
+and the ring's shared zero() for each zero.  No stored dict is ever changed.
 _interpolate makes the matrix A + T (B - A) over R[T] from the rows of two
 T-free matrices A and B and keeps them: _rows at T = 0 and T = 1 copies
 them, and RingMatrix.eval_T there reads them, without a row over R[T]; any
@@ -84,12 +85,13 @@ class RingMatrix:
     """Rectangular matrix of Laurent polynomials over a fixed ring.
 
     Entries are stored densely, as the rows linalg computes on: int residues
-    over F_p, the entries' term dicts elsewhere.  entries (and so A[i, j])
-    is a read-only view of them, built on first read (the constructor keeps
-    the polynomials it was given): a nonzero entry shares its terms dict
-    with the stored row, and no stored dict is ever changed.  A matrix made
-    by _interpolate keeps its T-free rows at T = 0 and T = 1 and builds its
-    stored rows on first read.  Instances are treated as immutable.
+    over F_p, the entries' term dicts elsewhere; the constructor stores
+    those rows and nothing else.  entries (and so A[i, j]) is a read-only
+    view of them, built once, on first read: a nonzero entry wraps its term
+    dict, shared with the stored row, and no stored dict is ever changed.
+    A matrix made by _interpolate keeps its T-free rows at T = 0 and T = 1
+    and builds its stored rows on first read.  Instances are treated as
+    immutable.
     """
 
     __slots__ = ("ring", "rows", "cols", "_stored_rows", "_ends", "_entries")
@@ -114,7 +116,6 @@ class RingMatrix:
         if any(len(r) != ncols for r in rows):
             raise ShapeError("rows have inconsistent lengths")
         self._store(ring, _from_terms(ring, [[e.terms for e in r] for r in rows]), ncols)
-        self._entries = tuple(rows)
 
     def _store(self, ring: RingDescriptor, rows, cols: int, ends: tuple | None = None):
         """Store rows, or with rows None keep ends, the rows at T = 0 and T = 1."""
@@ -145,13 +146,9 @@ class RingMatrix:
     def entries(self) -> tuple:
         """The rows of polynomial entries, built once from the stored rows."""
         if self._entries is None:
-            ring, rows, wrap = self.ring, self._stored, LaurentPolynomial._unchecked
-            if ring.nexponents:
-                zero = ring.zero()
-                self._entries = tuple(tuple(wrap(ring, e) if e else zero for e in r) for r in rows)
-            else:
-                shared = {v: wrap(ring, {(): v} if v else _ZERO) for v in set().union(*rows)}
-                self._entries = tuple(tuple(map(shared.__getitem__, r)) for r in rows)
+            ring, zero, wrap = self.ring, self.ring.zero(), LaurentPolynomial._unchecked
+            rows = _term_rows(ring, self._stored)
+            self._entries = tuple(tuple(wrap(ring, e) if e else zero for e in r) for r in rows)
         return self._entries
 
     # -- constructors ----------------------------------------------------
@@ -327,9 +324,8 @@ class RingMatrix:
         picked = [[self._stored[i][j] for j in cols] for i in rows]
         return RingMatrix._unchecked(self.ring, picked, len(cols))
 
-    def __repr__(self):  # a residue prints as its constant polynomial
-        rows = self.entries if self.ring.nexponents else self._stored
-        body = "; ".join(", ".join(map(repr, row)) for row in rows)
+    def __repr__(self):
+        body = "; ".join(", ".join(map(repr, row)) for row in self.entries)
         return f"RingMatrix[{self.rows}x{self.cols}: {body}]"
 
 
@@ -454,7 +450,7 @@ def smith_normal_form(G: RingMatrix) -> SmithDecomposition:
     """
     ring, p = G.ring, G.ring.p
     _check_snf_ring(ring)
-    A = _term_rows(G)
+    A = _term_rows(ring, G._stored)
     _check_spread(A)
     m, n = G.rows, G.cols
     one = ring.one().terms
@@ -516,15 +512,15 @@ def solve_in_span(G: RingMatrix, B: RingMatrix) -> RingMatrix | None:
     """Solve G X = B over the ring; None when some column is not in the span."""
     if G.rows != B.rows:
         raise ShapeError("row counts differ")
-    _check_spread(_term_rows(B))
+    _check_spread(_term_rows(B.ring, B._stored))
     return _solve(smith_normal_form(G), B)
 
 
 def _solve(snf: SmithDecomposition, B: RingMatrix) -> RingMatrix | None:
     """solve_in_span from the Smith form U G V = D of G, on term-dict rows."""
-    ring, r, D = B.ring, snf.rank, _term_rows(snf.D)
+    ring, r, D = B.ring, snf.rank, _term_rows(B.ring, snf.D._stored)
     Y = [[_ZERO] * B.cols for _ in range(snf.D.cols)]
-    for i, row in enumerate(_term_rows(snf.U @ B)):
+    for i, row in enumerate(_term_rows(ring, (snf.U @ B)._stored)):
         for j, w in enumerate(row):
             if i < r:
                 Y[i][j], w = _divmod(w, D[i][i], ring.p)
@@ -552,16 +548,15 @@ def _rows(A: RingMatrix, t: int | None = None) -> list:
     t %= p
     if A._ends is not None and t < 2:
         return [list(row) for row in A._ends[t]]
-    if ring.spatial_vars:
-        return [[_at_T(e, t, p) if e else _ZERO for e in row] for row in A._stored]
-    return [[_at_T(e, t, p).get((), 0) for e in row] for row in A._stored]
+    rows = [[_at_T(e, t, p) if e else _ZERO for e in row] for row in A._stored]
+    return _from_terms(ring.drop_T(), rows)
 
 
-def _term_rows(A: RingMatrix) -> list:
-    """_rows(A) as term dicts: over F_p a residue v enters as {(): v}."""
-    if A.ring.nexponents:
-        return _rows(A)
-    return [[{(): v} if v else _ZERO for v in row] for row in A._stored]
+def _term_rows(ring: RingDescriptor, rows) -> list:
+    """Fresh lists of stored rows over ring as term dicts; a residue v enters as {(): v}."""
+    if ring.nexponents:
+        return [list(row) for row in rows]
+    return [[{(): v} if v else _ZERO for v in row] for row in rows]
 
 
 def _from_terms(ring: RingDescriptor, rows) -> list:
@@ -711,7 +706,8 @@ def _eliminate_rows(ring: RingDescriptor, M: list) -> LaurentPolynomial:
         return ring.one()
     if ring.nexponents:
         return LaurentPolynomial._unchecked(ring, _eliminate(ring, M))
-    return ring.constant(_eliminate_modp(M, ring.p))
+    d = _eliminate_modp(M, ring.p)
+    return LaurentPolynomial._unchecked(ring, {(): d} if d else _ZERO)
 
 
 # Eliminations of at least this many entries (rows x width) run on packed

@@ -130,7 +130,7 @@ def pairing(v: RingMatrix, w: RingMatrix) -> LaurentPolynomial:
     """Anti-hermitian pairing dagger(v) lambda^- w of two column vectors."""
     if v.ring != w.ring:
         raise RingMismatch("vectors live over different rings")
-    if v.cols != 1 or w.cols != 1 or v.rows != w.rows or v.rows % 2:
+    if v.cols != 1 or w.cols != 1 or v.rows != w.rows or v.rows % 2 or not v.rows:
         raise ShapeError("pairing expects two 2N x 1 columns")
     n = v.rows // 2
     module = PauliModule(v.ring, n)

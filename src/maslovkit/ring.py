@@ -266,7 +266,9 @@ class FieldElement(_Value):
         return FieldElement(pow(self.value, -1, self.p), self.p)
 
     def __eq__(self, other):
-        """Equal to the scalars of the same residue; anything else is unequal."""
+        """Equal to the scalars of the same residue; any other value compares itself."""
+        if not isinstance(other, (int, FieldElement)):
+            return NotImplemented
         try:
             return self.value == _residue(other, self.p)
         except (DomainError, RingMismatch):

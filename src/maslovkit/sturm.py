@@ -80,12 +80,12 @@ class SturmSequence(_Value):
         return self.start + len(self.forms) - 1
 
     def eval_T(self, t) -> "SturmSequence":
-        return SturmSequence._unchecked(
-            self.ring.drop_T(),
-            self.N,
-            tuple(q.eval_T(t) for q in self.forms),
-            self.start,
-        )
+        """The sequence at T = t, a scalar, checked even when it has no forms."""
+        if not self.ring.has_T:
+            raise DomainError("ring has no T variable to evaluate")
+        t = _residue(t, self.ring.p)
+        forms = tuple(q.eval_T(t) for q in self.forms)
+        return SturmSequence._unchecked(self.ring.drop_T(), self.N, forms, self.start)
 
     def truncated(self) -> "SturmSequence":
         """Drop the last form (q' in the transversality construction)."""

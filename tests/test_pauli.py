@@ -260,6 +260,7 @@ F5_L, F5_2L = F5_1.standard_lagrangian(), F5_2.standard_lagrangian()
         (lambda: pairing(col(F5, [1, 0]), col(L5, [1, 0])), RingMismatch),
         (lambda: pairing(col(F5, [1, 0, 0]), col(F5, [1, 0, 0])), ShapeError),
         (lambda: pairing(col(F5, [1, 0]), col(F5, [1, 0, 0, 0])), ShapeError),
+        (lambda: pairing(RingMatrix.zeros(F5, 0, 1), RingMatrix.zeros(F5, 0, 1)), ShapeError),
         (lambda: is_transversal(F5_L, L5_1.dual_lagrangian()), RingMismatch),
         (lambda: modules_equal(F5_L, F5_2L), RingMismatch),
         (lambda: hyperbolic_unitary(RingMatrix.zeros(F5, 1, 2)), ShapeError),
@@ -280,10 +281,10 @@ F5_L, F5_2L = F5_1.standard_lagrangian(), F5_2.standard_lagrangian()
     ],
     ids=[
         "module-ring", "unitary-ring", "unitary-shape", "product-ambient", "pairing-rings",
-        "pairing-odd-rows", "pairing-row-counts", "transversal-ambient", "equal-ambient",
-        "hyperbolic-square", "apply-ambient", "decomposition-square", "module-int-ring",
-        "module-no-ring", "product-by-int", "stabilizer-no-module", "stabilizer-list",
-        "unitary-no-module", "unitary-list",
+        "pairing-odd-rows", "pairing-row-counts", "pairing-no-rows", "transversal-ambient",
+        "equal-ambient", "hyperbolic-square", "apply-ambient", "decomposition-square",
+        "module-int-ring", "module-no-ring", "product-by-int", "stabilizer-no-module",
+        "stabilizer-list", "unitary-no-module", "unitary-list",
     ],
 )
 def test_ring_and_shape_checks(build, error):

@@ -314,3 +314,8 @@ def test_equality_with_any_value_is_a_bool():
             assert (value == x) is False
     assert F5.one() == FieldElement(6, 5) and FieldElement(1, 5) == 6
     assert L5.constant(2) == -3 and FieldElement(2, 5) == FieldElement(7, 5)
+    # a FieldElement and a constant polynomial compare the same either way round
+    for x, y in ((F5.constant(3), FieldElement(3, 5)), (L5.constant(3), FieldElement(8, 5))):
+        assert x == y and y == x and not x != y and not y != x
+    for x, y in ((F5.constant(3), FieldElement(3, 7)), (L5.constant(3), FieldElement(4, 5))):
+        assert (x == y) is False and (y == x) is False and y != x

@@ -225,10 +225,13 @@ def test_sturm_unitary_examples():
         (lambda: constant_loop(F5, 1).padded(True), DomainError),
         (lambda: constant_loop(F5, 1).direct_sum(5), DomainError),
         (lambda: constant_loop(F5, "x"), DomainError),
+        (lambda: SturmSequence(F5, 1, ()).eval_T(0), DomainError),
+        (lambda: SturmSequence(F5T, 1, ()).eval_T("x"), DomainError),
     ],
     ids=["int-ring", "bare-form", "no-forms", "float-start", "bool-start", "list-of-matrices",
          "int-loop", "loop-of-forms", "negative-padding", "float-padding", "bool-padding",
-         "negative-loop-padding", "bool-loop-padding", "int-summand", "str-constant-loop-N"],
+         "negative-loop-padding", "bool-loop-padding", "int-summand", "str-constant-loop-N",
+         "empty-eval-without-T", "empty-eval-at-str"],
 )
 def test_sturm_sequence_and_loop_fields_are_checked(build, error):
     with pytest.raises(error):
