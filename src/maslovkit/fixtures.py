@@ -1,5 +1,8 @@
 """Shipped fixtures: the cluster chain, its disentangling circuit, sample pairs.
 
+Every fixture is fixed data over one prime, 5: the chain lives over the ring
+F_5[x^+-] of one spatial variable, and the sample form pair over F_5.
+
 Conventions for the one-dimensional chain of 5-state qudits: a Pauli column
 holds the X content on top and the Z content below.  The term X_{-1} Z_0 X_{+1}
 therefore has content (x + x^-1, 1); the product Hamiltonian built from
@@ -21,48 +24,39 @@ from .pauli import PauliModule, StabilizerModule, elementary_unitary
 from .ring import RingDescriptor
 from . import serialize
 
-
-def chain_ring(p: int = 5) -> RingDescriptor:
-    return RingDescriptor(p, 1, False)
-
-
-def chain_module(p: int = 5) -> PauliModule:
-    return PauliModule(chain_ring(p), 1)
+# the chain ring F_5[x^+-]
+_RING = RingDescriptor(5, 1, False)
 
 
-def product_state_module(p: int = 5) -> StabilizerModule:
-    """Single-site product stabilizer: the Z-side generator (0, 1)."""
-    module = chain_module(p)
-    gens = RingMatrix(module.ring, [[0], [1]])
-    return StabilizerModule(module, gens)
+def product_state_module() -> StabilizerModule:
+    """Single-site product stabilizer: the Z-side generator (0, 1), that is L*."""
+    return PauliModule(_RING, 1).dual_lagrangian()
 
 
-def cluster_module(p: int = 5) -> StabilizerModule:
+def cluster_module() -> StabilizerModule:
     """Cluster stabilizer with its redundant second generator kept."""
-    ring = chain_ring(p)
-    x_pair = ring.x(0) + ring.x(0, -1)
-    gens = RingMatrix(ring, [[x_pair, -x_pair], [ring.one(), ring.constant(-1)]])
-    return StabilizerModule(chain_module(p), gens)
+    x_pair = cluster_coupling_form().matrix[0, 0]
+    gens = RingMatrix(_RING, [[x_pair, -x_pair], [_RING.one(), _RING.constant(-1)]])
+    return StabilizerModule(PauliModule(_RING, 1), gens)
 
 
-def cluster_coupling_form(p: int = 5) -> HermitianForm:
+def cluster_coupling_form() -> HermitianForm:
     """The +hermitian 1x1 form x + x^-1 generating the cluster circuit."""
-    ring = chain_ring(p)
-    return HermitianForm(RingMatrix(ring, [[ring.x(0) + ring.x(0, -1)]]), 1)
+    return HermitianForm(RingMatrix(_RING, [[_RING.x(0) + _RING.x(0, -1)]]), 1)
 
 
-def disentangling_circuit(p: int = 5) -> list:
+def disentangling_circuit() -> list:
     """One-step circuit mapping the product-state module to the cluster."""
-    return [elementary_unitary("E1", cluster_coupling_form(p))]
+    return [elementary_unitary("E1", cluster_coupling_form())]
 
 
-def disentangling_circuit_json(p: int = 5) -> list:
-    return serialize.encode_circuit([("E1", cluster_coupling_form(p))])
+def disentangling_circuit_json() -> list:
+    return serialize.encode_circuit([("E1", cluster_coupling_form())])
 
 
-def sample_pair(p: int = 5):
-    """A nondegenerate form pair (<1>, <theta-ish>) for loop demonstrations."""
-    ring = RingDescriptor(p, 0, False)
+def sample_pair():
+    """A nondegenerate form pair (<1>, <theta-ish>) over F_5 for loop demonstrations."""
+    ring = RingDescriptor(_RING.p, 0, False)
     q0 = HermitianForm(RingMatrix(ring, [[1]]), 1)
     q1 = HermitianForm(RingMatrix(ring, [[2]]), 1)
     return q0, q1

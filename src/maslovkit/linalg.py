@@ -47,8 +47,8 @@ row, as one big-int multiply-add; the pivot column is read from the slots and
 reduced.  An update adds at most (p - 1)^2 to a slot, and a row takes at most
 n - 1 updates between two reductions: when it becomes the pivot row it is
 unpacked, reduced (over [A | B] also scaled to 1) and repacked, and every row
-is unpacked and reduced at the end.  An elimination of fewer than
-_PACK_ELIMINATE_MIN entries (n x width) keeps the plain update, which is
+is unpacked and reduced at the end.  An elimination whose rows are
+narrower than _PACK_ELIMINATE_MIN entries keeps the plain update, which is
 faster there, as does one whose p^2 (n + 1) fits no slot (p near 10^9 and
 n >= 18); the rows and the det are the same either way.
 
@@ -710,12 +710,15 @@ def _eliminate_rows(ring: RingDescriptor, M: list) -> LaurentPolynomial:
     return LaurentPolynomial._unchecked(ring, {(): d} if d else _ZERO)
 
 
-# Eliminations of at least this many entries (rows x width) run on packed
-# rows.  Measured on random draws at p = 7 (x86-64, CPython 3.11), packed
-# rows ran at 0.74x the plain update's speed for a det at n = 8 (64
-# entries), 0.99x at n = 10 (100) and 1.31x at n = 12 (144); for an [A | I]
-# at 0.85x at n = 4 (32), 1.17x at n = 6 (72) and 1.46x at n = 8 (128).
-_PACK_ELIMINATE_MIN = 100
+# Eliminations whose rows hold at least this many entries run on packed
+# rows; a det (width n) and an [A | I] (width 2n) cross over at the same
+# width.  Packed over plain time, best of 5 over 60 random draws, three
+# seeds (x86-64, CPython 3.11): at p = 7 a det took 1.09-1.11x at width 9,
+# 0.92-1.03x at 10 and 0.77-0.86x at 12; an [A | I] 1.02-1.20x at width 8
+# (n = 4), 0.87-1.04x at 10 and 0.77-0.84x at 12.  At p = 13 the det took
+# 0.94-0.96x and the [A | I] 0.89-0.98x at width 10, at p = 10^9 + 7
+# 0.77-0.80x and 0.84-0.91x.
+_PACK_ELIMINATE_MIN = 10
 
 
 def _eliminate_modp(M: list, p: int) -> int:
@@ -726,14 +729,14 @@ def _eliminate_modp(M: list, p: int) -> int:
     columns [A | B] each pivot row is scaled to 1 and every other row is
     cleared, so a nonsingular A leaves [I | A^-1 B].  A singular A gives 0.
 
-    At least _PACK_ELIMINATE_MIN entries (n x width; below it the plain
-    update measured faster) run on packed rows when p^2 (n + 1) fits a slot
+    Rows of at least _PACK_ELIMINATE_MIN entries (narrower ones the plain
+    update ran faster) run on packed rows when p^2 (n + 1) fits a slot
     of _SLOTS: each row one int, each update one multiply-add, a row reduced
     when it becomes the pivot row and at the end (see the module text).
     The rows M is left with are the same on either path.
     """
     n, width = len(M), len(M[0])
-    if n * width >= _PACK_ELIMINATE_MIN and (slot := _slot(p * p * (n + 1))):
+    if width >= _PACK_ELIMINATE_MIN and (slot := _slot(p * p * (n + 1))):
         return _eliminate_packed(M, p, slot)
     augmented = width > n
     d = 1

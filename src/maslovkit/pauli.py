@@ -195,16 +195,19 @@ def modules_equal(S1: StabilizerModule, S2: StabilizerModule) -> bool:
     return solve_in_span(G1, G2) is not None and solve_in_span(G2, G1) is not None
 
 
+def _transvection(ring: RingDescriptor, n: int, which: str, b) -> RingMatrix:
+    """The block E0 = (1 0; b 1) or E1 = (1 b; 0 1) of n x n cells over ring;
+    an int b stands for b times I."""
+    cells = [[1, 0], [b, 1]] if which == "E0" else [[1, b], [0, 1]]
+    return RingMatrix._grid(ring, n, cells)
+
+
 def elementary_unitary(which: str, q: HermitianForm) -> CliffordUnitary:
     """E0(q) = (1 0; q 1) on L, or E1(q) = (1 q; 0 1) on L*."""
     _require_plus_hermitian(q, "elementary unitaries need a +hermitian form")
-    if which == "E0":
-        cells = [[1, 0], [q.matrix, 1]]
-    elif which == "E1":
-        cells = [[1, q.matrix], [0, 1]]
-    else:
+    if which not in ("E0", "E1"):
         raise DomainError(f"unknown elementary kind {which!r}")
-    matrix = RingMatrix._grid(q.ring, q.dim, cells)
+    matrix = _transvection(q.ring, q.dim, which, q.matrix)
     return CliffordUnitary._unchecked(PauliModule(q.ring, q.dim), matrix)
 
 
@@ -241,11 +244,5 @@ def diag_identity_decomposition(a: RingMatrix) -> list[RingMatrix]:
         ainv = inverse(a)
     except NotAUnit:
         raise NotAUnit("diag(a, a^-1) needs an invertible a") from None
-
-    def upper(b):
-        return RingMatrix._grid(a.ring, a.rows, [[1, b], [0, 1]])
-
-    def lower(b):
-        return RingMatrix._grid(a.ring, a.rows, [[1, 0], [b, 1]])
-
-    return [upper(a), lower(-ainv), upper(a), lower(1), upper(-1), lower(1)]
+    steps = [("E1", a), ("E0", -ainv), ("E1", a), ("E0", 1), ("E1", -1), ("E0", 1)]
+    return [_transvection(a.ring, a.rows, which, b) for which, b in steps]

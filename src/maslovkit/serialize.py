@@ -142,15 +142,16 @@ def _terms_entry(e, ring: RingDescriptor) -> dict | None:
     a polynomial over another ring; as _residue_entry reads one over F_p."""
     if _in_ring(e, ring):
         return _decode_terms(e, ring)
-    f = decode_poly(e)
-    return f.terms if f.ring is ring else None
+    decode_poly(e)
+    return None
 
 
 def _residue_entry(e, ring: RingDescriptor) -> int | None:
     """The residue of an entry of a matrix over F_p, None for a polynomial
     over another ring.  A regular entry (the ring fields of ring, and a list
     of terms {"e": [], "c": c} with c an int) is the sum of its c mod p; any
-    other goes through decode_poly, the home of the term rule and its errors."""
+    other goes through decode_poly, the home of the term rule and its errors:
+    an entry that it decodes is a polynomial over another ring."""
     try:
         p, terms = e["p"], e["terms"]
         if (type(p) is int and p == ring.p and e["vars"] == [] and e["T"] is False
@@ -164,8 +165,8 @@ def _residue_entry(e, ring: RingDescriptor) -> int | None:
                 return c % p
     except (KeyError, TypeError):
         pass
-    f = decode_poly(e)
-    return f.terms.get((), 0) if f.ring is ring else None
+    decode_poly(e)
+    return None
 
 
 def encode_form(F: HermitianForm) -> dict:

@@ -212,18 +212,19 @@ def test_each_command_loads_only_its_modules(tmp_path):
         expected = {"maslovkit", "maslovkit.cli", "maslovkit.errors"}
         expected |= {f"maslovkit.{m}" for m in modules}
         assert {m for m in loaded if m.split(".")[0] == "maslovkit"} == expected, argv
-    # a plain import loads no submodule; every public name and every
-    # submodule of the name table resolves on first use
+    # a plain import, and dir() of it, load no submodule, and dir() lists
+    # every public name; every public name and every submodule of the name
+    # table resolves on first use
     script = """
 import sys
 import maslovkit
+assert set(maslovkit.__all__) <= set(dir(maslovkit))
 assert [m for m in sys.modules if m.startswith("maslovkit.")] == [], sorted(sys.modules)
 assert maslovkit.linalg is sys.modules["maslovkit.linalg"]
 for name in maslovkit.__all__:
     value = getattr(maslovkit, name)
     assert value is getattr(sys.modules[f"maslovkit.{maslovkit._HOME[name]}"], name), name
     assert vars(maslovkit)[name] is value, name
-assert set(maslovkit.__all__) <= set(dir(maslovkit))
 for module in maslovkit._PUBLIC:
     assert getattr(maslovkit, module) is sys.modules[f"maslovkit.{module}"], module
 assert not hasattr(maslovkit, "no_such_name")

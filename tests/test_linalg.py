@@ -644,6 +644,8 @@ def test_rows_round_trip(ring, rows, cols, rng):
             A.lift_T()
     else:
         _assert_entries(A.lift_T(), ring.with_T(), [[e.lift_T() for e in row] for row in a], (m, n))
+        with pytest.raises(DomainError, match="ring has no T variable to evaluate"):
+            A.eval_T(0)
     if m == n:
         assert det(A) == det(_from_entries(ring, a, n))
 

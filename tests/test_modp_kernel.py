@@ -147,7 +147,7 @@ def kernel_cases(rng, p, n):
 
 def test_eliminate_modp_packed_rows_match_plain_update(monkeypatch):
     # det-only (n columns) and [A | I] eliminations at every n from 1 to 20,
-    # so n x width lies on both sides of the packing gate, and at primes on
+    # so the row width lies on both sides of the packing gate, and at primes on
     # both sides of each slot width: the kernel as it is, and forced onto
     # packed rows wherever a slot fits, return the det and leave the rows of
     # the plain update
@@ -167,5 +167,20 @@ def test_eliminate_modp_packed_rows_match_plain_update(monkeypatch):
                     rows = [a + [int(i == j) for j in range(width - n)] for i, a in enumerate(A)]
                     want = eliminate(rows, p, inf)
                     assert eliminate(rows, p, 0) == eliminate(rows, p, gate) == want, (p, n, width)
-                    sides.add(n * width >= gate)
+                    sides.add(width >= gate)
     assert sides == {False, True}
+
+
+@pytest.mark.parametrize(
+    "op, n, packs",
+    [(inverse, 4, False), (inverse, 5, True), (det, 9, False), (det, 10, True)],
+)
+def test_packing_gate_is_the_row_width(monkeypatch, op, n, packs):
+    # a det's rows are n wide and an [A | I]'s 2n: the gate reads the width,
+    # so inverse packs from n = 5 and det from n = 10
+    calls = []
+    packed = linalg._eliminate_packed
+    monkeypatch.setattr(linalg, "_eliminate_packed", lambda *a: calls.append(a) or packed(*a))
+    A = RingMatrix(RINGS[7], [[int(j >= i) for j in range(n)] for i in range(n)])
+    op(A)
+    assert len(calls) == packs

@@ -1,6 +1,7 @@
 """Field and Laurent polynomial arithmetic."""
 
 import random
+from enum import IntEnum
 from operator import add, mul, sub
 
 import pytest
@@ -271,8 +272,10 @@ def test_constructor_fields_of_the_wrong_type(make, field):
 
 
 def test_one_scalar_rule_at_every_entry_point():
-    # a scalar is an int that is not a bool, or a FieldElement of the ring's p
+    # a scalar is an int that is not a bool, or a FieldElement of the ring's p;
+    # an int subclass such as an IntEnum member is read as its int value
     q = HermitianForm(RingMatrix(F5, [[2]]), 1)
+    three = IntEnum("Three", {"THREE": 3}).THREE
     entry_points = {
         "FieldElement": lambda c: FieldElement(c, 5).value,
         "constant": lambda c: F5.constant(c),
@@ -285,7 +288,7 @@ def test_one_scalar_rule_at_every_entry_point():
         "lambda_flip_homotopy": lambda c: lambda_flip_homotopy(c, 2, F5),
     }
     for name, make in entry_points.items():
-        assert make(3) == make(-2) == make(FieldElement(8, 5)), name
+        assert make(3) == make(-2) == make(FieldElement(8, 5)) == make(three), name
         for bad in (0.5, 3.0, True, False, "3", None):
             with pytest.raises(DomainError):
                 make(bad)

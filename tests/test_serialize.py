@@ -114,14 +114,15 @@ def test_decode_poly_agrees_with_the_constructor(case):
         assert decoded.ring == ring and decoded.terms == built.terms == paired.terms
 
 
-_FP_PRIMES = [3, 5, 10**9 + 7]
+_FP_RINGS = [RingDescriptor(p) for p in (3, 5, 10**9 + 7)]
 _BIG = [10**20, -(10**20), 10**21 + 3]
-# entries that are not regular: each leaves the F_p fast path of decode_matrix
+# terms that are not regular: each leaves the fast path of decode_matrix
 _IRREGULAR = {
     "coefficient": lambda p, term: {**term, "c": True},
     "float": lambda p, term: {**term, "c": 1.0},
     "string": lambda p, term: {**term, "c": "1"},
-    "exponent": lambda p, term: {**term, "e": [0]},
+    "exponent": lambda p, term: {**term, "e": [*term["e"], 0]},
+    "T-negative": lambda p, term: {**term, "e": [*term["e"][:-1], -1]},
     "no-e": lambda p, term: {"c": term["c"]},
     "term-int": lambda p, term: 5,
 }
@@ -142,41 +143,44 @@ _ENTRY_SPOILS = {
 
 
 @st.composite
-def _fp_matrix_documents(draw):
-    """An F_p matrix document of regular entries, with repeated, cancelling,
-    negative and huge coefficients; half the documents get one to three
-    entries or terms spoiled."""
-    p = draw(st.sampled_from(_FP_PRIMES))
+def _matrix_documents(draw, rings):
+    """A matrix document over one of rings of regular entries, with repeated,
+    cancelling, negative and huge coefficients; half the documents get one
+    to three entries or terms spoiled."""
+    ring = draw(st.sampled_from(rings))
+    p, ring_doc = ring.p, serialize.encode_ring(ring)
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    coefficient = st.integers(-12, 12) | st.sampled_from(_BIG)
+    exponents = st.tuples(
+        *[st.integers(-2, 2)] * ring.spatial_vars, *[st.integers(0, 2)] * ring.has_T
+    ).map(list)
+    term = st.fixed_dictionaries({"e": exponents, "c": st.integers(-12, 12) | st.sampled_from(_BIG)})
     grid = [
-        [
-            {**serialize.encode_ring(RingDescriptor(p)),
-             "terms": [{"e": [], "c": c} for c in draw(st.lists(coefficient, max_size=4))]}
-            for _ in range(cols)
-        ]
+        [{**ring_doc, "vars": [*ring_doc["vars"]], "terms": draw(st.lists(term, max_size=4))}
+         for _ in range(cols)]
         for _ in range(rows)
     ]
     if draw(st.booleans()):
+        spoiled = set()
         for _ in range(draw(st.integers(1, 3))):
             i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            if (i, j) in spoiled:
+                continue
+            spoiled.add((i, j))
             entry = grid[i][j]
-            if isinstance(entry, dict) and entry.get("terms") and draw(st.booleans()):
+            if entry["terms"] and draw(st.booleans()):
                 terms = list(entry["terms"])
                 k = draw(st.integers(0, len(terms) - 1))
                 terms[k] = _IRREGULAR[draw(st.sampled_from(sorted(_IRREGULAR)))](p, terms[k])
                 grid[i][j] = {**entry, "terms": terms}
             else:
                 grid[i][j] = _ENTRY_SPOILS[draw(st.sampled_from(sorted(_ENTRY_SPOILS)))](p, entry)
-    return {"rows": rows, "cols": cols, "ring": serialize.encode_ring(RingDescriptor(p)), "entries": grid}
+    return {"rows": rows, "cols": cols, "ring": ring_doc, "entries": grid}
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_fp_matrix_documents())
-def test_decode_matrix_over_fp_agrees_with_decode_poly(blob):
-    # over F_p, decode_matrix reads regular entries as residues; it must give
-    # the matrix of the entries decode_poly builds one by one, or the
-    # DomainError message that the first faulty entry gives decode_poly
+def _decodes_as_decode_poly_entries(blob):
+    """decode_matrix gives the matrix of the entries decode_poly builds one
+    by one, or the DomainError message that the first faulty entry gives
+    decode_poly."""
     ring = serialize.decode_ring(blob["ring"])
     try:
         entries = [[serialize.decode_poly(e) for e in row] for row in blob["entries"]]
@@ -192,6 +196,21 @@ def test_decode_matrix_over_fp_agrees_with_decode_poly(blob):
     except DomainError as exc:
         decoded = str(exc)
     assert decoded == expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_matrix_documents(_FP_RINGS))
+def test_decode_matrix_over_fp_agrees_with_decode_poly(blob):
+    # over F_p, decode_matrix reads regular entries as residues
+    _decodes_as_decode_poly_entries(blob)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_matrix_documents([L5, L5T]))
+def test_decode_matrix_over_laurent_rings_agrees_with_decode_poly(blob):
+    # over F_5[x^+-] and F_5[x^+-][T], decode_matrix reads regular entries'
+    # terms with no ring of its own, and hands any other entry to decode_poly
+    _decodes_as_decode_poly_entries(blob)
 
 
 def test_matrix_and_form_round_trip():
